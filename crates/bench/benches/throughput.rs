@@ -9,7 +9,7 @@
 //! 1/2/4/8/16 closed-loop client threads and reports wall-clock QPS plus
 //! p50/p95/p99 latency per rung, then repeats the 8-client rung with the
 //! wrapper result cache enabled (the read-mostly fast path) and finishes
-//! with a 16-client soak over a deliberately small worker pool to exercise
+//! with a 16-client soak over a deliberately small front to exercise
 //! shedding and deadline handling.
 
 use fedwf_bench::throughput::{ladder, run_throughput, soak, ThroughputConfig, ThroughputSummary};

@@ -186,7 +186,7 @@ fn main() {
         }
         println!(
             "\nbeyond the paper: its testbed measured one call at a time; this\n\
-             reproduction's front (bounded queue + worker pool over the\n\
+             reproduction's front (FIFO admission gate over the\n\
              read-mostly server) serves N clients concurrently. Full ladder,\n\
              result-cache scaling and the 16-client soak:\n\
              cargo bench -p fedwf-bench --bench throughput.\n"

@@ -29,7 +29,7 @@ pub struct ThroughputConfig {
     /// Calls each client issues (sequentially, one outstanding call per
     /// client — the closed-loop model).
     pub calls_per_client: usize,
-    /// Worker threads in the front's pool.
+    /// Calls the front executes at once.
     pub workers: usize,
     /// Admission-queue depth. At least `clients` avoids shedding in the
     /// closed-loop model (each client has one job outstanding at most).

@@ -2,29 +2,37 @@
 //!
 //! The paper benchmarks one federated-function call at a time; a real
 //! middle tier (Fig. 2) sits behind many concurrent clients. [`ServerFront`]
-//! adds that missing layer: a fixed pool of worker threads drains a
-//! *bounded* work queue of calls against a shared [`IntegrationServer`].
+//! adds that missing layer: a FIFO *admission gate* in front of a shared
+//! [`IntegrationServer`]. Each admitted call runs on the thread that
+//! submitted it — a `NetServer` connection thread or an in-process caller —
+//! so a request never changes threads between its socket and its reply.
 //!
 //! Design points, in the order a request meets them:
 //!
-//! 1. **Admission control.** The queue is a `sync_channel` with a fixed
-//!    depth. When it is full the call is *shed* immediately with
-//!    [`FedError::overloaded`] — the request is never executed, so the
-//!    client may safely retry elsewhere. Nothing blocks at admission.
-//! 2. **Per-call deadline.** Every call carries a deadline (the configured
-//!    default, or per-request via [`Request::deadline`]). The
-//!    submitting client waits at most that long for the reply
-//!    ([`FedError::timeout`] otherwise), and a worker that dequeues an
-//!    already-expired job drops it without executing — queue time counts
-//!    against the deadline, so a backed-up front does not burn CPU on
-//!    answers nobody is waiting for.
-//! 3. **Execution.** Workers call straight into
-//!    [`IntegrationServer::execute`], whose hot path is read-mostly: after
-//!    warm-up, no exclusive lock is taken anywhere, so workers genuinely
-//!    run in parallel.
-//! 4. **Graceful shutdown.** Dropping the front closes the queue, lets the
-//!    workers drain what was already admitted, and joins them. Clients
-//!    still waiting get their replies; nothing is lost mid-execution.
+//! 1. **Admission control.** At most [`FrontConfig::workers`] calls
+//!    execute at once and at most [`FrontConfig::queue_depth`] callers
+//!    wait for a permit. A call arriving when both are full is *shed*
+//!    immediately with [`FedError::overloaded`] — it is never executed, so
+//!    the client may safely retry elsewhere.
+//! 2. **FIFO hand-off.** A finishing call passes its permit straight to
+//!    the longest waiter, and a newcomer takes a free permit only when
+//!    nobody waits, so no caller ever overtakes an earlier one.
+//! 3. **Per-call deadline.** Every call carries a deadline (the configured
+//!    default, or per-request via [`Request::deadline`]). Waiting counts
+//!    against it: a caller whose deadline passes before it is admitted
+//!    leaves with [`FedError::timeout`] without executing, so a backed-up
+//!    front does not burn CPU on answers nobody is waiting for. A call
+//!    already executing at its deadline runs to completion and then
+//!    returns the same timeout.
+//! 4. **Execution.** The caller runs [`IntegrationServer::execute`], whose
+//!    hot path is read-mostly: after warm-up no exclusive lock is taken
+//!    anywhere, so admitted calls genuinely run in parallel. A panicking
+//!    execution is contained: its permit is released and the caller gets
+//!    a [`FedError::execution`] error naming the request.
+//! 5. **Graceful shutdown.** The front owns no threads. Callers borrow it
+//!    for the whole call, so it cannot go away under an admitted request;
+//!    a `NetServer` drains by letting its connection threads finish the
+//!    request in hand before they exit.
 //!
 //! ```
 //! use fedwf_core::{paper_functions, ArchitectureKind, FrontConfig, IntegrationServer, Request, ServerFront};
@@ -43,25 +51,34 @@
 //! # Ok::<(), fedwf_types::FedError>(())
 //! ```
 
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::any::Any;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use fedwf_sim::MetricsRegistry;
+use fedwf_sim::{Counter, Gauge, MetricsRegistry};
 use fedwf_types::sync::Mutex;
 use fedwf_types::{FedError, FedResult};
 
 use crate::request::{Outcome, Request};
 use crate::server::IntegrationServer;
 
+/// The longest deadline the front honours. A request may carry any budget
+/// (one decoded from the wire can be up to `u64::MAX` µs); clamping keeps
+/// `Instant` arithmetic from overflowing.
+const MAX_DEADLINE: Duration = Duration::from_secs(365 * 24 * 60 * 60);
+
 /// Configuration of a [`ServerFront`].
 #[derive(Debug, Clone)]
 pub struct FrontConfig {
-    /// Number of worker threads draining the queue.
+    /// Number of calls executing at once (each on its caller's thread).
     pub workers: usize,
     /// Bound of the admission queue. A call arriving while `queue_depth`
-    /// jobs are already waiting is shed with [`FedError::overloaded`].
+    /// callers are already waiting for a permit is shed with
+    /// [`FedError::overloaded`].
     pub queue_depth: usize,
     /// Deadline applied to requests that carry none of their own; covers
     /// queueing *and* execution time.
@@ -105,123 +122,187 @@ impl FrontConfig {
 /// struct. The public fields are the stable surface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrontStats {
-    /// Calls admitted into the queue.
+    /// Calls admitted past the shedding check: executed at once or queued.
     pub accepted: u64,
-    /// Calls whose execution finished (successfully or with an execution
-    /// error) and whose reply was sent.
+    /// Calls whose execution finished (successfully, with an execution
+    /// error, or past their deadline).
     pub completed: u64,
     /// Calls shed at admission because the queue was full.
     pub shed: u64,
-    /// Calls dropped by a worker because their deadline had already
-    /// expired while they sat in the queue.
+    /// Accepted calls that never executed because their deadline passed
+    /// before they were admitted.
     pub expired_in_queue: u64,
 }
 
-/// One queued request. The reply channel has capacity 1 so a worker's send
-/// never blocks, even when the client has already timed out and gone away.
-struct Job {
-    request: Request,
-    deadline: Instant,
-    reply: SyncSender<FedResult<Outcome>>,
-}
-
-/// A concurrent serving layer over one [`IntegrationServer`]: bounded
-/// admission queue, fixed worker pool, per-call deadlines, load shedding.
+/// A concurrent serving layer over one [`IntegrationServer`]: FIFO
+/// admission gate, bounded concurrency and queue, per-call deadlines,
+/// load shedding, panic containment.
 ///
 /// See the [module documentation](self) for the request life cycle.
 pub struct ServerFront {
-    queue: SyncSender<Job>,
-    workers: Vec<JoinHandle<()>>,
+    server: Arc<IntegrationServer>,
+    permits: usize,
+    queue_depth: usize,
     default_deadline: Duration,
+    gate: Mutex<Gate>,
     metrics: Arc<MetricsRegistry>,
+    accepted: Counter,
+    completed: Counter,
+    shed: Counter,
+    expired_in_queue: Counter,
+    /// Callers currently waiting for a permit.
+    waiting: Gauge,
+}
+
+/// The admission state. Invariant: `waiters` is non-empty only while all
+/// permits are taken — a freed permit goes to the head waiter directly
+/// instead of back to the pool.
+struct Gate {
+    running: usize,
+    waiters: VecDeque<Arc<Waiter>>,
+}
+
+/// One caller waiting for a permit, parked on its own thread.
+struct Waiter {
+    thread: Thread,
+    /// Set (`Release`) by [`ServerFront::release`] when it hands this
+    /// waiter the permit; the waiter reads it with `Acquire`.
+    admitted: AtomicBool,
+}
+
+/// An admitted call's claim on the gate; dropping it hands the permit on,
+/// also when the execution panicked.
+struct Permit<'a>(&'a ServerFront);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.0.release();
+    }
 }
 
 impl ServerFront {
-    /// Spawn the worker pool and return the front. Workers hold an `Arc`
-    /// of the server; the server stays usable directly as well.
+    /// Build the front over `server`. No thread is started: calls execute
+    /// on their callers' threads. The server stays usable directly as well.
     pub fn start(server: Arc<IntegrationServer>, config: FrontConfig) -> ServerFront {
-        let workers = config.workers.max(1);
-        let (queue, rx) = sync_channel::<Job>(config.queue_depth.max(1));
-        let rx = Arc::new(Mutex::new(rx));
         let metrics = Arc::new(MetricsRegistry::new());
-        let handles = (0..workers)
-            .map(|i| {
-                let server = Arc::clone(&server);
-                let rx = Arc::clone(&rx);
-                let metrics = Arc::clone(&metrics);
-                std::thread::Builder::new()
-                    .name(format!("fedwf-front-{i}"))
-                    .spawn(move || worker_loop(&server, &rx, &metrics))
-                    .expect("spawn front worker")
-            })
-            .collect();
         ServerFront {
-            queue,
-            workers: handles,
+            server,
+            permits: config.workers.max(1),
+            queue_depth: config.queue_depth.max(1),
             default_deadline: config.default_deadline,
+            gate: Mutex::new(Gate {
+                running: 0,
+                waiters: VecDeque::new(),
+            }),
+            accepted: metrics.counter("front.accepted"),
+            completed: metrics.counter("front.completed"),
+            shed: metrics.counter("front.shed"),
+            expired_in_queue: metrics.counter("front.expired_in_queue"),
+            waiting: metrics.gauge("front.queue_depth"),
             metrics,
         }
     }
 
     /// Execute one [`Request`] through the front: admission control, the
-    /// request's own deadline (or the configured default), worker-pool
-    /// execution, full [`Outcome`].
+    /// request's own deadline (or the configured default), execution on
+    /// the calling thread, full [`Outcome`].
     ///
     /// Errors: [`FedError::overloaded`] if shed at admission,
-    /// [`FedError::timeout`] if the deadline expires first, otherwise
+    /// [`FedError::timeout`] if the deadline expires first,
+    /// [`FedError::execution`] if the execution panicked, otherwise
     /// whatever the execution itself produced.
     pub fn execute(&self, request: Request) -> FedResult<Outcome> {
         let deadline = request.deadline_opt().unwrap_or(self.default_deadline);
-        let label = request.label().to_string();
-        let expires = Instant::now() + deadline;
-        let (reply_tx, reply_rx) = sync_channel(1);
-        let job = Job {
-            request,
-            deadline: expires,
-            reply: reply_tx,
-        };
-        match self.queue.try_send(job) {
-            Ok(()) => {
-                self.metrics.counter("front.accepted").inc();
-                self.metrics.gauge("front.queue_depth").inc();
+        let expires = Instant::now() + deadline.min(MAX_DEADLINE);
+        let permit = self.admit(expires, request.label())?;
+        if Instant::now() >= expires {
+            // Admitted, but too late to be worth running.
+            self.expired_in_queue.inc();
+            return Err(expired_before_admission(request.label()));
+        }
+        let result = catch_unwind(AssertUnwindSafe(|| self.server.execute(&request)));
+        drop(permit);
+        self.completed.inc();
+        let result = result.unwrap_or_else(|payload| {
+            Err(FedError::execution(format!(
+                "execution of {} panicked: {}",
+                request.label(),
+                panic_message(payload.as_ref())
+            )))
+        });
+        if Instant::now() > expires {
+            return Err(FedError::timeout(format!(
+                "deadline expired waiting for {}",
+                request.label()
+            )));
+        }
+        result
+    }
+
+    /// Take a permit, waiting in FIFO order until one is handed over or
+    /// `expires` passes. Sheds at once when the queue is full.
+    fn admit(&self, expires: Instant, label: &str) -> FedResult<Permit<'_>> {
+        let waiter = {
+            let mut gate = self.gate.lock();
+            if gate.waiters.is_empty() && gate.running < self.permits {
+                gate.running += 1;
+                self.accepted.inc();
+                return Ok(Permit(self));
             }
-            Err(TrySendError::Full(_)) => {
-                self.metrics.counter("front.shed").inc();
+            if gate.waiters.len() >= self.queue_depth {
+                self.shed.inc();
                 return Err(FedError::overloaded(format!(
                     "admission queue full, call to {label} shed"
                 )));
             }
-            Err(TrySendError::Disconnected(_)) => {
-                return Err(FedError::overloaded(format!(
-                    "serving front is shut down, call to {label} rejected"
-                )));
+            let waiter = Arc::new(Waiter {
+                thread: std::thread::current(),
+                admitted: AtomicBool::new(false),
+            });
+            gate.waiters.push_back(Arc::clone(&waiter));
+            self.accepted.inc();
+            self.waiting.inc();
+            waiter
+        };
+        loop {
+            if waiter.admitted.load(Ordering::Acquire) {
+                return Ok(Permit(self));
             }
+            let now = Instant::now();
+            if now >= expires {
+                let mut gate = self.gate.lock();
+                // The permit may have been handed over since the check
+                // above; the caller's deadline check then passes it on.
+                if waiter.admitted.load(Ordering::Acquire) {
+                    return Ok(Permit(self));
+                }
+                gate.waiters.retain(|w| !Arc::ptr_eq(w, &waiter));
+                self.waiting.dec();
+                self.expired_in_queue.inc();
+                return Err(expired_before_admission(label));
+            }
+            // Spurious wake-ups just loop.
+            std::thread::park_timeout(expires - now);
         }
-        self.await_reply(reply_rx, expires, &label)
     }
 
-    fn await_reply(
-        &self,
-        reply_rx: Receiver<FedResult<Outcome>>,
-        expires: Instant,
-        name: &str,
-    ) -> FedResult<Outcome> {
-        let remaining = expires.saturating_duration_since(Instant::now());
-        match reply_rx.recv_timeout(remaining) {
-            Ok(result) => result,
-            Err(RecvTimeoutError::Timeout) => Err(FedError::timeout(format!(
-                "deadline expired waiting for {name}"
-            ))),
-            // Worker dropped the job: its deadline expired in the queue.
-            Err(RecvTimeoutError::Disconnected) => Err(FedError::timeout(format!(
-                "deadline expired before {name} was dequeued"
-            ))),
+    /// Hand a finished call's permit to the longest waiter, or back to the
+    /// pool when nobody waits.
+    fn release(&self) {
+        let mut gate = self.gate.lock();
+        match gate.waiters.pop_front() {
+            Some(next) => {
+                self.waiting.dec();
+                next.admitted.store(true, Ordering::Release);
+                next.thread.unpark();
+            }
+            None => gate.running -= 1,
         }
     }
 
     /// The front's live metrics: `front.accepted`, `front.completed`,
     /// `front.shed`, `front.expired_in_queue` counters and the
-    /// `front.queue_depth` gauge.
+    /// `front.queue_depth` gauge (callers waiting for a permit).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
@@ -230,29 +311,10 @@ impl ServerFront {
     /// from [`ServerFront::metrics`].
     pub fn stats(&self) -> FrontStats {
         FrontStats {
-            accepted: self.metrics.counter("front.accepted").get(),
-            completed: self.metrics.counter("front.completed").get(),
-            shed: self.metrics.counter("front.shed").get(),
-            expired_in_queue: self.metrics.counter("front.expired_in_queue").get(),
-        }
-    }
-
-    /// Number of worker threads serving this front.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-}
-
-impl Drop for ServerFront {
-    /// Graceful shutdown: close the queue (workers see `Err` once the
-    /// already-admitted jobs are drained) and join every worker.
-    fn drop(&mut self) {
-        // Replace the live sender with a dummy one so the real sender is
-        // dropped and the channel disconnects.
-        let (dummy, _) = sync_channel(1);
-        drop(std::mem::replace(&mut self.queue, dummy));
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+            accepted: self.accepted.get(),
+            completed: self.completed.get(),
+            shed: self.shed.get(),
+            expired_in_queue: self.expired_in_queue.get(),
         }
     }
 }
@@ -260,36 +322,24 @@ impl Drop for ServerFront {
 impl std::fmt::Debug for ServerFront {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerFront")
-            .field("workers", &self.workers.len())
+            .field("workers", &self.permits)
+            .field("queue_depth", &self.queue_depth)
             .field("stats", &self.stats())
             .finish()
     }
 }
 
-fn worker_loop(
-    server: &IntegrationServer,
-    rx: &Arc<Mutex<Receiver<Job>>>,
-    metrics: &MetricsRegistry,
-) {
-    loop {
-        // Hold the receiver lock only for the dequeue itself, never while
-        // executing — otherwise the pool would serialize.
-        let job = match rx.lock().recv() {
-            Ok(job) => job,
-            Err(_) => return, // front dropped, queue drained
-        };
-        metrics.gauge("front.queue_depth").dec();
-        if Instant::now() >= job.deadline {
-            // Expired while queued: drop the reply sender; the client's
-            // recv sees a disconnect and reports a timeout.
-            metrics.counter("front.expired_in_queue").inc();
-            continue;
-        }
-        let result = server.execute(&job.request);
-        metrics.counter("front.completed").inc();
-        // The client may have timed out and dropped its receiver; a failed
-        // send is fine.
-        let _ = job.reply.send(result);
+fn expired_before_admission(label: &str) -> FedError {
+    FedError::timeout(format!("deadline expired before {label} was dequeued"))
+}
+
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "non-string panic payload"
     }
 }
 
@@ -414,7 +464,21 @@ mod tests {
     }
 
     #[test]
-    fn drop_joins_workers_and_drains_queue() {
+    fn an_unrepresentable_deadline_means_no_deadline() {
+        let server = front_server();
+        let front = ServerFront::start(server.clone(), FrontConfig::default());
+        let outcome = front
+            .execute(
+                Request::function("GetSuppQual")
+                    .params(qual_args(&server))
+                    .deadline(Duration::MAX),
+            )
+            .expect("a huge budget must not overflow the deadline arithmetic");
+        assert_eq!(outcome.table.value(0, "Qual"), Some(&Value::Int(93)));
+    }
+
+    #[test]
+    fn drop_after_calls_does_not_hang() {
         let server = front_server();
         let front = ServerFront::start(
             server.clone(),
@@ -426,7 +490,218 @@ mod tests {
         drop(front); // must not hang
     }
 
-    /// Concurrent front workers committing INSERTs into a group-commit
+    /// A native UDTF `Block(Tag)` that records each invocation's tag and
+    /// then blocks until the test opens the latch.
+    #[derive(Default)]
+    struct Latch {
+        /// Tags of the invocations so far, and whether the latch is open.
+        state: std::sync::Mutex<(Vec<i32>, bool)>,
+        changed: std::sync::Condvar,
+    }
+
+    impl Latch {
+        fn install(server: &IntegrationServer) -> Arc<Latch> {
+            use fedwf_fdbs::Udtf;
+            use fedwf_types::{DataType, Ident, Schema, Table};
+            let latch = Arc::new(Latch::default());
+            let body_latch = Arc::clone(&latch);
+            server
+                .fdbs()
+                .register_udtf(Udtf::native(
+                    "Block",
+                    vec![(Ident::new("Tag"), DataType::Int)],
+                    Arc::new(Schema::of(&[("Tag", DataType::Int)])),
+                    move |args, _meter| {
+                        let tag = args[0].as_i64().unwrap() as i32;
+                        let mut state = body_latch.state.lock().unwrap();
+                        state.0.push(tag);
+                        body_latch.changed.notify_all();
+                        drop(body_latch.changed.wait_while(state, |s| !s.1).unwrap());
+                        Ok(Table::scalar("Tag", Value::Int(tag)))
+                    },
+                ))
+                .unwrap();
+            latch
+        }
+
+        fn entered(&self) -> Vec<i32> {
+            self.state.lock().unwrap().0.clone()
+        }
+
+        fn wait_entered(&self, n: usize) {
+            let state = self.state.lock().unwrap();
+            let (state, waited) = self
+                .changed
+                .wait_timeout_while(state, Duration::from_secs(10), |s| s.0.len() < n)
+                .unwrap();
+            drop(state);
+            assert!(!waited.timed_out(), "never saw {n} invocations");
+        }
+
+        fn release_all(&self) {
+            self.state.lock().unwrap().1 = true;
+            self.changed.notify_all();
+        }
+    }
+
+    fn block(tag: i32) -> Request {
+        Request::sql("SELECT B.Tag FROM TABLE (Block(T)) AS B").bind("T", Value::Int(tag))
+    }
+
+    fn spawn_block(
+        front: &Arc<ServerFront>,
+        request: Request,
+    ) -> std::thread::JoinHandle<FedResult<Outcome>> {
+        let front = Arc::clone(front);
+        std::thread::spawn(move || front.execute(request))
+    }
+
+    /// Wait until `n` callers wait for a permit.
+    fn wait_waiting(front: &ServerFront, n: i64) {
+        let waiting = front.metrics().gauge("front.queue_depth");
+        let start = Instant::now();
+        while waiting.get() != n {
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "never saw {n} waiters"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn one_permit_front(
+        queue_depth: usize,
+    ) -> (Arc<IntegrationServer>, Arc<ServerFront>, Arc<Latch>) {
+        let server = front_server();
+        let latch = Latch::install(&server);
+        let front = Arc::new(ServerFront::start(
+            server.clone(),
+            FrontConfig::default()
+                .with_workers(1)
+                .with_queue_depth(queue_depth),
+        ));
+        (server, front, latch)
+    }
+
+    #[test]
+    fn waiters_are_admitted_in_arrival_order() {
+        let (_server, front, latch) = one_permit_front(8);
+        let mut calls = vec![spawn_block(&front, block(0))];
+        latch.wait_entered(1);
+        for tag in 1..=5 {
+            calls.push(spawn_block(&front, block(tag)));
+            wait_waiting(&front, i64::from(tag));
+        }
+        latch.release_all();
+        for (tag, call) in calls.into_iter().enumerate() {
+            let outcome = call.join().unwrap().expect("admitted call");
+            assert_eq!(outcome.table.value(0, "Tag"), Some(&Value::Int(tag as i32)));
+        }
+        assert_eq!(latch.entered(), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(front.metrics().gauge("front.queue_depth").get(), 0);
+        assert_eq!(front.stats().completed, 6);
+    }
+
+    /// A freed permit belongs to the longest waiter at once: a newcomer
+    /// arriving right after the release, even before that waiter has
+    /// woken up, queues behind it instead of taking the permit.
+    #[test]
+    fn a_newcomer_never_overtakes_a_waiter() {
+        let server = front_server();
+        let front = Arc::new(ServerFront::start(
+            server,
+            FrontConfig::default().with_workers(1).with_queue_depth(4),
+        ));
+        let far = Instant::now() + Duration::from_secs(10);
+        let first = front.admit(far, "first").unwrap();
+        let (admitted_tx, admitted_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let waiter = {
+            let front = Arc::clone(&front);
+            std::thread::spawn(move || {
+                let permit = front.admit(far, "waiter").unwrap();
+                admitted_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+                drop(permit);
+            })
+        };
+        wait_waiting(&front, 1);
+        drop(first);
+        let newcomer = front.admit(Instant::now() + Duration::from_millis(50), "newcomer");
+        assert!(newcomer.is_err_and(|e| e.is_timeout()));
+        admitted_rx.recv().unwrap();
+        release_tx.send(()).unwrap();
+        waiter.join().unwrap();
+        drop(
+            front
+                .admit(far, "later")
+                .expect("the permit is back in the pool"),
+        );
+    }
+
+    #[test]
+    fn a_waiter_whose_deadline_passes_never_executes() {
+        let (_server, front, latch) = one_permit_front(8);
+        let running = spawn_block(&front, block(0));
+        latch.wait_entered(1);
+        let err = front
+            .execute(block(1).deadline(Duration::from_millis(50)))
+            .unwrap_err();
+        assert!(err.is_timeout(), "{err}");
+        assert!(err.to_string().contains("was dequeued"), "{err}");
+        let stats = front.stats();
+        assert_eq!(stats.expired_in_queue, 1);
+        assert_eq!(stats.accepted, 2);
+        assert_eq!(front.metrics().gauge("front.queue_depth").get(), 0);
+        latch.release_all();
+        running.join().unwrap().expect("running call");
+        // The expired waiter's UDTF never ran, and the front still serves.
+        assert_eq!(latch.entered(), vec![0]);
+        front.execute(block(2)).expect("after expiry");
+        assert_eq!(latch.entered(), vec![0, 2]);
+        assert_eq!(front.stats().completed, 2);
+    }
+
+    #[test]
+    fn a_caller_beyond_the_queue_depth_is_shed_at_once() {
+        let (_server, front, latch) = one_permit_front(1);
+        let running = spawn_block(&front, block(0));
+        latch.wait_entered(1);
+        let waiter = spawn_block(&front, block(1));
+        wait_waiting(&front, 1);
+        let started = Instant::now();
+        let err = front.execute(block(2)).unwrap_err();
+        assert!(err.is_overloaded(), "{err}");
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "shedding must not wait for a permit"
+        );
+        latch.release_all();
+        running.join().unwrap().expect("running call");
+        waiter.join().unwrap().expect("waiting call");
+        assert_eq!(latch.entered(), vec![0, 1]);
+        let stats = front.stats();
+        assert_eq!((stats.accepted, stats.shed, stats.completed), (2, 1, 2));
+    }
+
+    /// A call still executing when its deadline passes finishes, then
+    /// reports the timeout; its permit is released either way.
+    #[test]
+    fn an_execution_past_its_deadline_finishes_then_times_out() {
+        let (_server, front, latch) = one_permit_front(8);
+        let late = spawn_block(&front, block(0).deadline(Duration::from_millis(200)));
+        latch.wait_entered(1);
+        std::thread::sleep(Duration::from_millis(250));
+        latch.release_all();
+        let err = late.join().unwrap().unwrap_err();
+        assert!(err.is_timeout(), "{err}");
+        assert!(err.to_string().contains("waiting for"), "{err}");
+        let stats = front.stats();
+        assert_eq!((stats.completed, stats.expired_in_queue), (1, 0));
+        front.execute(block(1)).expect("permit was released");
+    }
+
+    /// Concurrent front callers committing INSERTs into a group-commit
     /// local store share the log writer: the batch counters must show
     /// coalescing (fewer batches than commits), and every acked insert
     /// must survive a reopen of the store.
@@ -448,7 +723,7 @@ mod tests {
                 .with_architecture(ArchitectureKind::Wfms)
                 .with_data(DataGenConfig::tiny())
                 .with_local_store(LocalStoreConfig::at(&dir).with_commit_mode(
-                    // A generous linger so every worker in flight lands in
+                    // A generous linger so every caller in flight lands in
                     // the same sync, even on a slow CI box.
                     CommitMode::Group {
                         max_wait_us: 3_000,

@@ -27,9 +27,10 @@
 //!   systems, controller, wrapper, WfMS and FDBS together, with the
 //!   warm-up environment model (boots, plan cache, template cache) that
 //!   reproduces Section 4's cold / after-other / repeated tiers;
-//! * [`front`] — the [`ServerFront`] serving layer: a bounded admission
-//!   queue and worker pool letting N client threads call the server
-//!   concurrently, with per-call deadlines and typed load shedding;
+//! * [`front`] — the [`ServerFront`] serving layer: a FIFO admission
+//!   gate letting N client threads call the server concurrently, each on
+//!   its own thread, with bounded concurrency and queue, per-call
+//!   deadlines and typed load shedding;
 //! * [`paper_functions`] — the federated functions of the paper's running
 //!   examples (`BuySuppComp`, `GibKompNr`, `GetNumberSupp1234`,
 //!   `GetSubCompDiscounts`, `GetSuppQual`, `GetSuppQualRelia`,

@@ -7,7 +7,10 @@ use std::sync::Arc;
 use fedwf_appsys::{build_scenario, DataGenConfig, Scenario};
 use fedwf_fdbs::Fdbs;
 use fedwf_sim::env::Process;
-use fedwf_sim::{Component, CostModel, EnvState, Meter, MetricsRegistry, SpanNameCache};
+use fedwf_sim::{
+    Component, CostModel, Counter, EnvState, Histogram, Meter, MetricsRegistry, MetricsSnapshot,
+    SpanName, SpanNameCache,
+};
 use fedwf_types::sync::{Mutex, RwLock};
 use fedwf_types::{CommitMode, FedError, FedResult, Ident, Params, Table, Value};
 use fedwf_wrapper::{Controller, WfmsWrapper};
@@ -55,7 +58,7 @@ pub struct IntegrationConfig {
     /// paper's future-work "query optimization options").
     pub result_cache: bool,
     /// WAL-backed persistence for the FDBS local store. With
-    /// [`CommitMode::Group`], concurrent [`crate::ServerFront`] workers
+    /// [`CommitMode::Group`], concurrent [`crate::ServerFront`] callers
     /// committing INSERTs share one `fdatasync` per log-writer batch.
     pub local_store: Option<LocalStoreConfig>,
 }
@@ -122,8 +125,14 @@ pub struct IntegrationServer {
     /// elapsed-time histogram). Per-instance so that parallel servers in
     /// one process do not pollute each other's counters.
     metrics: Arc<MetricsRegistry>,
-    /// Interned `request {label}` span names, so a traced hot path does
-    /// not re-format (and re-allocate) the root span name on every call.
+    /// The request-path instruments of [`Self::metrics`], registered once.
+    calls: Counter,
+    queries: Counter,
+    errors: Counter,
+    elapsed_us: Histogram,
+    /// Interned `request {name}` span names of traced function calls, so
+    /// the traced hot path does not re-format the root span name on every
+    /// call. SQL labels are whole statements and are never interned.
     request_spans: SpanNameCache<String>,
 }
 
@@ -147,6 +156,7 @@ impl IntegrationServer {
         };
         // The workflow audit database is queryable through SQL.
         fdbs.register_udtf(wrapper.audit_udtf())?;
+        let metrics = Arc::new(MetricsRegistry::new());
         Ok(IntegrationServer {
             config,
             scenario,
@@ -157,7 +167,11 @@ impl IntegrationServer {
             env: Mutex::new(EnvState::cold()),
             all_booted: AtomicBool::new(false),
             phase: RwLock::new(()),
-            metrics: Arc::new(MetricsRegistry::new()),
+            calls: metrics.counter("server.calls"),
+            queries: metrics.counter("server.queries"),
+            errors: metrics.counter("server.errors"),
+            elapsed_us: metrics.histogram("server.elapsed_us"),
+            metrics,
             request_spans: SpanNameCache::new(),
         })
     }
@@ -262,6 +276,9 @@ impl IntegrationServer {
     /// With `traced(true)` the returned [`Outcome::trace`] holds the span
     /// tree of the whole execution; tracing never adds virtual-time
     /// charges, so the meter is identical either way.
+    ///
+    /// [`Outcome::metrics_delta`] holds this request's own increments of
+    /// [`Self::metrics`], so concurrent requests never see each other's.
     pub fn execute(&self, request: &Request) -> FedResult<Outcome> {
         let _phase = self.phase.read();
         // Engine options ride along per request and stick for subsequent
@@ -270,50 +287,71 @@ impl IntegrationServer {
         if let Some(options) = request.exec_options_opt() {
             self.fdbs.set_options(options);
         }
-        let before = self.metrics.snapshot();
         let mut meter = Meter::new();
         if request.trace_requested() {
             meter.set_tracing(true);
             meter.set_trace_detail(request.trace_detail_opt());
-            meter.span_start(
-                Component::Controller,
-                self.request_spans.get(request.label(), str::to_owned, || {
-                    format!("request {}", request.label())
-                }),
-            );
+            meter.span_start(Component::Controller, self.request_span(request));
         }
         let result = self.execute_target(request, &mut meter);
         let table = match result {
             Ok(table) => table,
             Err(e) => {
-                self.metrics.counter("server.errors").inc();
+                self.errors.inc();
                 return Err(e);
             }
         };
         meter.span_end();
         let trace = meter.finish_trace();
-        self.metrics
-            .histogram("server.elapsed_us")
-            .record(meter.now_us());
+        let elapsed_us = meter.now_us();
+        self.elapsed_us.record(elapsed_us);
+        let target = match request.target() {
+            Target::Function(_) => "server.calls",
+            Target::Sql(_) => "server.queries",
+        };
+        // Exactly what a before/after registry diff shows for this request
+        // alone: zero readings are left out.
+        let delta = [
+            (target, 1),
+            ("server.elapsed_us.count", 1),
+            ("server.elapsed_us.sum", elapsed_us as i64),
+        ];
         Ok(Outcome {
             table,
             meter,
             trace,
-            metrics_delta: self.metrics.snapshot().delta_since(&before),
+            metrics_delta: MetricsSnapshot::from_entries(
+                delta
+                    .into_iter()
+                    .filter(|(_, v)| *v != 0)
+                    .map(|(name, v)| (name.to_string(), v)),
+            ),
         })
+    }
+
+    /// The root span name of a traced request: `request {label}`.
+    /// Function names are few and interned; a SQL label is the whole
+    /// statement, so its name is built per request and freed with it.
+    fn request_span(&self, request: &Request) -> SpanName {
+        match request.target() {
+            Target::Function(name) => self
+                .request_spans
+                .get(name.as_str(), str::to_owned, || format!("request {name}")),
+            Target::Sql(sql) => SpanName::from(format!("request {sql}")),
+        }
     }
 
     fn execute_target(&self, request: &Request, meter: &mut Meter) -> FedResult<Table> {
         match request.target() {
             Target::Function(name) => {
-                self.metrics.counter("server.calls").inc();
+                self.calls.inc();
                 let function = self.deployed_function(name)?;
                 let args = resolve_args(&function, request.params_ref())?;
                 self.charge_boots(meter);
                 function.call(&args, meter)
             }
             Target::Sql(sql) => {
-                self.metrics.counter("server.queries").inc();
+                self.queries.inc();
                 if !request.params_ref().positional().is_empty() {
                     return Err(FedError::catalog(
                         "SQL requests take named parameters only (use Request::bind)".to_string(),
@@ -781,6 +819,47 @@ mod tests {
             let from_log = outcome.breakdown_by_component("t");
             assert_eq!(from_tree.lines, from_log.lines);
         }
+    }
+
+    /// Root spans of traced SQL carry the whole statement, so they are
+    /// built per request: thousands of distinct traced statements leave
+    /// the interned names (function names only) where they were.
+    #[test]
+    fn traced_sql_statements_are_not_interned() {
+        let s = server(ArchitectureKind::Wfms);
+        s.deploy(&paper_functions::get_supp_qual()).unwrap();
+        s.boot();
+        query(&s, "CREATE TABLE K (k INT)", &[]).unwrap();
+        let supplier = Value::str(s.scenario().well_known_supplier_name());
+        let traced = s
+            .execute(&Request::function("GetSuppQual").arg(supplier).traced(true))
+            .unwrap();
+        assert_eq!(traced.trace.unwrap().name, "request GetSuppQual");
+        let interned = s.request_spans.len();
+        assert_eq!(interned, 1);
+        for i in 0..2_000 {
+            let sql = format!("SELECT K.k FROM K WHERE K.k = {i}");
+            let outcome = s.execute(&Request::sql(&sql).traced(true)).unwrap();
+            assert_eq!(&*outcome.trace.unwrap().name, format!("request {sql}"));
+        }
+        assert_eq!(s.request_spans.len(), interned);
+    }
+
+    #[test]
+    fn clear_caches_empties_the_plan_cache() {
+        let s = server(ArchitectureKind::Wfms);
+        s.deploy(&paper_functions::get_supp_qual()).unwrap();
+        let args = vec![Value::str(s.scenario().well_known_supplier_name())];
+        call(&s, "GetSuppQual", &args).unwrap();
+        assert!(s.fdbs().cached_plan_count() > 0);
+        s.clear_caches();
+        assert_eq!(s.fdbs().cached_plan_count(), 0);
+        let again = call(&s, "GetSuppQual", &args).unwrap();
+        assert!(again
+            .meter
+            .charges()
+            .iter()
+            .any(|c| c.step == "Compile statement"));
     }
 
     #[test]

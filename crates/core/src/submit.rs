@@ -5,8 +5,8 @@
 //! `submit(Request) -> FedResult<Outcome>`. The trait is implemented by
 //!
 //! * [`IntegrationServer`] — direct in-process execution, no queue;
-//! * [`ServerFront`] — in-process with admission control, worker pool,
-//!   deadlines and load shedding;
+//! * [`ServerFront`] — in-process with admission control, bounded
+//!   concurrency, deadlines and load shedding;
 //! * `fedwf_net::TcpClient` — the same calls over a socket, against a
 //!   `fedwf-server` process.
 //!
@@ -43,8 +43,9 @@ use crate::server::IntegrationServer;
 
 /// Submit one [`Request`] for execution and wait for its [`Outcome`].
 ///
-/// Implementations differ in *where* the execution happens (same thread,
-/// a worker pool, another process across a socket) and therefore in which
+/// Implementations differ in *where* the execution happens (the calling
+/// thread, the calling thread behind an admission gate, another process
+/// across a socket) and therefore in which
 /// degradation errors they can produce (`Overload`, `Timeout`, `Network`,
 /// `Protocol`) — but a successful outcome is identical across all of
 /// them: same table, same charge log, same virtual clock.
@@ -62,8 +63,8 @@ impl Submit for IntegrationServer {
 }
 
 impl Submit for ServerFront {
-    /// Queued execution through the front: admission control, per-call
-    /// deadline, typed overload/timeout degradation.
+    /// Gated execution through the front on the calling thread: admission
+    /// control, per-call deadline, typed overload/timeout degradation.
     fn submit(&self, request: Request) -> FedResult<Outcome> {
         self.execute(request)
     }

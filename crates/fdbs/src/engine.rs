@@ -1,6 +1,5 @@
 //! The FDBS facade: statement execution, plan cache, SQL UDTF bodies.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use fedwf_sim::{Component, CostModel, Meter, SpanNameCache};
@@ -12,6 +11,7 @@ use crate::catalog::Catalog;
 use crate::exec::{execute_plan, invoke_udtf, ExecMode};
 use crate::optimizer::{optimize, PlannerMode};
 use crate::plan::{FromStep, Plan, PlanBuilder};
+use crate::plan_cache::PlanCache;
 use crate::udtf::{ChargeItem, ChargeSpec, Udtf, UdtfKind};
 
 /// Bound host variables for one statement: the typed signature, the values
@@ -119,7 +119,8 @@ impl ExecOptions {
 pub struct Fdbs {
     catalog: Catalog,
     cost: CostModel,
-    plan_cache: RwLock<HashMap<String, Arc<Plan>>>,
+    /// Compiled plans under CLOCK eviction (`plan_cache.rs`).
+    plan_cache: PlanCache,
     /// The engine's execution configuration; see [`ExecOptions`].
     options: RwLock<ExecOptions>,
     /// Interned `udtf {name}` / `fdbs.fn {name}` span names.
@@ -145,7 +146,7 @@ impl Fdbs {
         Fdbs {
             catalog: Catalog::with_local(local),
             cost,
-            plan_cache: RwLock::new(HashMap::new()),
+            plan_cache: PlanCache::new(),
             options: RwLock::new(ExecOptions::default()),
             udtf_spans: SpanNameCache::new(),
             fn_spans: SpanNameCache::new(),
@@ -250,14 +251,15 @@ impl Fdbs {
         self.catalog.register_udtf(udtf)
     }
 
-    /// Number of cached plans (observability for tests and reports).
+    /// Number of cached plans (observability for tests and reports);
+    /// never more than [`crate::PLAN_CACHE_CAPACITY`].
     pub fn cached_plan_count(&self) -> usize {
-        self.plan_cache.read().len()
+        self.plan_cache.len()
     }
 
     /// Drop all cached plans (used to model the cold-cache tier).
     pub fn clear_plan_cache(&self) {
-        self.plan_cache.write().clear();
+        self.plan_cache.clear();
     }
 
     /// Execute one statement without host variables.
@@ -299,8 +301,7 @@ impl Fdbs {
         // never stale. A NULL host variable falls through to the slow path
         // (its type cannot participate in the cache key).
         if let Ok((_, values, cache_key)) = self.host_params_and_key(sql, params) {
-            let cached = self.plan_cache.read().get(&cache_key).cloned();
-            if let Some(plan) = cached {
+            if let Some(plan) = self.plan_cache.get(&cache_key) {
                 return execute_plan(self, &plan, &values, meter);
             }
         }
@@ -478,8 +479,8 @@ impl Fdbs {
         meter: &mut Meter,
     ) -> FedResult<(Arc<Plan>, Vec<Value>)> {
         let (param_defs, values, cache_key) = self.host_params_and_key(cache_key_base, params)?;
-        if let Some(plan) = self.plan_cache.read().get(&cache_key) {
-            return Ok((plan.clone(), values));
+        if let Some(plan) = self.plan_cache.get(&cache_key) {
+            return Ok((plan, values));
         }
         meter.charge(Component::Fdbs, "Compile statement", self.cost.plan_compile);
         let opts = self.options();
@@ -492,7 +493,7 @@ impl Fdbs {
         } else {
             plan
         });
-        self.plan_cache.write().insert(cache_key, plan.clone());
+        self.plan_cache.insert(cache_key, plan.clone());
         Ok((plan, values))
     }
 
@@ -526,8 +527,7 @@ impl Fdbs {
         let opts = self.options();
         let cache_key = format!("fn:{}|{}", udtf.name.normalized(), opts.cache_tag());
         let plan = {
-            let cached = self.plan_cache.read().get(&cache_key).cloned();
-            match cached {
+            match self.plan_cache.get(&cache_key) {
                 Some(p) => p,
                 None => {
                     meter.charge(Component::Fdbs, "Compile statement", self.cost.plan_compile);
@@ -540,7 +540,7 @@ impl Fdbs {
                     } else {
                         plan
                     });
-                    self.plan_cache.write().insert(cache_key, plan.clone());
+                    self.plan_cache.insert(cache_key, plan.clone());
                     plan
                 }
             }
@@ -560,7 +560,7 @@ impl Fdbs {
                 | Statement::DropTable { .. }
                 | Statement::DropFunction { .. }
         ) {
-            self.plan_cache.write().clear();
+            self.plan_cache.clear();
         }
         match stmt {
             Statement::Select(_) | Statement::Explain(_) | Statement::ExplainAnalyze(_) => Err(
@@ -700,9 +700,7 @@ impl Fdbs {
                 self.catalog.drop_udtf(name)?;
                 // Invalidate the cached body plans (one per pruning flag).
                 let prefix = format!("fn:{}|", name.normalized());
-                self.plan_cache
-                    .write()
-                    .retain(|k, _| !k.starts_with(&prefix));
+                self.plan_cache.retain(|k| !k.starts_with(&prefix));
                 Ok(done())
             }
         }
@@ -986,6 +984,82 @@ mod tests {
         // DDL clears the cache, so the warm statement never goes stale.
         f.execute("DROP TABLE Suppliers", &mut m).unwrap();
         assert!(f.execute_with_params(sql, &params, &mut m).is_err());
+    }
+
+    fn compiles(meter: &Meter) -> usize {
+        meter
+            .charges()
+            .iter()
+            .filter(|c| c.step == "Compile statement")
+            .count()
+    }
+
+    /// 1.5x the capacity in distinct statements never grows the cache past
+    /// its capacity; a statement hit between every two of them stays
+    /// compiled; an evicted statement pays one compile when it returns.
+    #[test]
+    fn plan_cache_is_bounded_by_clock_eviction() {
+        use crate::PLAN_CACHE_CAPACITY;
+        let f = fdbs();
+        let run = |sql: &str| {
+            let mut m = Meter::new();
+            f.execute(sql, &mut m).unwrap();
+            compiles(&m)
+        };
+        let hot = "SELECT Name FROM Suppliers WHERE SupplierNo = 2";
+        let one_off = |i: usize| {
+            format!(
+                "SELECT Name FROM Suppliers WHERE SupplierNo = {}",
+                10_000 + i
+            )
+        };
+        let distinct = PLAN_CACHE_CAPACITY * 3 / 2;
+        assert_eq!(run(hot), 1);
+        for i in 0..distinct {
+            assert_eq!(run(&one_off(i)), 1, "statement {i} is new");
+            assert_eq!(run(hot), 0, "hot statement recompiled after {i} one-offs");
+            assert!(f.cached_plan_count() <= PLAN_CACHE_CAPACITY);
+        }
+        assert_eq!(f.cached_plan_count(), PLAN_CACHE_CAPACITY);
+        // The oldest one-off was evicted: it compiles once on return, then
+        // is warm again; the newest one is still cached.
+        assert_eq!(run(&one_off(0)), 1);
+        assert_eq!(run(&one_off(0)), 0);
+        assert_eq!(run(&one_off(distinct - 1)), 0);
+        assert_eq!(run(hot), 0);
+    }
+
+    #[test]
+    fn catalog_changes_and_analyze_invalidate_the_plan_cache() {
+        let f = fdbs();
+        let mut m = Meter::new();
+        let sql = "SELECT Name FROM Suppliers";
+        let cached = |f: &Fdbs| {
+            let mut m = Meter::new();
+            f.execute(sql, &mut m).unwrap();
+            compiles(&m) == 0
+        };
+        assert!(!cached(&f));
+        assert!(cached(&f));
+        f.execute("CREATE TABLE Other (a INT)", &mut m).unwrap();
+        assert_eq!(f.cached_plan_count(), 0, "DDL");
+        assert!(!cached(&f));
+        f.analyze().unwrap();
+        assert_eq!(f.cached_plan_count(), 0, "ANALYZE");
+        assert!(!cached(&f));
+        f.execute(
+            "CREATE FUNCTION F1 (X INT) RETURNS TABLE (Q INT) LANGUAGE SQL RETURN \
+             SELECT GQ.Qual FROM TABLE (GetQuality(F1.X)) AS GQ",
+            &mut m,
+        )
+        .unwrap();
+        f.execute("SELECT T.Q FROM TABLE (F1(1)) AS T", &mut m)
+            .unwrap();
+        assert!(f.cached_plan_count() >= 2, "call statement and body plan");
+        f.execute("DROP FUNCTION F1", &mut m).unwrap();
+        assert_eq!(f.cached_plan_count(), 0, "DROP FUNCTION");
+        f.clear_plan_cache();
+        assert!(!cached(&f));
     }
 
     #[test]

@@ -64,6 +64,7 @@ pub mod exec;
 pub mod expr;
 pub mod optimizer;
 pub mod plan;
+pub(crate) mod plan_cache;
 pub mod sqlmed;
 pub mod stats;
 pub mod udtf;
@@ -76,6 +77,7 @@ pub use exec::{execute_plan_with_mode, ExecMode};
 pub use expr::BoundExpr;
 pub use optimizer::PlannerMode;
 pub use plan::{JoinKey, LogicalPlan, Plan, PlanBuilder};
+pub use plan_cache::PLAN_CACHE_CAPACITY;
 pub use sqlmed::{ForeignServer, RelstoreServer};
 pub use stats::{ColumnStats, TableStatistics};
 pub use udtf::{ChargeItem, ChargeSpec, Udtf, UdtfKind};

@@ -12,11 +12,12 @@
 //!   framing discipline and the in-tree checksum. Bodies are the
 //!   `Request`/`Outcome`/`FedError` encodings of [`fedwf_core::wire`].
 //! * [`server`] — [`NetServer`]: a `std::net::TcpListener` whose
-//!   connection threads do I/O only and feed decoded requests into the
-//!   existing [`ServerFront`](fedwf_core::ServerFront) admission queue.
-//!   Bounded admission, per-call deadlines, shedding and graceful drain
-//!   are therefore preserved end-to-end, with overload and timeout
-//!   travelling as typed error frames.
+//!   connection threads decode requests, pass them through the existing
+//!   [`ServerFront`](fedwf_core::ServerFront) admission gate and, once
+//!   admitted, execute them in place. Bounded admission, per-call
+//!   deadlines, shedding and graceful drain are therefore preserved
+//!   end-to-end, with overload and timeout travelling as typed error
+//!   frames.
 //! * [`client`] — [`TcpClient`]: a pooled, reconnecting client that
 //!   implements [`Submit`](fedwf_core::Submit), making the transport a
 //!   swappable detail of any code written against `impl Submit`. Request

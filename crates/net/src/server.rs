@@ -2,19 +2,22 @@
 //! in-process admission front.
 //!
 //! Division of labour, per the middle-tier shape of the paper's Fig. 2:
-//! connection threads do **I/O only** — read a frame, decode, hand the
-//! request to the [`ServerFront`], encode the reply, write it back.
-//! Admission control, the worker pool, per-call deadlines and load
-//! shedding all stay in the front, so a server reached over TCP degrades
-//! *identically* to one called in-process: a full queue sheds with
+//! each connection thread reads a frame, decodes it, submits the request
+//! to the [`ServerFront`], encodes the reply and writes it back. The
+//! front's admission gate decides *whether and when* the request runs;
+//! once admitted it runs right here, on the connection thread, so a
+//! request never changes threads between socket and reply. Admission
+//! control, per-call deadlines, load shedding and panic containment all
+//! stay in the front, so a server reached over TCP degrades *identically*
+//! to one called in-process: a full queue sheds with
 //! [`FedError::overloaded`], an expired deadline reports
 //! [`FedError::timeout`], and both travel the wire as typed error frames
-//! (satellite: the transport-equivalence suite asserts exactly this).
+//! (the transport-equivalence suite asserts exactly this).
 //!
 //! Shutdown is graceful: the stop flag parks new accepts, connection
 //! threads notice it between frames (they poll with a short read
-//! timeout), requests already submitted to the front finish and their
-//! replies are written before the connections close.
+//! timeout), a request already in hand finishes and its reply is written
+//! before the connection closes.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -25,7 +28,7 @@ use std::time::Duration;
 
 use fedwf_core::wire::{decode_request, encode_error, encode_outcome};
 use fedwf_core::ServerFront;
-use fedwf_sim::MetricsRegistry;
+use fedwf_sim::{Counter, MetricsRegistry};
 use fedwf_types::sync::Mutex;
 use fedwf_types::{FedError, FedResult};
 
@@ -95,15 +98,15 @@ impl NetServer {
         let stop = Arc::new(AtomicBool::new(false));
         let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let metrics = Arc::new(MetricsRegistry::new());
+        let counters = NetCounters::register(&metrics);
 
         let accept = {
             let stop = Arc::clone(&stop);
             let connections = Arc::clone(&connections);
-            let metrics = Arc::clone(&metrics);
             std::thread::Builder::new()
                 .name("fedwf-net-accept".into())
                 .spawn(move || {
-                    accept_loop(&listener, &front, &stop, &connections, &metrics, &config)
+                    accept_loop(&listener, &front, &stop, &connections, &counters, &config)
                 })
                 .expect("spawn accept thread")
         };
@@ -163,12 +166,31 @@ impl std::fmt::Debug for NetServer {
     }
 }
 
+/// The request-path counters of a [`NetServer`]'s registry, registered
+/// once and shared by every connection thread.
+#[derive(Clone)]
+struct NetCounters {
+    connections: Counter,
+    requests: Counter,
+    bad_frames: Counter,
+}
+
+impl NetCounters {
+    fn register(metrics: &MetricsRegistry) -> NetCounters {
+        NetCounters {
+            connections: metrics.counter("net.connections"),
+            requests: metrics.counter("net.requests"),
+            bad_frames: metrics.counter("net.bad_frames"),
+        }
+    }
+}
+
 fn accept_loop(
     listener: &TcpListener,
     front: &Arc<ServerFront>,
     stop: &Arc<AtomicBool>,
     connections: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-    metrics: &Arc<MetricsRegistry>,
+    counters: &NetCounters,
     config: &NetServerConfig,
 ) {
     for stream in listener.incoming() {
@@ -179,27 +201,27 @@ fn accept_loop(
             Ok(s) => s,
             Err(_) => continue, // transient accept failure; keep serving
         };
-        metrics.counter("net.connections").inc();
+        counters.connections.inc();
         let front = Arc::clone(front);
         let stop = Arc::clone(stop);
-        let metrics = Arc::clone(metrics);
+        let counters = counters.clone();
         let poll = config.poll_interval;
         let handle = std::thread::Builder::new()
             .name("fedwf-net-conn".into())
-            .spawn(move || serve_connection(stream, &front, &stop, &metrics, poll))
+            .spawn(move || serve_connection(stream, &front, &stop, &counters, poll))
             .expect("spawn connection thread");
         connections.lock().push(handle);
     }
 }
 
 /// One connection: frames in, frames out, until the peer hangs up or the
-/// server drains. I/O only — every decoded request goes through the
-/// front's admission queue like any in-process call.
+/// server drains. Every decoded request passes the front's admission gate
+/// like any in-process call and, once admitted, executes on this thread.
 fn serve_connection(
     stream: TcpStream,
     front: &ServerFront,
     stop: &AtomicBool,
-    metrics: &MetricsRegistry,
+    counters: &NetCounters,
     poll: Duration,
 ) {
     let _ = stream.set_nodelay(true);
@@ -214,20 +236,20 @@ fn serve_connection(
                 // Desynchronized or torn stream: tell the peer if the pipe
                 // still works, then drop the connection — per-connection
                 // state is unrecoverable, the front is untouched.
-                metrics.counter("net.bad_frames").inc();
+                counters.bad_frames.inc();
                 let _ = write_frame(&mut writer, FrameKind::Error, &encode_error(&e));
                 return;
             }
         };
         if kind != FrameKind::Request {
-            metrics.counter("net.bad_frames").inc();
+            counters.bad_frames.inc();
             let err = FedError::protocol(format!(
                 "client sent a {kind:?} frame; only Request frames flow client → server"
             ));
             let _ = write_frame(&mut writer, FrameKind::Error, &encode_error(&err));
             return;
         }
-        metrics.counter("net.requests").inc();
+        counters.requests.inc();
         // A body that decodes is a well-formed conversation even if the
         // request itself fails — reply and keep the connection; only
         // framing-level trouble closes it.

@@ -1,11 +1,12 @@
 //! Process-wide metrics: named counters, gauges and log-linear histograms
 //! with a lock-free hot path and a plain-text exposition format.
 //!
-//! Registration (name → instrument) takes a registry lock once; the handle
-//! returned is an `Arc` of atomics, so recording on the hot path is a
-//! single `fetch_add` — no lock, no allocation. This is the property the
-//! serving layer needs: sixteen worker threads bumping `front.completed`
-//! must not serialize on a registry mutex.
+//! Registration (name → instrument) takes the registry's write lock once;
+//! later lookups of the same name share its read lock, and the handle
+//! returned is an `Arc` of atomics, so recording is a single `fetch_add` —
+//! no lock, no allocation. The serving layers go one step further and hold
+//! their request-path handles as fields, so sixteen concurrent callers
+//! bumping `front.completed` never touch the registry map at all.
 //!
 //! Histograms are **log-linear** (4 linear sub-buckets per power of two,
 //! 256 buckets total): constant memory, constant-time record, and quantile
@@ -160,6 +161,7 @@ impl Histogram {
     }
 }
 
+#[derive(Clone)]
 enum Instrument {
     Counter(Counter),
     Gauge(Gauge),
@@ -181,38 +183,40 @@ impl MetricsRegistry {
     /// Get or register a counter. Panics if `name` is already registered
     /// as a different instrument kind.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.instruments.write();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Instrument::Counter(Counter::default()))
-        {
-            Instrument::Counter(c) => c.clone(),
+        match self.lookup(name, || Instrument::Counter(Counter::default())) {
+            Instrument::Counter(c) => c,
             _ => panic!("metric {name} is not a counter"),
         }
     }
 
     /// Get or register a gauge.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.instruments.write();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Instrument::Gauge(Gauge::default()))
-        {
-            Instrument::Gauge(g) => g.clone(),
+        match self.lookup(name, || Instrument::Gauge(Gauge::default())) {
+            Instrument::Gauge(g) => g,
             _ => panic!("metric {name} is not a gauge"),
         }
     }
 
     /// Get or register a histogram.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut map = self.instruments.write();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Instrument::Histogram(Histogram::default()))
-        {
-            Instrument::Histogram(h) => h.clone(),
+        match self.lookup(name, || Instrument::Histogram(Histogram::default())) {
+            Instrument::Histogram(h) => h,
             _ => panic!("metric {name} is not a histogram"),
         }
+    }
+
+    /// The instrument registered under `name`, registering `make()` on
+    /// first use. A hit is a shared-lock map lookup; only the first
+    /// registration takes the write lock and allocates the name.
+    fn lookup(&self, name: &str, make: impl FnOnce() -> Instrument) -> Instrument {
+        if let Some(found) = self.instruments.read().get(name) {
+            return found.clone();
+        }
+        self.instruments
+            .write()
+            .entry(name.to_string())
+            .or_insert_with(make)
+            .clone()
     }
 
     /// Point-in-time snapshot of every scalar reading (counters, gauges,

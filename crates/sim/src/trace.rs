@@ -175,6 +175,15 @@ impl<K: Eq + Hash> SpanNameCache<K> {
             .or_insert(name)
             .clone()
     }
+
+    /// Number of interned names.
+    pub fn len(&self) -> usize {
+        self.names.read().expect("span names poisoned").len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 /// Virtual time per [`Component`], stored as a fixed inline array so the

@@ -8,7 +8,8 @@
 //!
 //! Boots the three application systems, deploys every Fig. 5 federated
 //! function the chosen architecture supports, starts a [`ServerFront`]
-//! (bounded admission queue + worker pool) and serves it over the wire
+//! (FIFO admission gate: `--workers` calls run at once, each on its
+//! connection thread, `--queue-depth` wait) and serves it over the wire
 //! protocol (DESIGN.md §14). Talk to it with `fedwf::net::TcpClient` —
 //! see `examples/network_roundtrip.rs` — or any `impl Submit` consumer.
 //!
@@ -137,7 +138,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let connections = net.metrics().counter("net.connections").get();
     net.shutdown(); // join connection threads; replies all written
     let stats = front.stats();
-    drop(front); // join front workers: queue fully drained
+    drop(front); // connection threads are joined, so nothing is in flight
     println!(
         "drained: {requests} requests over {connections} connections \
          ({} accepted, {} completed, {} shed, {} expired in queue)",

@@ -355,6 +355,45 @@ fn materialization_counters_fire_at_pipeline_breakers() {
 
 /// The request metrics delta: each execution shows up in the server's
 /// registry exactly once.
+/// Every outcome's metrics delta holds that request's own increments:
+/// 8 threads issuing mixed function and SQL requests each see exactly
+/// the delta a solo execution reports.
+#[test]
+fn concurrent_metrics_deltas_equal_solo_deltas() {
+    let (server, args) = warm_get_supp_qual(ArchitectureKind::Wfms);
+    let server = std::sync::Arc::new(server);
+    let requests = [
+        Request::function("GetSuppQual").params(args.as_slice()),
+        Request::sql("SELECT T.Qual FROM TABLE (GetSuppQual(S)) AS T").bind("S", args[0].clone()),
+    ];
+    let solo: Vec<_> = requests
+        .iter()
+        .map(|r| {
+            server.execute(r).expect("warm-up");
+            server.execute(r).expect("solo").metrics_delta
+        })
+        .collect();
+    assert_eq!(solo[0].get("server.calls"), Some(1));
+    assert_eq!(solo[1].get("server.queries"), Some(1));
+    let threads: Vec<_> = (0..8)
+        .map(|t| {
+            let server = std::sync::Arc::clone(&server);
+            let requests = requests.clone();
+            let solo = solo.clone();
+            std::thread::spawn(move || {
+                for i in 0..50 {
+                    let k = (t + i) % requests.len();
+                    let outcome = server.execute(&requests[k]).expect("concurrent request");
+                    assert_eq!(outcome.metrics_delta, solo[k], "thread {t}, request {i}");
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().expect("client thread");
+    }
+}
+
 #[test]
 fn outcome_metrics_delta_counts_this_request() {
     let (server, args) = warm_get_supp_qual(ArchitectureKind::Wfms);

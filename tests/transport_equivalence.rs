@@ -251,3 +251,45 @@ fn overload_sheds_network_calls_with_the_typed_error() {
         "front counted the sheds it sent over the wire"
     );
 }
+
+#[test]
+fn a_panicking_execution_is_a_typed_error_on_both_transports() {
+    use fedwf::fdbs::Udtf;
+    use fedwf::types::{DataType, ErrorLayer, Schema};
+
+    // One permit: if the panic leaked it, every later call would wait.
+    let rig = rig(
+        ArchitectureKind::Wfms,
+        FrontConfig::default().with_workers(1).with_queue_depth(1),
+    );
+    rig.server
+        .fdbs()
+        .register_udtf(Udtf::native(
+            "Explode",
+            vec![],
+            Arc::new(Schema::of(&[("x", DataType::Int)])),
+            |_args, _meter| panic!("native UDTF exploded"),
+        ))
+        .unwrap();
+    let sql = "SELECT E.x FROM TABLE (Explode()) AS E";
+    let supplier = rig.server.scenario().well_known_supplier_name().to_string();
+    let transports: [(&str, &dyn Submit); 2] = [("in-process", &rig.front), ("tcp", &rig.client)];
+    for (transport, submit) in transports {
+        let err = submit.submit(Request::sql(sql)).unwrap_err();
+        assert_eq!(err.layer, ErrorLayer::Execution, "{transport}: {err}");
+        assert!(
+            err.message.contains(sql) && err.message.contains("native UDTF exploded"),
+            "{transport}: the error names the request and the panic: {err}"
+        );
+        let outcome = submit
+            .submit(Request::function("GetSuppQual").arg(supplier.clone()))
+            .unwrap_or_else(|e| panic!("{transport}: next call not admitted: {e}"));
+        assert_eq!(outcome.table.row_count(), 1);
+    }
+    // Both TCP requests travelled over the one connection the client
+    // dialled, which is back in its pool.
+    assert_eq!(rig.net.metrics().counter("net.connections").get(), 1);
+    assert_eq!(rig.client.pooled(), 1);
+    let stats = rig.front.stats();
+    assert_eq!((stats.accepted, stats.completed), (4, 4));
+}
