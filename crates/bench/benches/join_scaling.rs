@@ -1,15 +1,15 @@
-//! E13 — join-aware vs naive executor, wall-clock scaling.
+//! E13 — production executor vs the naive oracle, wall-clock scaling.
 //!
 //! ```text
 //! cargo bench -p fedwf-bench --bench join_scaling            # full ladder
 //! cargo bench -p fedwf-bench --bench join_scaling -- --quick # CI-sized run
 //! ```
 //!
-//! Measures the Cartesian-product executor the integration server shipped
-//! with against the join-aware replacement: scaled equi-joins (hash and
-//! unique-index probe), DISTINCT/GROUP BY de-duplication, and
-//! dependent-UDTF memoization. Even `--quick` keeps n = 2000 per side on
-//! the headline equi-join — the naive leg is the point of the experiment.
+//! Measures the Cartesian-product oracle against the production executor
+//! (vectorized streaming): scaled equi-joins (hash and unique-index
+//! probe), DISTINCT/GROUP BY de-duplication, and dependent-UDTF
+//! memoization. Even `--quick` keeps n = 2000 per side on the headline
+//! equi-join — the naive leg is the point of the experiment.
 
 use fedwf_bench::join_scaling::{dependent_memo, equi_join, JoinScalingRow};
 
@@ -22,7 +22,7 @@ fn main() {
         &[500, 1_000, 2_000, 4_000]
     };
 
-    println!("join-aware vs naive executor (cost model zeroed, wall clock)");
+    println!("production executor vs naive oracle (cost model zeroed, wall clock)");
     println!(
         "equi-join: n rows per side, unique keys (selectivity 1/n){}\n",
         if quick { "  [--quick]" } else { "" }

@@ -195,38 +195,39 @@ fn main() {
 
     if want("e13") {
         use fedwf_bench::join_scaling::{self, JoinScalingRow};
-        section("E13 — join-aware vs naive executor (wall clock, cost model zeroed)");
+        section("E13 — production executor vs naive oracle (wall clock, cost model zeroed)");
         println!("{}", JoinScalingRow::render_header());
         for row in join_scaling::all(2_000) {
             println!("{}", row.render_row());
         }
         let (_, off, on) = join_scaling::dependent_memo(2_000, 10, 100_000);
         println!(
-            "\nbeyond the paper: the seed executor composed every FROM step as a\n\
-             Cartesian product and re-filtered per row; the join-aware executor\n\
-             extracts equi-join keys at bind time (hash join / unique-index\n\
-             probe), hashes DISTINCT and GROUP BY, and memoizes dependent UDTF\n\
-             calls ({off} invocations -> {on} on repeated argument tuples).\n\
+            "\nbeyond the paper: the naive oracle composes every FROM step as a\n\
+             Cartesian product and re-filters per row; the production executor\n\
+             uses the equi-join keys extracted at bind time (hash join /\n\
+             unique-index probe), hashes DISTINCT and GROUP BY, and memoizes\n\
+             dependent UDTF calls ({off} invocations -> {on} on repeated\n\
+             argument tuples).\n\
              Full size ladder: cargo bench -p fedwf-bench --bench join_scaling.\n"
         );
     }
 
     if want("e14") {
         use fedwf_bench::scan_project::{self, ScanProjectRow};
-        section("E14 — streaming + projection pruning vs materializing executors");
+        section("E14 — streaming + projection pruning vs the naive oracle");
         println!("{}", ScanProjectRow::render_header());
         for row in scan_project::all(2_000) {
             println!("{}", row.render_row());
         }
         let parse = scan_project::parse_path(300);
         println!(
-            "\nbeyond the paper: the join-aware executor still materialized every\n\
-             composed intermediate at full row width; the streaming executor\n\
-             pulls bounded batches through non-blocking operators and the binder\n\
-             prunes unreferenced columns into the scans (SQL/MED wrappers\n\
-             included), so only genuine pipeline breakers buffer rows. Warm\n\
-             statements also skip lexing/parsing on a raw-SQL plan-cache key\n\
-             ({} re-parsed vs {} warm us over {} calls).\n\
+            "\nbeyond the paper: the oracle materializes every composed\n\
+             intermediate at full row width; the streaming executor pulls\n\
+             bounded column batches through non-blocking operators and the\n\
+             binder prunes unreferenced columns into the scans (SQL/MED\n\
+             wrappers included), so only genuine pipeline breakers buffer\n\
+             rows. Warm statements also skip lexing/parsing on a raw-SQL\n\
+             plan-cache key ({} re-parsed vs {} warm us over {} calls).\n\
              Full size ladder: cargo bench -p fedwf-bench --bench scan_project.\n",
             parse.cold_us, parse.warm_us, parse.iters
         );

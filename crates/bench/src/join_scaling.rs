@@ -1,20 +1,21 @@
-//! E13 — join-aware vs naive executor scaling (real wall clock).
+//! E13 — production executor vs the naive oracle (real wall clock).
 //!
 //! The paper's Section 4 cost argument is about how the integration server
-//! composes result sets. This experiment measures the reproduction's two
-//! executor strategies against each other on workloads where the
-//! composition algorithm, not the cost model, dominates: a scaled
-//! equi-join (selectivity 1/n), DISTINCT and GROUP BY over low-cardinality
-//! data, and a dependent table function invoked with heavily repeated
-//! argument tuples (the memoization case). The cost model is zeroed so
-//! virtual charges do not distort wall time; both paths still produce
-//! identical results, which each workload asserts.
+//! composes result sets. This experiment measures the production executor
+//! (vectorized streaming) against the naive reference oracle on workloads
+//! where the composition algorithm, not the cost model, dominates: a
+//! scaled equi-join (selectivity 1/n), DISTINCT and GROUP BY over
+//! low-cardinality data, and a dependent table function invoked with
+//! heavily repeated argument tuples (the memoization case, production with
+//! the memo off vs on). The cost model is zeroed so virtual charges do not
+//! distort wall time; both legs still produce identical results, which
+//! each workload asserts.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use fedwf_fdbs::{ExecMode, Fdbs, PlannerMode, Udtf};
+use fedwf_fdbs::{ExecMode, ExecOptions, Fdbs, PlannerMode, Udtf};
 use fedwf_sim::{CostModel, Meter};
 use fedwf_types::{DataType, Ident, Schema, Table, Value};
 
@@ -24,9 +25,9 @@ pub struct JoinScalingRow {
     pub workload: String,
     /// Rows per side (join) or total input rows (DISTINCT/GROUP BY/memo).
     pub n: usize,
-    /// Naive executor (or memo-off) elapsed wall time.
+    /// Naive oracle (or production with the memo off) elapsed wall time.
     pub baseline_us: u128,
-    /// Join-aware executor (or memo-on) elapsed wall time.
+    /// Production executor (memo on) elapsed wall time.
     pub optimized_us: u128,
     /// Result rows — identical between the two legs by construction.
     pub rows_out: usize,
@@ -56,10 +57,15 @@ impl JoinScalingRow {
     }
 }
 
-fn time_query(fdbs: &Fdbs, sql: &str, mode: ExecMode) -> (u128, Table) {
-    // E13 compares executor strategies on identical plans, so the planner
-    // is pinned to the syntactic reference (E18 measures the planner).
-    fdbs.set_options(fdbs.options().mode(mode).planner(PlannerMode::Syntactic));
+fn time_query(fdbs: &Fdbs, sql: &str, mode: ExecMode, udtf_memo: bool) -> (u128, Table) {
+    // E13 compares executors on the same join order, so the planner is
+    // pinned to the syntactic reference (E18 measures the planner).
+    fdbs.set_options(
+        ExecOptions::default()
+            .mode(mode)
+            .udtf_memo(udtf_memo)
+            .planner(PlannerMode::Syntactic),
+    );
     let mut meter = Meter::new();
     let start = Instant::now();
     let table = fdbs.execute(sql, &mut meter).expect("E13 query failed");
@@ -84,10 +90,9 @@ fn assert_same(a: &Table, b: &Table, workload: &str) {
 }
 
 /// Scaled equi-join, `n` rows per side, unique keys (selectivity 1/n):
-/// `SELECT COUNT(*) FROM L, R WHERE R.K = L.K`. The naive path
-/// materializes the n×n cross product; the join-aware path hash-joins
-/// (or, with `indexed`, probes a unique index on the build side per
-/// distinct key).
+/// `SELECT COUNT(*) FROM L, R WHERE R.K = L.K`. The oracle materializes
+/// the n×n cross product; production hash-joins (or, with `indexed`,
+/// probes a unique index on the build side per distinct key).
 pub fn equi_join(n: usize, indexed: bool) -> JoinScalingRow {
     let fdbs = Fdbs::new(CostModel::zero());
     let mut meter = Meter::new();
@@ -104,9 +109,9 @@ pub fn equi_join(n: usize, indexed: bool) -> JoinScalingRow {
 
     let sql = "SELECT COUNT(*) AS matches FROM L AS A, R AS B WHERE B.K = A.K";
     // Warm the plan cache so both timed legs run parse/bind-free.
-    let _ = time_query(&fdbs, sql, ExecMode::JoinAware);
-    let (optimized_us, fast) = time_query(&fdbs, sql, ExecMode::JoinAware);
-    let (baseline_us, slow) = time_query(&fdbs, sql, ExecMode::Naive);
+    let _ = time_query(&fdbs, sql, ExecMode::Streaming, true);
+    let (optimized_us, fast) = time_query(&fdbs, sql, ExecMode::Streaming, true);
+    let (baseline_us, slow) = time_query(&fdbs, sql, ExecMode::Naive, false);
     assert_same(&fast, &slow, "equi-join");
     assert_eq!(fast.value(0, "matches"), Some(&Value::BigInt(n as i64)));
     JoinScalingRow {
@@ -139,9 +144,9 @@ pub fn distinct_scaling(n: usize) -> JoinScalingRow {
     let distinct = (n / 2).max(1);
     let fdbs = low_cardinality_table(n, distinct);
     let sql = "SELECT DISTINCT K FROM T";
-    let _ = time_query(&fdbs, sql, ExecMode::JoinAware);
-    let (optimized_us, fast) = time_query(&fdbs, sql, ExecMode::JoinAware);
-    let (baseline_us, slow) = time_query(&fdbs, sql, ExecMode::Naive);
+    let _ = time_query(&fdbs, sql, ExecMode::Streaming, true);
+    let (optimized_us, fast) = time_query(&fdbs, sql, ExecMode::Streaming, true);
+    let (baseline_us, slow) = time_query(&fdbs, sql, ExecMode::Naive, false);
     assert_same(&fast, &slow, "DISTINCT");
     assert_eq!(fast.row_count(), distinct);
     JoinScalingRow {
@@ -158,9 +163,9 @@ pub fn group_by_scaling(n: usize) -> JoinScalingRow {
     let distinct = (n / 2).max(1);
     let fdbs = low_cardinality_table(n, distinct);
     let sql = "SELECT K, COUNT(*) AS c FROM T GROUP BY K";
-    let _ = time_query(&fdbs, sql, ExecMode::JoinAware);
-    let (optimized_us, fast) = time_query(&fdbs, sql, ExecMode::JoinAware);
-    let (baseline_us, slow) = time_query(&fdbs, sql, ExecMode::Naive);
+    let _ = time_query(&fdbs, sql, ExecMode::Streaming, true);
+    let (optimized_us, fast) = time_query(&fdbs, sql, ExecMode::Streaming, true);
+    let (baseline_us, slow) = time_query(&fdbs, sql, ExecMode::Naive, false);
     assert_same(&fast, &slow, "GROUP BY");
     assert_eq!(fast.row_count(), distinct);
     JoinScalingRow {
@@ -174,10 +179,10 @@ pub fn group_by_scaling(n: usize) -> JoinScalingRow {
 
 /// Dependent-UDTF memoization: a compute-heavy lateral function called
 /// once per prefix row, but with only `distinct_args` distinct argument
-/// tuples. Baseline = memo off (one invocation per row, the paper's
-/// dependent (1:n) cost); optimized = memo on (one invocation per
-/// distinct tuple). Returns the row plus the two observed invocation
-/// counts.
+/// tuples. Both legs run the production executor: baseline = memo off
+/// (one invocation per row, the paper's dependent (1:n) cost); optimized
+/// = memo on (one invocation per distinct tuple). Returns the row plus the
+/// two observed invocation counts.
 pub fn dependent_memo(n: usize, distinct_args: usize, work: u64) -> (JoinScalingRow, usize, usize) {
     let fdbs = Fdbs::new(CostModel::zero());
     let mut meter = Meter::new();
@@ -209,14 +214,11 @@ pub fn dependent_memo(n: usize, distinct_args: usize, work: u64) -> (JoinScaling
 
     let sql = "SELECT COUNT(*) AS c FROM T AS A, TABLE (Heavy(A.K)) AS H";
     // Warm the plan cache (memo on — cheap), then zero the counter.
-    fdbs.set_options(fdbs.options().udtf_memo(true));
-    let _ = time_query(&fdbs, sql, ExecMode::JoinAware);
+    let _ = time_query(&fdbs, sql, ExecMode::Streaming, true);
     invocations.store(0, Ordering::Relaxed);
-    fdbs.set_options(fdbs.options().udtf_memo(false));
-    let (baseline_us, slow) = time_query(&fdbs, sql, ExecMode::JoinAware);
+    let (baseline_us, slow) = time_query(&fdbs, sql, ExecMode::Streaming, false);
     let off_invocations = invocations.swap(0, Ordering::Relaxed);
-    fdbs.set_options(fdbs.options().udtf_memo(true));
-    let (optimized_us, fast) = time_query(&fdbs, sql, ExecMode::JoinAware);
+    let (optimized_us, fast) = time_query(&fdbs, sql, ExecMode::Streaming, true);
     let on_invocations = invocations.load(Ordering::Relaxed);
     assert_same(&fast, &slow, "dependent memo");
     let row = JoinScalingRow {
@@ -248,7 +250,7 @@ mod tests {
 
     /// The acceptance bar: ≥10x on the scaled equi-join at n ≥ 2000.
     #[test]
-    fn join_aware_beats_naive_10x_on_scaled_equi_join() {
+    fn production_beats_naive_10x_on_scaled_equi_join() {
         let row = equi_join(2_000, false);
         assert!(
             row.speedup() >= 10.0,

@@ -22,6 +22,5 @@ pub mod planner;
 pub mod scan_project;
 pub mod throughput;
 pub mod trace_overhead;
-pub mod vectorized;
 
 pub use experiments::*;

@@ -1,6 +1,6 @@
 //! E18 — syntactic vs cost-based planner (real wall clock).
 //!
-//! E13–E17 hold the plan fixed and race executors; this experiment holds
+//! E13 and E14 hold the plan fixed and race executors; this experiment holds
 //! the executor fixed (streaming defaults) and races the *planners* on the
 //! workload join reordering exists for: a 3-way join whose syntactic FROM
 //! order opens with a cross product. `FROM Big H, Wide W, Tiny T WHERE

@@ -1,22 +1,22 @@
-//! E14 — streaming executor + projection pruning (real wall clock).
+//! E14 — the streaming executor with projection pruning against the naive
+//! oracle (real wall clock).
 //!
-//! The PR-2 join-aware executor still materialized every composed
-//! intermediate at full row width. This experiment measures what the
-//! zero-copy streaming executor with bind-time projection pruning buys on
-//! workloads where row *width*, not join algorithm, dominates: a wide
-//! "documents" table of which a query touches three columns, scanned and
-//! joined against a narrow dimension table. Three legs run the same SQL:
+//! The oracle materializes every composed intermediate at full row width.
+//! This experiment measures what the production executor (vectorized
+//! streaming over pruned plans) buys on workloads where row *width*, not
+//! join algorithm, dominates: a wide "documents" table of which a query
+//! touches one to three columns, scanned, filtered, aggregated and joined
+//! against a narrow dimension table. Two legs run the same SQL:
 //!
-//! * **naive** — cross-product reference path, pruning off (the seed),
-//! * **join-aware** — the PR-2 materializing hash-join path, pruning off,
-//! * **streaming+pruned** — this PR's default configuration.
+//! * **naive** — the reference oracle, bound unpruned;
+//! * **streaming+pruned** — the production configuration.
 //!
 //! The cost model is zeroed so virtual charges do not distort wall time;
-//! all legs must produce identical results, and the meter's
+//! both legs must produce identical results, and the meter's
 //! `rows_materialized` / `bytes_materialized` observability counters are
-//! reported per leg — the streaming-pruned leg must materialize strictly
-//! fewer bytes than the join-aware leg, and the harness fails loudly if
-//! the counters are absent on a materializing leg.
+//! reported per leg — the streaming leg must materialize strictly fewer
+//! bytes than the oracle, and the harness fails loudly if the counters are
+//! absent on the oracle leg.
 
 use std::time::Instant;
 
@@ -37,52 +37,49 @@ pub struct ScanProjectLeg {
     pub bytes_materialized: u64,
 }
 
-/// One E14 workload: the three legs over the same data and SQL.
+/// One E14 workload: both legs over the same data and SQL.
 #[derive(Debug, Clone)]
 pub struct ScanProjectRow {
     pub workload: String,
     /// Rows in the wide table.
     pub n: usize,
     pub naive: ScanProjectLeg,
-    pub join_aware: ScanProjectLeg,
     pub streaming: ScanProjectLeg,
 }
 
 impl ScanProjectRow {
-    /// Wall-clock speedup of streaming+pruned over the join-aware leg.
+    /// Wall-clock speedup of streaming+pruned over the oracle.
     pub fn speedup(&self) -> f64 {
-        self.join_aware.elapsed_us as f64 / self.streaming.elapsed_us.max(1) as f64
+        self.naive.elapsed_us as f64 / self.streaming.elapsed_us.max(1) as f64
     }
 
-    /// Bytes-materialized ratio, join-aware : streaming.
+    /// Bytes-materialized ratio, oracle : streaming.
     pub fn bytes_ratio(&self) -> f64 {
-        self.join_aware.bytes_materialized as f64 / self.streaming.bytes_materialized.max(1) as f64
+        self.naive.bytes_materialized as f64 / self.streaming.bytes_materialized.max(1) as f64
     }
 
     pub fn render_header() -> String {
         format!(
-            "{:<30} {:>7} {:>12} {:>12} {:>12} {:>8} {:>14} {:>14}",
+            "{:<30} {:>7} {:>12} {:>12} {:>9} {:>14} {:>14}",
             "workload",
             "n",
             "naive (us)",
-            "aware (us)",
             "stream (us)",
             "speedup",
-            "aware (bytes)",
+            "naive (bytes)",
             "stream (bytes)"
         )
     }
 
     pub fn render_row(&self) -> String {
         format!(
-            "{:<30} {:>7} {:>12} {:>12} {:>12} {:>7.1}x {:>14} {:>14}",
+            "{:<30} {:>7} {:>12} {:>12} {:>8.1}x {:>14} {:>14}",
             self.workload,
             self.n,
             self.naive.elapsed_us,
-            self.join_aware.elapsed_us,
             self.streaming.elapsed_us,
             self.speedup(),
-            self.join_aware.bytes_materialized,
+            self.naive.bytes_materialized,
             self.streaming.bytes_materialized,
         )
     }
@@ -131,20 +128,13 @@ pub fn wide_federation(n: usize) -> Fdbs {
     fdbs
 }
 
-fn run_leg(
-    fdbs: &Fdbs,
-    sql: &str,
-    mode: ExecMode,
-    pruning: bool,
-    name: &'static str,
-) -> (ScanProjectLeg, Table) {
-    // E14 compares executor strategies, so every leg runs the same
-    // syntactic plan — the planner is held fixed here and measured by its
-    // own experiment (E18).
+fn run_leg(fdbs: &Fdbs, sql: &str, mode: ExecMode, name: &'static str) -> (ScanProjectLeg, Table) {
+    // E14 compares executors, so both legs run the same syntactic join
+    // order — the planner is held fixed here and measured by its own
+    // experiment (E18). The oracle binds unpruned, streaming pruned.
     fdbs.set_options(
         ExecOptions::default()
             .mode(mode)
-            .projection_pruning(pruning)
             .planner(PlannerMode::Syntactic),
     );
     // Warm the plan cache so the timed run is parse/bind-free.
@@ -181,46 +171,39 @@ fn row_multiset(t: &Table) -> Vec<String> {
     rows
 }
 
-/// Run the three legs of one workload and check the invariants: identical
-/// row multisets, live materialization counters on the materializing legs,
-/// and strictly fewer bytes materialized on the streaming-pruned leg.
+/// Run both legs of one workload and check the invariants: identical row
+/// multisets, live materialization counters on the oracle leg, and
+/// strictly fewer bytes materialized on the streaming-pruned leg.
 pub fn run_workload(fdbs: &Fdbs, workload: &str, n: usize, sql: &str) -> ScanProjectRow {
-    let (naive, t_naive) = run_leg(fdbs, sql, ExecMode::Naive, false, "naive");
-    let (join_aware, t_aware) = run_leg(fdbs, sql, ExecMode::JoinAware, false, "join-aware");
-    let (streaming, t_stream) = run_leg(fdbs, sql, ExecMode::Streaming, true, "streaming+pruned");
+    let (naive, t_naive) = run_leg(fdbs, sql, ExecMode::Naive, "naive");
+    let (streaming, t_stream) = run_leg(fdbs, sql, ExecMode::Streaming, "streaming+pruned");
     // Restore the default configuration for any later use of the engine.
     fdbs.set_options(ExecOptions::default());
 
     assert_eq!(
         row_multiset(&t_naive),
-        row_multiset(&t_aware),
-        "E14 {workload}: naive and join-aware legs disagree"
-    );
-    assert_eq!(
-        row_multiset(&t_aware),
         row_multiset(&t_stream),
-        "E14 {workload}: join-aware and streaming legs disagree"
+        "E14 {workload}: naive and streaming legs disagree"
     );
     // Fail loudly if the observability counters went missing: a
     // materializing executor that books zero bytes is a broken meter, and
     // the whole experiment would silently measure nothing.
     assert!(
-        join_aware.bytes_materialized > 0 && join_aware.rows_materialized > 0,
-        "E14 {workload}: materialization counters absent on the join-aware leg"
+        naive.bytes_materialized > 0 && naive.rows_materialized > 0,
+        "E14 {workload}: materialization counters absent on the naive leg"
     );
     assert!(
-        streaming.bytes_materialized < join_aware.bytes_materialized,
-        "E14 {workload}: streaming+pruned materialized {} bytes, join-aware {} — \
+        streaming.bytes_materialized < naive.bytes_materialized,
+        "E14 {workload}: streaming+pruned materialized {} bytes, naive {} — \
          pruning must strictly reduce materialization",
         streaming.bytes_materialized,
-        join_aware.bytes_materialized
+        naive.bytes_materialized
     );
 
     ScanProjectRow {
         workload: workload.to_string(),
         n,
         naive,
-        join_aware,
         streaming,
     }
 }
@@ -259,9 +242,39 @@ pub fn wide_aggregate(n: usize) -> ScanProjectRow {
     )
 }
 
+/// Selective filter: ~6% of rows survive, one INT column referenced —
+/// the selection-vector filter with almost no output cost.
+pub fn selective_filter(n: usize) -> ScanProjectRow {
+    let fdbs = wide_federation(n);
+    run_workload(
+        &fdbs,
+        "selective filter (V > 90)",
+        n,
+        "SELECT W.V FROM W WHERE W.V > 90",
+    )
+}
+
+/// Grouped aggregate over the chunked scan: 97 groups, COUNT + SUM — the
+/// vectorized aggregate sink.
+pub fn grouped_aggregate(n: usize) -> ScanProjectRow {
+    let fdbs = wide_federation(n);
+    run_workload(
+        &fdbs,
+        "scan + GROUP BY COUNT/SUM",
+        n,
+        "SELECT W.V, COUNT(*) AS c, SUM(W.K) AS s FROM W GROUP BY W.V",
+    )
+}
+
 /// The full E14 table at one scale.
 pub fn all(n: usize) -> Vec<ScanProjectRow> {
-    vec![wide_scan(n), wide_join(n), wide_aggregate(n)]
+    vec![
+        wide_scan(n),
+        selective_filter(n),
+        grouped_aggregate(n),
+        wide_join(n),
+        wide_aggregate(n),
+    ]
 }
 
 /// The headline wide join, best wall-clock speedup of `attempts` runs —
@@ -335,19 +348,19 @@ mod tests {
     use super::*;
 
     /// The E14 acceptance bar: ≥2x wall clock and strictly lower
-    /// bytes_materialized for streaming+pruned vs the PR-2 join-aware
-    /// path on the wide-table join at n ≥ 2000 (1 core, cost model
-    /// zeroed). The strict-bytes check runs inside `run_workload`.
+    /// bytes_materialized for streaming+pruned vs the oracle on the
+    /// wide-table join at n ≥ 2000 (cost model zeroed). The strict-bytes
+    /// check runs inside `run_workload`.
     #[test]
-    fn streaming_pruned_beats_join_aware_2x_on_wide_join() {
+    fn streaming_pruned_beats_naive_2x_on_wide_join() {
         let row = wide_join_best_of(2_000, 3);
         assert!(
             row.speedup() >= 2.0,
             "expected ≥2x, got {:.2}x ({} vs {} us; {} vs {} bytes)",
             row.speedup(),
-            row.join_aware.elapsed_us,
+            row.naive.elapsed_us,
             row.streaming.elapsed_us,
-            row.join_aware.bytes_materialized,
+            row.naive.bytes_materialized,
             row.streaming.bytes_materialized
         );
     }
@@ -355,12 +368,16 @@ mod tests {
     #[test]
     fn wide_scan_and_aggregate_hold_the_invariants() {
         // `run_workload` asserts result equality, live counters, and the
-        // strict bytes reduction; the scan and aggregate workloads only
-        // need to complete at a CI-sized scale.
-        let scan = wide_scan(600);
-        assert!(scan.bytes_ratio() > 1.0);
-        let agg = wide_aggregate(600);
-        assert!(agg.bytes_ratio() > 1.0);
+        // strict bytes reduction; these workloads only need to complete at
+        // a CI-sized scale.
+        for row in [
+            wide_scan(600),
+            selective_filter(600),
+            grouped_aggregate(600),
+            wide_aggregate(600),
+        ] {
+            assert!(row.bytes_ratio() > 1.0, "{row:?}");
+        }
     }
 
     #[test]

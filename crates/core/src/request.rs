@@ -24,7 +24,6 @@
 //!
 use std::time::Duration;
 
-use fedwf_fdbs::ExecOptions;
 use fedwf_sim::{Breakdown, Meter, MetricsSnapshot, TraceDetail, TraceNode};
 use fedwf_types::{Params, Table, Value};
 
@@ -39,7 +38,7 @@ pub enum Target {
 }
 
 /// One request against the integration server: target, parameters, and
-/// execution options. Build with [`Request::function`] / [`Request::sql`]
+/// how to run it (deadline, tracing). Build with [`Request::function`] / [`Request::sql`]
 /// and the chainable setters; execute with
 /// [`crate::IntegrationServer::execute`] or
 /// [`crate::ServerFront::execute`].
@@ -50,7 +49,6 @@ pub struct Request {
     deadline: Option<Duration>,
     trace: bool,
     trace_detail: TraceDetail,
-    exec_options: Option<ExecOptions>,
 }
 
 impl Request {
@@ -62,7 +60,6 @@ impl Request {
             deadline: None,
             trace: false,
             trace_detail: TraceDetail::Full,
-            exec_options: None,
         }
     }
 
@@ -74,7 +71,6 @@ impl Request {
             deadline: None,
             trace: false,
             trace_detail: TraceDetail::Full,
-            exec_options: None,
         }
     }
 
@@ -123,17 +119,6 @@ impl Request {
         self
     }
 
-    /// Engine options ([`ExecOptions`]: executor, vectorization, pruning,
-    /// memoization, planner mode) to apply before this request executes.
-    /// The options *stick*: they stay in effect for later requests until
-    /// another request (or [`fedwf_fdbs::Fdbs::set_options`]) replaces
-    /// them. The FDBS plan cache keys on the full options value, so
-    /// flipping them never serves a stale plan.
-    pub fn exec_options(mut self, options: ExecOptions) -> Self {
-        self.exec_options = Some(options);
-        self
-    }
-
     pub fn target(&self) -> &Target {
         &self.target
     }
@@ -152,10 +137,6 @@ impl Request {
 
     pub fn trace_detail_opt(&self) -> TraceDetail {
         self.trace_detail
-    }
-
-    pub fn exec_options_opt(&self) -> Option<ExecOptions> {
-        self.exec_options
     }
 
     /// A short label for logs and error messages.

@@ -281,12 +281,6 @@ impl IntegrationServer {
     /// [`Self::metrics`], so concurrent requests never see each other's.
     pub fn execute(&self, request: &Request) -> FedResult<Outcome> {
         let _phase = self.phase.read();
-        // Engine options ride along per request and stick for subsequent
-        // requests (the FDBS holds one live ExecOptions value; the plan
-        // cache keys on it, so flipping options never serves stale plans).
-        if let Some(options) = request.exec_options_opt() {
-            self.fdbs.set_options(options);
-        }
         let mut meter = Meter::new();
         if request.trace_requested() {
             meter.set_tracing(true);
@@ -505,41 +499,6 @@ mod tests {
         let outcome = call(&s, "BuySuppComp", &args).unwrap();
         assert_eq!(outcome.table.value(0, "Decision"), Some(&Value::str("YES")));
         assert!(outcome.elapsed_us() > 0);
-    }
-
-    #[test]
-    fn exec_options_ride_the_request_and_stick() {
-        use fedwf_fdbs::{ExecMode, ExecOptions};
-
-        let s = server(ArchitectureKind::Wfms);
-        s.deploy(&paper_functions::buy_supp_comp()).unwrap();
-        let args = buy_args(&s);
-
-        let naive = ExecOptions::default()
-            .mode(ExecMode::Naive)
-            .udtf_memo(false);
-        let outcome = s
-            .execute(
-                &Request::function("BuySuppComp")
-                    .params(args.as_slice())
-                    .exec_options(naive),
-            )
-            .unwrap();
-        assert_eq!(outcome.table.value(0, "Decision"), Some(&Value::str("YES")));
-        // The options stick for subsequent requests until replaced.
-        assert_eq!(s.fdbs().options(), naive);
-
-        let restored = s
-            .execute(
-                &Request::function("BuySuppComp")
-                    .params(args.as_slice())
-                    .exec_options(ExecOptions::default()),
-            )
-            .unwrap();
-        assert_eq!(s.fdbs().options(), ExecOptions::default());
-        // Same virtual execution either way — the plan cache keys on the
-        // options, so flipping them never serves a stale plan.
-        assert_eq!(outcome.table, restored.table);
     }
 
     #[test]

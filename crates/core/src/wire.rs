@@ -21,7 +21,6 @@
 
 use std::time::Duration;
 
-use fedwf_fdbs::{ExecMode, ExecOptions, PlannerMode};
 use fedwf_sim::{
     intern_counter_name, Charge, Component, Meter, MetricsSnapshot, TraceDetail, TraceNode,
 };
@@ -71,13 +70,6 @@ pub fn encode_request(request: &Request, deadline: Option<Duration>) -> Vec<u8> 
     }
     w.put_bool(request.trace_requested());
     w.put_u8(trace_detail_tag(request.trace_detail_opt()));
-    match request.exec_options_opt() {
-        Some(options) => {
-            w.put_u8(1);
-            put_exec_options(&mut w, options);
-        }
-        None => w.put_u8(0),
-    }
     w.into_bytes()
 }
 
@@ -105,9 +97,6 @@ pub fn decode_request(bytes: &[u8]) -> FedResult<Request> {
     }
     request = request.traced(r.get_bool()?);
     request = request.trace_detail(trace_detail_from_tag(r.get_u8()?)?);
-    if r.get_u8()? == 1 {
-        request = request.exec_options(get_exec_options(&mut r)?);
-    }
     r.expect_exhausted()?;
     Ok(request)
 }
@@ -129,44 +118,6 @@ fn trace_detail_from_tag(tag: u8) -> FedResult<TraceDetail> {
             )))
         }
     })
-}
-
-fn put_exec_options(w: &mut WireWriter, options: ExecOptions) {
-    w.put_u8(match options.mode {
-        ExecMode::Streaming => 0,
-        ExecMode::JoinAware => 1,
-        ExecMode::Naive => 2,
-    });
-    w.put_bool(options.vectorized);
-    w.put_bool(options.projection_pruning);
-    w.put_bool(options.udtf_memo);
-    w.put_u8(match options.planner {
-        PlannerMode::Syntactic => 0,
-        PlannerMode::CostBased => 1,
-    });
-}
-
-fn get_exec_options(r: &mut WireReader<'_>) -> FedResult<ExecOptions> {
-    let mode = match r.get_u8()? {
-        0 => ExecMode::Streaming,
-        1 => ExecMode::JoinAware,
-        2 => ExecMode::Naive,
-        other => return Err(FedError::protocol(format!("unknown exec-mode tag {other}"))),
-    };
-    let vectorized = r.get_bool()?;
-    let projection_pruning = r.get_bool()?;
-    let udtf_memo = r.get_bool()?;
-    let planner = match r.get_u8()? {
-        0 => PlannerMode::Syntactic,
-        1 => PlannerMode::CostBased,
-        other => return Err(FedError::protocol(format!("unknown planner tag {other}"))),
-    };
-    Ok(ExecOptions::default()
-        .mode(mode)
-        .vectorized(vectorized)
-        .projection_pruning(projection_pruning)
-        .udtf_memo(udtf_memo)
-        .planner(planner))
 }
 
 // ---------------------------------------------------------------------------
@@ -362,13 +313,7 @@ mod tests {
             .bind("K", 7)
             .deadline(Duration::from_millis(250))
             .traced(true)
-            .trace_detail(TraceDetail::Coarse)
-            .exec_options(
-                ExecOptions::default()
-                    .mode(ExecMode::JoinAware)
-                    .vectorized(false)
-                    .planner(PlannerMode::Syntactic),
-            );
+            .trace_detail(TraceDetail::Coarse);
         let bytes = encode_request(&request, request.deadline_opt());
         let decoded = decode_request(&bytes).unwrap();
         assert_eq!(decoded.target(), request.target());
@@ -376,7 +321,6 @@ mod tests {
         assert_eq!(decoded.deadline_opt(), Some(Duration::from_millis(250)));
         assert!(decoded.trace_requested());
         assert_eq!(decoded.trace_detail_opt(), TraceDetail::Coarse);
-        assert_eq!(decoded.exec_options_opt(), request.exec_options_opt());
     }
 
     #[test]
@@ -455,9 +399,14 @@ mod tests {
     fn garbage_request_is_a_typed_protocol_error() {
         assert!(decode_request(&[0xFF, 0x01]).unwrap_err().is_protocol());
         // Trailing bytes are a dialect disagreement, not silently ignored.
+        // Version 1 bodies ended in an engine-options block: a marker byte
+        // (0 = none), then mode, vectorized, pruning, memo and planner. A
+        // v1 body is a typed error, never a silently reconfigured engine.
         let request = Request::function("F");
-        let mut bytes = encode_request(&request, None);
-        bytes.push(0);
-        assert!(decode_request(&bytes).unwrap_err().is_protocol());
+        for v1_options_block in [&[0u8][..], &[1, 2, 1, 0, 0, 0]] {
+            let mut bytes = encode_request(&request, None);
+            bytes.extend_from_slice(v1_options_block);
+            assert!(decode_request(&bytes).unwrap_err().is_protocol());
+        }
     }
 }

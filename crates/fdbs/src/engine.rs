@@ -10,7 +10,7 @@ use fedwf_types::{implicit_cast, DataType, FedError, FedResult, Ident, Row, Sche
 use crate::catalog::Catalog;
 use crate::exec::{execute_plan, invoke_udtf, ExecMode};
 use crate::optimizer::{optimize, PlannerMode};
-use crate::plan::{FromStep, Plan, PlanBuilder};
+use crate::plan::{FromStep, LogicalPlan, Plan, PlanBuilder};
 use crate::plan_cache::PlanCache;
 use crate::udtf::{ChargeItem, ChargeSpec, Udtf, UdtfKind};
 
@@ -22,30 +22,29 @@ type BoundHostParams = (Vec<(Ident, DataType)>, Vec<Value>, String);
 /// value. Built with chainable setters from [`ExecOptions::default`]:
 ///
 /// ```
-/// use fedwf_fdbs::{ExecOptions, PlannerMode};
-/// let opts = ExecOptions::default()
-///     .vectorized(false)
+/// use fedwf_fdbs::{ExecMode, ExecOptions, PlannerMode};
+/// let oracle = ExecOptions::default()
+///     .mode(ExecMode::Naive)
+///     .udtf_memo(false)
 ///     .planner(PlannerMode::Syntactic);
-/// assert!(opts.projection_pruning);
+/// assert_ne!(oracle.cache_tag(), ExecOptions::default().cache_tag());
 /// ```
 ///
-/// [`ExecOptions::cache_tag`] is the single configuration component of the
-/// plan-cache key, so a plan bound under one configuration is never served
-/// to an engine configured another way.
+/// Every statement reads the engine's options once and uses that value to
+/// key the plan cache, to bind and to execute, so a concurrent
+/// [`Fdbs::set_options`] never splits one statement across two
+/// configurations. [`ExecOptions::cache_tag`] is the single configuration
+/// component of the plan-cache key, so a plan bound under one
+/// configuration is never served to a statement running under another.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Which executor strategy [`execute_plan`] uses: streaming (default),
-    /// the materializing join-aware path, or the naive reference path.
+    /// Which executor runs plans: the streaming pipeline (default) or the
+    /// naive reference oracle. Streaming plans are bound with projection
+    /// pruning; oracle plans are bound unpruned.
     pub mode: ExecMode,
-    /// Run [`ExecMode::Streaming`] over typed column batches (the default).
-    /// Off gives the row-at-a-time streaming executor — kept callable as
-    /// the E17 comparison baseline.
-    pub vectorized: bool,
-    /// Prune unreferenced columns out of FROM steps at bind time and push
-    /// the projection into the scans. Off for the unpruned baselines in E14.
-    pub projection_pruning: bool,
     /// Memoize dependent UDTF invocations within one step by argument
     /// tuple. Off for experiments that need per-prefix-row cost semantics.
+    /// The oracle never memoizes.
     pub udtf_memo: bool,
     /// Which planner turns bound statements into physical plans: cost-based
     /// (default) or the syntactic FROM-order reference.
@@ -56,8 +55,6 @@ impl Default for ExecOptions {
     fn default() -> ExecOptions {
         ExecOptions {
             mode: ExecMode::Streaming,
-            vectorized: true,
-            projection_pruning: true,
             udtf_memo: true,
             planner: PlannerMode::CostBased,
         }
@@ -65,21 +62,9 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// Use `exec_mode` as the executor strategy.
+    /// Use `mode` as the executor.
     pub fn mode(mut self, mode: ExecMode) -> ExecOptions {
         self.mode = mode;
-        self
-    }
-
-    /// Toggle columnar-batch streaming execution.
-    pub fn vectorized(mut self, enabled: bool) -> ExecOptions {
-        self.vectorized = enabled;
-        self
-    }
-
-    /// Toggle bind-time projection pruning.
-    pub fn projection_pruning(mut self, enabled: bool) -> ExecOptions {
-        self.projection_pruning = enabled;
         self
     }
 
@@ -98,14 +83,11 @@ impl ExecOptions {
     /// The plan-cache key component encoding this configuration.
     pub fn cache_tag(&self) -> String {
         format!(
-            "m{}v{}p{}u{}q{}",
+            "m{}u{}q{}",
             match self.mode {
                 ExecMode::Streaming => 's',
-                ExecMode::JoinAware => 'j',
                 ExecMode::Naive => 'n',
             },
-            self.vectorized as u8,
-            self.projection_pruning as u8,
             self.udtf_memo as u8,
             match self.planner {
                 PlannerMode::Syntactic => 's',
@@ -153,13 +135,6 @@ impl Fdbs {
         }
     }
 
-    /// An engine with a non-default execution configuration.
-    pub fn with_options(cost: CostModel, options: ExecOptions) -> Fdbs {
-        let f = Fdbs::new(cost);
-        f.set_options(options);
-        f
-    }
-
     /// The interned `udtf {name}` span name for a function (pub(crate):
     /// the executor opens this span on every traced invocation).
     pub(crate) fn udtf_span_name(&self, udtf: &Udtf) -> fedwf_sim::SpanName {
@@ -175,41 +150,18 @@ impl Fdbs {
         &self.cost
     }
 
-    /// The engine's current execution configuration.
+    /// The engine's current execution configuration. Each statement reads
+    /// it once, when it starts.
     pub fn options(&self) -> ExecOptions {
         *self.options.read()
     }
 
-    /// Replace the execution configuration wholesale. Cached plans are
+    /// Replace the execution configuration wholesale. Statements already
+    /// running finish under the value they started with; cached plans are
     /// keyed on [`ExecOptions::cache_tag`], so reconfiguring never serves
     /// a plan bound under a different configuration.
     pub fn set_options(&self, options: ExecOptions) {
         *self.options.write() = options;
-    }
-
-    /// The strategy [`execute_plan`] uses for this engine.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.options().mode
-    }
-
-    /// Whether bind-time projection pruning is applied to new plans.
-    pub fn projection_pruning_enabled(&self) -> bool {
-        self.options().projection_pruning
-    }
-
-    /// Whether dependent UDTF invocations are memoized per step.
-    pub fn udtf_memo_enabled(&self) -> bool {
-        self.options().udtf_memo
-    }
-
-    /// Whether the streaming executor runs vectorized (columnar batches).
-    pub fn vectorized_enabled(&self) -> bool {
-        self.options().vectorized
-    }
-
-    /// Which planner compiles statements for this engine.
-    pub fn planner_mode(&self) -> PlannerMode {
-        self.options().planner
     }
 
     /// ANALYZE: collect statistics (row count, per-column NDV, min/max,
@@ -300,21 +252,22 @@ impl Fdbs {
         // only be a SELECT plan; DDL clears the whole cache, so a hit is
         // never stale. A NULL host variable falls through to the slow path
         // (its type cannot participate in the cache key).
-        if let Ok((_, values, cache_key)) = self.host_params_and_key(sql, params) {
+        let opts = self.options();
+        if let Ok((_, values, cache_key)) = self.host_params_and_key(sql, params, opts) {
             if let Some(plan) = self.plan_cache.get(&cache_key) {
-                return execute_plan(self, &plan, &values, meter);
+                return execute_plan(self, &plan, &values, meter, opts);
             }
         }
         let stmt = parse_statement(sql)?;
         match stmt {
             Statement::Select(select) => {
-                let (plan, values) = self.plan_select(sql, &select, params, meter)?;
-                execute_plan(self, &plan, &values, meter)
+                let (plan, values) = self.plan_select(sql, &select, params, meter, opts)?;
+                execute_plan(self, &plan, &values, meter, opts)
             }
             Statement::Explain(inner) => match *inner {
                 Statement::Select(select) => {
                     let (plan, _values) =
-                        self.plan_select(&select.to_string(), &select, params, meter)?;
+                        self.plan_select(&select.to_string(), &select, params, meter, opts)?;
                     let schema = Arc::new(Schema::of(&[("plan", DataType::Varchar)]));
                     let mut t = Table::new(schema);
                     for line in plan.explain().lines() {
@@ -327,7 +280,7 @@ impl Fdbs {
                 ))),
             },
             Statement::ExplainAnalyze(inner) => match *inner {
-                Statement::Select(select) => self.explain_analyze(&select, params, meter),
+                Statement::Select(select) => self.explain_analyze(&select, params, meter, opts),
                 other => Err(FedError::plan(format!(
                     "EXPLAIN ANALYZE supports SELECT statements only, got {other}"
                 ))),
@@ -346,13 +299,14 @@ impl Fdbs {
         select: &SelectStmt,
         params: &[(&str, Value)],
         meter: &mut Meter,
+        opts: ExecOptions,
     ) -> FedResult<Table> {
-        let (plan, values) = self.plan_select(&select.to_string(), select, params, meter)?;
+        let (plan, values) = self.plan_select(&select.to_string(), select, params, meter, opts)?;
         let mut child = meter.fork();
         child.set_tracing(true);
         child.set_wall_sampling(true);
         child.span_start(Component::Fdbs, "fdbs.execute");
-        let result = execute_plan(self, &plan, &values, &mut child);
+        let result = execute_plan(self, &plan, &values, &mut child, opts);
         if let Ok(table) = &result {
             child.span_counter("rows_out", table.row_count() as u64);
         }
@@ -417,9 +371,10 @@ impl Fdbs {
         for stmt in &stmts {
             last = match stmt {
                 Statement::Select(select) => {
+                    let opts = self.options();
                     let key = format!("script:{select}");
-                    let (plan, values) = self.plan_select(&key, select, &[], meter)?;
-                    execute_plan(self, &plan, &values, meter)?
+                    let (plan, values) = self.plan_select(&key, select, &[], meter, opts)?;
+                    execute_plan(self, &plan, &values, meter, opts)?
                 }
                 explain @ (Statement::Explain(_) | Statement::ExplainAnalyze(_)) => {
                     self.execute_with_params(&explain.to_string(), &[], meter)?
@@ -439,12 +394,13 @@ impl Fdbs {
 
     /// Bind the host variables and derive the plan-cache key for a SELECT:
     /// the raw statement text, the host-variable signature, and the
-    /// [`ExecOptions::cache_tag`] (a plan bound under one configuration
-    /// must never be served to an engine configured another way).
+    /// [`ExecOptions::cache_tag`] of the statement's options (a plan bound
+    /// under one configuration must never run under another).
     fn host_params_and_key(
         &self,
         cache_key_base: &str,
         params: &[(&str, Value)],
+        opts: ExecOptions,
     ) -> FedResult<BoundHostParams> {
         let mut param_defs: Vec<(Ident, DataType)> = Vec::with_capacity(params.len());
         let mut values: Vec<Value> = Vec::with_capacity(params.len());
@@ -464,37 +420,43 @@ impl Fdbs {
                 .map(|(n, t)| format!("{n}:{t}"))
                 .collect::<Vec<_>>()
                 .join(","),
-            self.options().cache_tag()
+            opts.cache_tag()
         );
         Ok((param_defs, values, cache_key))
     }
 
-    /// Plan (with cache) a SELECT. Returns the plan and parameter values in
-    /// slot order.
+    /// Plan (with cache) a SELECT under `opts`. Returns the plan and
+    /// parameter values in slot order.
     fn plan_select(
         &self,
         cache_key_base: &str,
         select: &SelectStmt,
         params: &[(&str, Value)],
         meter: &mut Meter,
+        opts: ExecOptions,
     ) -> FedResult<(Arc<Plan>, Vec<Value>)> {
-        let (param_defs, values, cache_key) = self.host_params_and_key(cache_key_base, params)?;
+        let (param_defs, values, cache_key) =
+            self.host_params_and_key(cache_key_base, params, opts)?;
         if let Some(plan) = self.plan_cache.get(&cache_key) {
             return Ok((plan, values));
         }
         meter.charge(Component::Fdbs, "Compile statement", self.cost.plan_compile);
-        let opts = self.options();
         let logical = PlanBuilder::new(&self.catalog)
             .with_host_params(param_defs)
             .bind_logical(select)?;
-        let plan = optimize(&self.catalog, logical, opts.planner)?;
-        let plan = Arc::new(if opts.projection_pruning {
-            plan.prune_projections()
-        } else {
-            plan
-        });
+        let plan = self.physical_plan(logical, opts)?;
         self.plan_cache.insert(cache_key, plan.clone());
         Ok((plan, values))
+    }
+
+    /// Optimize a bound statement under `opts`: streaming plans are pruned
+    /// to the columns they reference, oracle plans keep every column.
+    fn physical_plan(&self, logical: LogicalPlan, opts: ExecOptions) -> FedResult<Arc<Plan>> {
+        let plan = optimize(&self.catalog, logical, opts.planner)?;
+        Ok(Arc::new(match opts.mode {
+            ExecMode::Streaming => plan.prune_projections(),
+            ExecMode::Naive => plan,
+        }))
     }
 
     /// Execute the SQL body of an I-UDTF with bound argument values.
@@ -534,18 +496,13 @@ impl Fdbs {
                     let logical = PlanBuilder::new(&self.catalog)
                         .with_function_context(udtf.name.clone(), udtf.params.clone())
                         .bind_logical(body)?;
-                    let plan = optimize(&self.catalog, logical, opts.planner)?;
-                    let plan = Arc::new(if opts.projection_pruning {
-                        plan.prune_projections()
-                    } else {
-                        plan
-                    });
+                    let plan = self.physical_plan(logical, opts)?;
                     self.plan_cache.insert(cache_key, plan.clone());
                     plan
                 }
             }
         };
-        execute_plan(self, &plan, args, meter)
+        execute_plan(self, &plan, args, meter, opts)
     }
 
     /// DDL / DML dispatch.
@@ -698,7 +655,7 @@ impl Fdbs {
             }
             Statement::DropFunction { name } => {
                 self.catalog.drop_udtf(name)?;
-                // Invalidate the cached body plans (one per pruning flag).
+                // Invalidate the cached body plans (one per options tag).
                 let prefix = format!("fn:{}|", name.normalized());
                 self.plan_cache.retain(|k| !k.starts_with(&prefix));
                 Ok(done())
@@ -1062,15 +1019,33 @@ mod tests {
         assert!(!cached(&f));
     }
 
+    /// The oracle binds unpruned, streaming binds pruned: the two plans of
+    /// one statement live under distinct cache keys, and neither is served
+    /// to the other mode.
     #[test]
-    fn pruning_toggle_keys_the_plan_cache() {
+    fn the_mode_keys_the_plan_cache() {
         let f = fdbs();
-        let mut m = Meter::new();
-        f.execute("SELECT Name FROM Suppliers", &mut m).unwrap();
-        assert_eq!(f.cached_plan_count(), 1);
-        f.set_options(f.options().projection_pruning(false));
-        f.execute("SELECT Name FROM Suppliers", &mut m).unwrap();
-        assert_eq!(f.cached_plan_count(), 2, "distinct key per options tag");
+        let sql = "SELECT Name FROM Suppliers";
+        let run = |opts: ExecOptions| {
+            f.set_options(opts);
+            let mut m = Meter::new();
+            let t = f.execute(sql, &mut m).unwrap();
+            (t, compiles(&m))
+        };
+        let streaming = ExecOptions::default();
+        let oracle = streaming.mode(ExecMode::Naive);
+        let (a, compiled) = run(streaming);
+        assert_eq!((f.cached_plan_count(), compiled), (1, 1));
+        let (b, compiled) = run(oracle);
+        assert_eq!(
+            (f.cached_plan_count(), compiled),
+            (2, 1),
+            "distinct key per mode"
+        );
+        assert_eq!(a, b);
+        assert_eq!(run(streaming).1, 0);
+        assert_eq!(run(oracle).1, 0);
+        f.set_options(ExecOptions::default());
     }
 
     #[test]

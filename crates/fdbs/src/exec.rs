@@ -1,58 +1,60 @@
-//! The plan executor: a join-aware pipeline over the lateral chain.
+//! Plan execution: the dispatch, the reference oracle, and the row kernels.
 //!
-//! Three strategies share this module. The default, [`ExecMode::Streaming`],
-//! pulls bounded row batches through a chain of non-blocking operators
-//! (chunked local scans, lazy hash-join probes, index point lookups,
-//! residual filters, dependent-UDTF calls) so intermediate results are never
-//! materialized whole; only genuine pipeline breakers — hash-join build
-//! sides, buffered foreign/UDTF result sets, ORDER BY, GROUP BY — buffer
-//! rows, and each such buffer is tallied on the meter's materialization
-//! counters. [`ExecMode::JoinAware`] is the materializing ancestor of the
-//! streaming path: it composes each step with its prefix via a hash join on
-//! the equi-join keys the binder extracted (`Plan::step_join_keys`), serves
-//! single-key local scans with index point lookups, memoizes dependent UDTF
-//! invocations by argument tuple, and uses hashed GROUP BY/DISTINCT — but
-//! materializes every composed intermediate. The retained [`ExecMode::Naive`]
-//! path materializes the cross product and re-evaluates the join conjuncts
-//! per composed row — the reference semantics the equivalence suite checks
-//! the fast paths against.
+//! [`ExecMode::Streaming`] is the one production executor: the vectorized
+//! pipeline in `vexec.rs`, which pulls typed column batches through
+//! non-blocking operators (chunked local scans, lazy hash-join probes,
+//! index point lookups, residual filters, dependent-UDTF calls) so
+//! intermediate results are never materialized whole. Only genuine
+//! pipeline breakers (hash-join build sides, buffered foreign/UDTF result
+//! sets, ORDER BY, GROUP BY) buffer rows, and each such buffer is tallied
+//! on the meter's materialization counters.
 //!
-//! All three honor [`Plan::step_projections`]: when the binder pruned a
-//! step, its scan returns only the referenced columns (pushed through
-//! `Database::scan_project` / `ForeignServer::scan_project`) and UDTF result
-//! rows are cut down before composing. `JoinKey::build` keeps the step's
-//! original column numbering, so executors translate build columns into
-//! pruned positions before hashing.
+//! This module holds what that pipeline shares with its reference:
+//!
+//! * the row-at-a-time operator kernels (`Op::push`, `sink_push`). The
+//!   vectorized pipeline runs them on batches that are already rows (join
+//!   output, UDTF compositions) and on any batch a columnar kernel could
+//!   not evaluate. Their outcome, including *which* error surfaces first,
+//!   is authoritative;
+//! * the [`ExecMode::Naive`] oracle, kept for the equivalence suites and
+//!   the E13/E14 benches only. It materializes the cross product of every
+//!   lateral step and re-evaluates the join conjuncts per composed row,
+//!   groups and de-duplicates by linear search, and never memoizes. Plans
+//!   for the oracle are bound unpruned; plans for streaming are pruned.
+//!
+//! Both executors honor [`Plan::step_projections`]: when the binder pruned
+//! a step, its scan returns only the referenced columns (pushed through
+//! `Database::scan_project_columnar` / `ForeignServer::scan_project_columnar`
+//! on the streaming path) and UDTF result rows are cut down before
+//! composing. `JoinKey::build` keeps the step's original column numbering,
+//! so the hash join translates build columns into pruned positions before
+//! hashing.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::time::Instant;
 
-use fedwf_relstore::{Predicate, RowId};
-use fedwf_sim::{Component, CostModel, Meter, SpanName, TraceNode};
+use fedwf_relstore::Predicate;
+use fedwf_sim::{Component, CostModel, Meter};
 use fedwf_types::{
-    implicit_cast, DataType, FedError, FedResult, Ident, ResultExt, Row, SchemaRef, Table, TxnId,
-    Value, ValueKey,
+    implicit_cast, DataType, FedError, FedResult, Ident, ResultExt, Row, SchemaRef, Table, Value,
+    ValueKey,
 };
 
-use crate::engine::Fdbs;
+use crate::engine::{ExecOptions, Fdbs};
 use crate::expr::BoundExpr;
 use crate::plan::{Access, AggColumn, AggFn, AggregatePlan, FromStep, JoinKey, Plan};
 use crate::udtf::{Udtf, UdtfKind};
 
-/// Which executor strategy to use.
+/// Which executor runs a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Pull-based batches through non-blocking operators; only pipeline
-    /// breakers (build sides, sorts, aggregates) buffer rows. The default.
+    /// Vectorized streaming: column batches through non-blocking operators;
+    /// only pipeline breakers (build sides, sorts, aggregates) buffer rows.
+    /// The production executor and the default.
     Streaming,
-    /// Hash joins on extracted equi-join keys, index probes, dependent-UDTF
-    /// memoization, hashed grouping/DISTINCT — materializing every composed
-    /// intermediate. Kept as the PR-2 reference point for E14.
-    JoinAware,
-    /// Cross product + per-row predicate re-evaluation, linear group
-    /// lookup. Kept as the reference path for equivalence testing and the
-    /// E13 scaling comparison.
+    /// Cross product + per-row predicate re-evaluation, linear group and
+    /// DISTINCT lookup, no memo. The reference oracle for the equivalence
+    /// suites and the E13/E14 comparisons; never a production choice.
     Naive,
 }
 
@@ -62,23 +64,14 @@ pub(crate) const STREAM_BATCH_ROWS: usize = 1024;
 
 /// Execute a bound plan against the engine's catalog, booking executor
 /// costs to `meter`. `params` supplies the plan's parameter slots in order.
-/// Uses the engine's configured [`ExecMode`].
+/// `options` is the configuration the plan was bound under: the caller
+/// resolves it once per statement, so bind and execute always agree.
 pub fn execute_plan(
     fdbs: &Fdbs,
     plan: &Plan,
     params: &[Value],
     meter: &mut Meter,
-) -> FedResult<Table> {
-    execute_plan_with_mode(fdbs, plan, params, meter, fdbs.exec_mode())
-}
-
-/// [`execute_plan`] with an explicit strategy.
-pub fn execute_plan_with_mode(
-    fdbs: &Fdbs,
-    plan: &Plan,
-    params: &[Value],
-    meter: &mut Meter,
-    mode: ExecMode,
+    options: ExecOptions,
 ) -> FedResult<Table> {
     if params.len() != plan.params.len() {
         return Err(FedError::execution(format!(
@@ -87,47 +80,38 @@ pub fn execute_plan_with_mode(
             params.len()
         )));
     }
-    match mode {
-        ExecMode::Streaming if fdbs.vectorized_enabled() => {
-            crate::vexec::execute_streaming_vectorized(fdbs, plan, params, meter)
+    match options.mode {
+        ExecMode::Streaming => {
+            crate::vexec::execute_vectorized(fdbs, plan, params, meter, options.udtf_memo)
         }
-        ExecMode::Streaming => execute_streaming(fdbs, plan, params, meter),
-        ExecMode::JoinAware | ExecMode::Naive => {
-            execute_materialized(fdbs, plan, params, meter, mode)
-        }
+        ExecMode::Naive => execute_naive(fdbs, plan, params, meter),
     }
 }
 
 // ---------------------------------------------------------------------------
-// Materializing executors (JoinAware + Naive reference)
+// The reference oracle
 // ---------------------------------------------------------------------------
 
-fn execute_materialized(
+fn execute_naive(
     fdbs: &Fdbs,
     plan: &Plan,
     params: &[Value],
     meter: &mut Meter,
-    mode: ExecMode,
 ) -> FedResult<Table> {
     let cost = fdbs.cost();
 
     // The lateral chain starts from a single empty row.
     let mut rows: Vec<Row> = vec![Row::empty()];
     for (i, step) in plan.steps.iter().enumerate() {
-        let jk = plan.step_join_keys[i].as_ref();
-        let proj = plan.step_projections.get(i).and_then(|p| p.as_deref());
-        let access = plan.step_access.get(i).copied().unwrap_or_default();
-        rows = execute_step(fdbs, step, i, jk, proj, access, rows, params, meter, mode)
+        rows = naive_step(fdbs, plan, i, rows, params, meter)
             .context(format!("evaluating FROM item {} ({step:?})", i + 1))?;
-        // Every composed intermediate is a materialization point on this
-        // path — that is exactly what the streaming executor avoids.
+        // Every composed intermediate is a materialization point here —
+        // exactly what the streaming executor avoids.
         tally_rows(meter, &rows);
-        if mode == ExecMode::Naive {
-            // The naive path ignored the join keys during composition, so
-            // their conjuncts apply here as an ordinary residual filter.
-            if let Some(jk) = jk {
-                rows = filter_rows(rows, &jk.residual, params, meter, cost.predicate_eval)?;
-            }
+        // The join keys were ignored during composition, so their
+        // conjuncts apply as an ordinary residual filter.
+        if let Some(jk) = &plan.step_join_keys[i] {
+            rows = filter_rows(rows, &jk.residual, params, meter, cost.predicate_eval)?;
         }
         if let Some(filter) = &plan.step_filters[i] {
             rows = filter_rows(rows, filter, params, meter, cost.predicate_eval)?;
@@ -137,15 +121,106 @@ fn execute_materialized(
     // Grouping/aggregation replaces the scalar projection entirely; its
     // ORDER BY keys index the aggregate *output* layout.
     if let Some(agg) = &plan.aggregate {
-        let out = aggregate_rows(fdbs, plan, agg, &rows, params, meter, mode)?;
-        return finish_aggregate(plan, out, params);
+        let mut a = Aggregator::new(plan, agg, cost, false);
+        for row in &rows {
+            a.push(row, params, meter)?;
+        }
+        return finish_aggregate(plan, a.finish(meter)?, params);
     }
 
-    scalar_tail(fdbs, plan, rows, params, meter, mode)
+    scalar_tail(fdbs, plan, rows, params, meter, ExecMode::Naive)
+}
+
+/// Compose lateral step `i` with `prefix` as a cross product: scans run in
+/// full, a dependent UDTF is invoked once per prefix row.
+fn naive_step(
+    fdbs: &Fdbs,
+    plan: &Plan,
+    i: usize,
+    prefix: Vec<Row>,
+    params: &[Value],
+    meter: &mut Meter,
+) -> FedResult<Vec<Row>> {
+    let cost = fdbs.cost();
+    let proj = plan.step_projections.get(i).and_then(|p| p.as_deref());
+    match &plan.steps[i] {
+        FromStep::ScanLocal {
+            table, pushdown, ..
+        } => {
+            let scanned = fdbs
+                .catalog()
+                .local()
+                .scan_project(table.as_str(), pushdown, proj)?;
+            meter.charge(
+                Component::Fdbs,
+                "Scan local table",
+                cost.predicate_eval * scanned.row_count() as u64,
+            );
+            tally_rows(meter, scanned.rows());
+            Ok(cross(prefix, scanned.rows()))
+        }
+        FromStep::ScanForeign {
+            server,
+            remote_name,
+            pushdown,
+            ..
+        } => {
+            let scanned = server.scan_project(remote_name, pushdown, proj)?;
+            meter.charge(
+                Component::Fdbs,
+                format!("Subquery to SQL source {}", server.name()),
+                cost.rmi_call + cost.rmi_return,
+            );
+            tally_rows(meter, scanned.rows());
+            Ok(cross(prefix, scanned.rows()))
+        }
+        // Independent table functions are invoked once (their result does
+        // not depend on prefix rows) and composed via a join-with-selection.
+        FromStep::TableFunc {
+            udtf,
+            args,
+            independent: true,
+            ..
+        } => {
+            let arg_values: Vec<Value> = args
+                .iter()
+                .map(|a| a.eval(&[], params))
+                .collect::<FedResult<_>>()?;
+            let result = invoke_udtf(fdbs, udtf, &arg_values, meter)?;
+            let rrows = pruned_rows(&result, proj);
+            tally_rows(meter, &rrows);
+            if i > 0 {
+                meter.charge(
+                    Component::Fdbs,
+                    "Join with selection (compose result sets)",
+                    cost.join_with_selection_setup
+                        + cost.join_with_selection_per_row * (prefix.len() * rrows.len()) as u64,
+                );
+            }
+            Ok(cross(prefix, &rrows))
+        }
+        // Dependent: one invocation per prefix row.
+        FromStep::TableFunc { udtf, args, .. } => {
+            let mut out = Vec::new();
+            for row in &prefix {
+                let arg_values: Vec<Value> = args
+                    .iter()
+                    .map(|a| a.eval(row.values(), params))
+                    .collect::<FedResult<_>>()?;
+                let t = invoke_udtf(fdbs, udtf, &arg_values, meter)?;
+                let rrows = pruned_rows(&t, proj);
+                tally_rows(meter, &rrows);
+                for rrow in &rrows {
+                    out.push(row.concat(rrow));
+                }
+            }
+            Ok(out)
+        }
+    }
 }
 
 /// Sort (ORDER BY on the aggregate output layout) and LIMIT an aggregate
-/// result — shared by the materializing and streaming paths.
+/// result — shared by the oracle and the streaming aggregate sink.
 pub(crate) fn finish_aggregate(plan: &Plan, mut out: Table, params: &[Value]) -> FedResult<Table> {
     if !plan.order_by.is_empty() {
         let sorted = sort_rows(out.into_rows(), &plan.order_by, params)?;
@@ -160,7 +235,7 @@ pub(crate) fn finish_aggregate(plan: &Plan, mut out: Table, params: &[Value]) ->
 
 /// The scalar (non-aggregate) finishing stages over fully collected rows:
 /// ORDER BY on the pre-projection layout, projection, DISTINCT, LIMIT.
-/// Shared by the materializing paths and the streaming sort sink.
+/// Shared by the oracle and the streaming sort sink.
 pub(crate) fn scalar_tail(
     fdbs: &Fdbs,
     plan: &Plan,
@@ -189,13 +264,13 @@ pub(crate) fn scalar_tail(
         out.push_unchecked(Row::new(values));
     }
 
-    // DISTINCT: hashed on the fast paths, quadratic scan on the naive
-    // reference path. Both keep first-appearance order and group by
-    // `index_cmp` equality (`group_key` is hash-consistent with it).
+    // DISTINCT: hashed on the streaming path, quadratic scan in the
+    // oracle. Both keep first-appearance order and group by `index_cmp`
+    // equality (`group_key` is hash-consistent with it).
     if plan.distinct {
         let mut deduped = Table::new(plan.out_schema.clone());
         match mode {
-            ExecMode::Streaming | ExecMode::JoinAware => {
+            ExecMode::Streaming => {
                 let mut seen: HashSet<Vec<ValueKey>> = HashSet::new();
                 for row in out.into_rows() {
                     let key: Vec<ValueKey> = row.values().iter().map(Value::group_key).collect();
@@ -232,195 +307,14 @@ pub(crate) fn scalar_tail(
     Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn execute_step(
-    fdbs: &Fdbs,
-    step: &FromStep,
-    position: usize,
-    jk: Option<&JoinKey>,
-    proj: Option<&[usize]>,
-    access: Access,
-    prefix: Vec<Row>,
-    params: &[Value],
-    meter: &mut Meter,
-    mode: ExecMode,
-) -> FedResult<Vec<Row>> {
-    let cost = fdbs.cost();
-    let jk = match mode {
-        ExecMode::Streaming | ExecMode::JoinAware => jk,
-        ExecMode::Naive => None,
-    };
-    match step {
-        FromStep::ScanLocal {
-            table,
-            pushdown,
-            schema,
-            ..
-        } => {
-            if let Some(jk) = jk {
-                if use_index_probe(fdbs, table, schema, jk, access)? {
-                    return index_probe_join(
-                        fdbs,
-                        table.as_str(),
-                        pushdown,
-                        jk,
-                        proj,
-                        prefix,
-                        params,
-                        meter,
-                    );
-                }
-                let scanned =
-                    fdbs.catalog()
-                        .local()
-                        .scan_project(table.as_str(), pushdown, proj)?;
-                meter.charge(
-                    Component::Fdbs,
-                    "Scan local table",
-                    cost.predicate_eval * scanned.row_count() as u64,
-                );
-                tally_rows(meter, scanned.rows());
-                let build_cols = build_positions(&jk.build, proj)?;
-                let out = hash_join(prefix, scanned.rows(), &build_cols, &jk.probe, params)?;
-                charge_join(meter, cost, scanned.row_count() + out.len());
-                return Ok(out);
-            }
-            let scanned = fdbs
-                .catalog()
-                .local()
-                .scan_project(table.as_str(), pushdown, proj)?;
-            meter.charge(
-                Component::Fdbs,
-                "Scan local table",
-                cost.predicate_eval * scanned.row_count() as u64,
-            );
-            tally_rows(meter, scanned.rows());
-            Ok(cross(prefix, scanned.rows()))
-        }
-        FromStep::ScanForeign {
-            server,
-            remote_name,
-            pushdown,
-            ..
-        } => {
-            let scanned = server.scan_project(remote_name, pushdown, proj)?;
-            meter.charge(
-                Component::Fdbs,
-                format!("Subquery to SQL source {}", server.name()),
-                cost.rmi_call + cost.rmi_return,
-            );
-            tally_rows(meter, scanned.rows());
-            if let Some(jk) = jk {
-                let build_cols = build_positions(&jk.build, proj)?;
-                let out = hash_join(prefix, scanned.rows(), &build_cols, &jk.probe, params)?;
-                charge_join(meter, cost, scanned.row_count() + out.len());
-                return Ok(out);
-            }
-            Ok(cross(prefix, scanned.rows()))
-        }
-        FromStep::TableFunc {
-            udtf,
-            args,
-            independent,
-            ..
-        } => {
-            // Independent table functions compose with the prefix via a
-            // join-with-selection; they are also invoked only once (their
-            // result does not depend on prefix rows).
-            if *independent {
-                let arg_values: Vec<Value> = args
-                    .iter()
-                    .map(|a| a.eval(&[], params))
-                    .collect::<FedResult<_>>()?;
-                let result = invoke_udtf(fdbs, udtf, &arg_values, meter)?;
-                let rrows = pruned_rows(&result, proj);
-                tally_rows(meter, &rrows);
-                if let Some(jk) = jk {
-                    let build_cols = build_positions(&jk.build, proj)?;
-                    let out = hash_join(prefix, &rrows, &build_cols, &jk.probe, params)?;
-                    charge_join(meter, cost, rrows.len() + out.len());
-                    return Ok(out);
-                }
-                if position > 0 {
-                    meter.charge(
-                        Component::Fdbs,
-                        "Join with selection (compose result sets)",
-                        cost.join_with_selection_setup
-                            + cost.join_with_selection_per_row
-                                * (prefix.len() * rrows.len()) as u64,
-                    );
-                }
-                Ok(cross(prefix, &rrows))
-            } else {
-                // Dependent: one invocation per prefix row — memoized by
-                // the evaluated argument tuple on the fast paths, so
-                // identical calls (and their Meter charges) happen once.
-                let memo_on = mode != ExecMode::Naive && fdbs.udtf_memo_enabled();
-                let mut memo: HashMap<Vec<(Option<DataType>, ValueKey)>, Vec<Row>> = HashMap::new();
-                let mut out = Vec::new();
-                for row in &prefix {
-                    let arg_values: Vec<Value> = args
-                        .iter()
-                        .map(|a| a.eval(row.values(), params))
-                        .collect::<FedResult<_>>()?;
-                    let fresh;
-                    let result: &[Row] = if memo_on {
-                        // Structural key (type + exact value): argument
-                        // tuples that could implicit-cast differently never
-                        // share an entry.
-                        let key: Vec<(Option<DataType>, ValueKey)> = arg_values
-                            .iter()
-                            .map(|v| (v.data_type(), v.group_key()))
-                            .collect();
-                        match memo.entry(key) {
-                            Entry::Occupied(e) => e.into_mut(),
-                            Entry::Vacant(e) => {
-                                let t = invoke_udtf(fdbs, udtf, &arg_values, meter)?;
-                                let rows = pruned_rows(&t, proj);
-                                tally_rows(meter, &rows);
-                                e.insert(rows)
-                            }
-                        }
-                    } else {
-                        let t = invoke_udtf(fdbs, udtf, &arg_values, meter)?;
-                        fresh = pruned_rows(&t, proj);
-                        tally_rows(meter, &fresh);
-                        &fresh
-                    };
-                    for rrow in result {
-                        out.push(row.concat(rrow));
-                    }
-                }
-                Ok(out)
-            }
-        }
-    }
-}
-
-/// Whether a joined local scan can be served by index point lookups: a
-/// single integer-typed join key backed by an index. (DOUBLE keys fall back
-/// to the hash join: NaN would change the naive path's error semantics
-/// under the storage layer's silent 3VL comparison.)
-pub(crate) fn step_is_indexable(
-    fdbs: &Fdbs,
-    table: &Ident,
-    schema: &SchemaRef,
-    jk: &JoinKey,
-) -> FedResult<bool> {
-    Ok(jk.build.len() == 1
-        && schema.columns()[jk.build[0]].data_type != DataType::Double
-        && jk.probe[0].data_type() != Some(DataType::Double)
-        && fdbs
-            .catalog()
-            .local()
-            .index_serves(table.as_str(), &Predicate::eq(jk.build[0], Value::Null))?)
-}
-
-/// Apply the planner's access-path choice to one joined local scan.
-/// [`Access::Hash`] forces the hash join; [`Access::IndexProbe`] and
-/// [`Access::Auto`] still re-check indexability at run time (an index may
-/// have been dropped since planning), so a stale choice degrades to the
-/// hash join instead of failing.
+/// Whether a joined local scan is served by index point lookups. The
+/// planner's [`Access::Hash`] forces the hash join; [`Access::IndexProbe`]
+/// and [`Access::Auto`] re-check at run time (an index may have been
+/// dropped since planning), so a stale choice degrades to the hash join
+/// instead of failing. Indexable means a single integer-typed join key
+/// backed by an index: DOUBLE keys take the hash join, since NaN would
+/// change the oracle's error semantics under the storage layer's silent
+/// 3VL comparison.
 pub(crate) fn use_index_probe(
     fdbs: &Fdbs,
     table: &Ident,
@@ -428,10 +322,16 @@ pub(crate) fn use_index_probe(
     jk: &JoinKey,
     access: Access,
 ) -> FedResult<bool> {
-    match access {
-        Access::Hash => Ok(false),
-        Access::IndexProbe | Access::Auto => step_is_indexable(fdbs, table, schema, jk),
+    if access == Access::Hash {
+        return Ok(false);
     }
+    Ok(jk.build.len() == 1
+        && schema.columns()[jk.build[0]].data_type != DataType::Double
+        && jk.probe[0].data_type() != Some(DataType::Double)
+        && fdbs
+            .catalog()
+            .local()
+            .index_serves(table.as_str(), &Predicate::eq(jk.build[0], Value::Null))?)
 }
 
 /// Translate the original step-local build columns of a join key into
@@ -499,9 +399,9 @@ pub(crate) fn charge_join(meter: &mut Meter, cost: &CostModel, rows: usize) {
     );
 }
 
-/// The join key of one value, with the naive path's error semantics:
-/// NULL joins nothing (`None`), NaN is a hard comparison error (the naive
-/// path's `sql_cmp` raises "cannot compare" for it on every pairing).
+/// The join key of one value, with the oracle's error semantics: NULL
+/// joins nothing (`None`), NaN is a hard comparison error (the oracle's
+/// `sql_cmp` raises "cannot compare" for it on every pairing).
 pub(crate) fn join_key_checked(v: &Value) -> FedResult<Option<ValueKey>> {
     match v.join_key() {
         Some(ValueKey::NaN) => Err(FedError::execution(format!(
@@ -535,92 +435,6 @@ fn probe_key(row: &Row, probe: &[BoundExpr], params: &[Value]) -> FedResult<Opti
         }
     }
     Ok(Some(key))
-}
-
-/// Hash-compose the step's `build_rows` against `prefix` on the extracted
-/// equi-join keys. `build_cols` index the build rows' (possibly pruned)
-/// layout. Output order matches `cross` + filter exactly: prefix-major,
-/// build rows in scan order. Empty inputs short-circuit before any key is
-/// evaluated — the naive path evaluates nothing there either, so error
-/// behavior stays aligned.
-fn hash_join(
-    prefix: Vec<Row>,
-    build_rows: &[Row],
-    build_cols: &[usize],
-    probe: &[BoundExpr],
-    params: &[Value],
-) -> FedResult<Vec<Row>> {
-    if prefix.is_empty() || build_rows.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut table: HashMap<Vec<ValueKey>, Vec<usize>> = HashMap::new();
-    for (i, row) in build_rows.iter().enumerate() {
-        if let Some(key) = build_key(row, build_cols)? {
-            table.entry(key).or_default().push(i);
-        }
-    }
-    let mut out = Vec::new();
-    for left in &prefix {
-        let Some(key) = probe_key(left, probe, params)? else {
-            continue;
-        };
-        if let Some(matches) = table.get(&key) {
-            for &i in matches {
-                out.push(left.concat(&build_rows[i]));
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Serve a single-key local-scan join with index point lookups: one
-/// `scan_eq` per *distinct* probe value, cached, instead of one full scan
-/// plus a cross product. The probe column keeps the table's original
-/// numbering (storage filters before projecting); cached rows come back in
-/// the pruned layout.
-#[allow(clippy::too_many_arguments)]
-fn index_probe_join(
-    fdbs: &Fdbs,
-    table: &str,
-    pushdown: &Predicate,
-    jk: &JoinKey,
-    proj: Option<&[usize]>,
-    prefix: Vec<Row>,
-    params: &[Value],
-    meter: &mut Meter,
-) -> FedResult<Vec<Row>> {
-    let cost = fdbs.cost();
-    let local = fdbs.catalog().local();
-    let build_col = jk.build[0];
-    let mut cache: HashMap<ValueKey, Vec<Row>> = HashMap::new();
-    let mut out = Vec::new();
-    let mut scanned_total = 0u64;
-    for left in &prefix {
-        let v = jk.probe[0].eval(left.values(), params)?;
-        let Some(key) = join_key_checked(&v)? else {
-            continue;
-        };
-        let matches = match cache.entry(key) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                let t = local.scan_eq_project(table, build_col, v, pushdown, proj)?;
-                scanned_total += t.row_count() as u64;
-                let rows = t.into_rows();
-                tally_rows(meter, &rows);
-                e.insert(rows)
-            }
-        };
-        for r in matches.iter() {
-            out.push(left.concat(r));
-        }
-    }
-    meter.charge(
-        Component::Fdbs,
-        "Scan local table",
-        cost.predicate_eval * scanned_total,
-    );
-    charge_join(meter, cost, out.len());
-    Ok(out)
 }
 
 /// Stable sort by the evaluated key expressions under `index_cmp`.
@@ -657,7 +471,7 @@ pub(crate) fn table_from_rows(schema: SchemaRef, rows: Vec<Row>) -> Table {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental aggregation (shared by all modes)
+// Incremental aggregation (shared by both executors)
 // ---------------------------------------------------------------------------
 
 /// Collected argument values per group: (key values, per-column data).
@@ -670,12 +484,12 @@ pub(crate) struct Group {
 }
 
 /// Incremental GROUP BY/aggregate state. Rows are pushed one at a time (the
-/// streaming sink feeds it per batch; the materializing paths feed it the
-/// collected row set), and [`Aggregator::finish`] evaluates the aggregate
-/// functions. Without GROUP BY there is exactly one group — even over zero
-/// rows (`COUNT(*)` of an empty table is 0, `SUM` is NULL). Groups appear in
-/// first-appearance order on every path; the fast paths find them through a
-/// hash map, the naive path by linear `index_cmp` search.
+/// streaming sink feeds it per batch; the oracle feeds it the collected
+/// row set), and [`Aggregator::finish`] evaluates the aggregate functions.
+/// Without GROUP BY there is exactly one group — even over zero rows
+/// (`COUNT(*)` of an empty table is 0, `SUM` is NULL). Groups appear in
+/// first-appearance order on both paths; streaming finds them through a
+/// hash map, the oracle by linear `index_cmp` search.
 pub(crate) struct Aggregator<'p> {
     plan: &'p Plan,
     agg: &'p AggregatePlan,
@@ -908,25 +722,6 @@ impl<'p> Aggregator<'p> {
     }
 }
 
-/// Group the input rows by the plan's keys and evaluate the aggregate
-/// columns — the collected-rows entry point over [`Aggregator`].
-#[allow(clippy::too_many_arguments)]
-fn aggregate_rows(
-    fdbs: &Fdbs,
-    plan: &Plan,
-    agg: &AggregatePlan,
-    rows: &[Row],
-    params: &[Value],
-    meter: &mut Meter,
-    mode: ExecMode,
-) -> FedResult<Table> {
-    let mut a = Aggregator::new(plan, agg, fdbs.cost(), mode != ExecMode::Naive);
-    for row in rows {
-        a.push(row, params, meter)?;
-    }
-    a.finish(meter)
-}
-
 /// Widen an aggregate result to the declared column type. A value that
 /// does not fit the declared type is a hard error — pushing it through
 /// unchecked would corrupt the result table's schema invariants.
@@ -952,90 +747,24 @@ pub(crate) fn cross(prefix: Vec<Row>, rows: &[Row]) -> Vec<Row> {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming executor
+// Streaming operator state and its row kernels
 // ---------------------------------------------------------------------------
-
-/// Where streaming batches come from: a bounded cursor over the leading
-/// local scan when it has no join key, or the single seed row otherwise
-/// (operators then cover every step including the first).
-enum Source<'p> {
-    Rows(Option<Vec<Row>>),
-    Chunked {
-        table: &'p Ident,
-        pushdown: &'p Predicate,
-        projection: Option<&'p [usize]>,
-        next: Option<RowId>,
-        started: bool,
-        matched: u64,
-        /// Snapshot epoch pinned at the first pull: every later chunk reads
-        /// the same committed state even while writers commit in between.
-        epoch: Option<TxnId>,
-    },
-}
-
-impl Source<'_> {
-    fn next_batch(&mut self, fdbs: &Fdbs) -> FedResult<Option<Vec<Row>>> {
-        match self {
-            Source::Rows(batch) => Ok(batch.take()),
-            Source::Chunked {
-                table,
-                pushdown,
-                projection,
-                next,
-                started,
-                matched,
-                epoch,
-            } => {
-                if *started && next.is_none() {
-                    return Ok(None);
-                }
-                let local = fdbs.catalog().local();
-                let pinned = *epoch.get_or_insert_with(|| local.snapshot_epoch());
-                let start = next.unwrap_or(0);
-                let (rows, cont) = local.scan_chunk(
-                    table.as_str(),
-                    pushdown,
-                    *projection,
-                    start,
-                    STREAM_BATCH_ROWS,
-                    pinned,
-                )?;
-                *started = true;
-                *next = cont;
-                *matched += rows.len() as u64;
-                Ok(Some(rows))
-            }
-        }
-    }
-
-    /// Book the deferred scan charge — one record for the whole scan, same
-    /// total as the materializing paths book for their single full scan.
-    fn finish(&self, cost: &CostModel, meter: &mut Meter) {
-        if let Source::Chunked { matched, .. } = self {
-            meter.charge(
-                Component::Fdbs,
-                "Scan local table",
-                cost.predicate_eval * matched,
-            );
-        }
-    }
-}
 
 /// One non-blocking streaming operator. Pipeline-breaking state (hash-join
 /// build sides, buffered foreign/UDTF results, probe caches) is built at
 /// prepare time or on demand and tallied as materialized; batches flowing
 /// through are not. Charges whose amounts depend on totals (join
-/// composition, index-probe scans) are deferred to [`Op::finish`] so they
-/// match the materializing paths' single-record formulas.
+/// composition, index-probe scans) are deferred to [`Op::finish`], which
+/// books each as one record for the whole statement.
 pub(crate) enum Op<'p> {
     HashJoin {
         build_rows: Vec<Row>,
         /// Build columns translated into the (possibly pruned) build layout.
         build_cols: Vec<usize>,
         probe: &'p [BoundExpr],
-        /// Lazily built on the first non-empty probe batch, mirroring the
-        /// materializing hash join's empty-input short-circuit: build keys
-        /// are never evaluated when no probe row arrives.
+        /// Lazily built on the first non-empty probe batch: build keys are
+        /// never evaluated when no probe row arrives, just as the oracle's
+        /// cross product over an empty prefix evaluates nothing.
         table: Option<HashMap<Vec<ValueKey>, Vec<usize>>>,
         out_count: usize,
     },
@@ -1204,8 +933,7 @@ impl Op<'_> {
         }
     }
 
-    /// Book the deferred composition charges so totals match the
-    /// materializing paths exactly.
+    /// Book the deferred composition charges, one record each.
     pub(crate) fn finish(&self, cost: &CostModel, meter: &mut Meter) {
         match self {
             Op::HashJoin {
@@ -1255,436 +983,6 @@ pub(crate) enum Sink<'p> {
         out: Table,
         seen: Option<HashSet<Vec<ValueKey>>>,
     },
-}
-
-/// Per-operator actuals accumulated while tracing: active virtual time,
-/// wall time, and the batches/rows/bytes the operator emitted. Rendered
-/// as one leaf span per operator after the pipeline drains. The leaf's
-/// `start..end` window is the pipeline start plus the *accumulated active*
-/// virtual time (operators interleave batch-by-batch, so per-operator
-/// wall-clock windows would overlap meaninglessly); its booked vector is
-/// left empty — the charges themselves are already attributed to the
-/// enclosing `fdbs.execute` span, so actuals never double-count.
-pub(crate) struct StreamProbe {
-    name: SpanName,
-    pub(crate) virt_us: u64,
-    wall_ns: u64,
-    batches: u64,
-    rows: u64,
-    bytes: u64,
-    /// Planner-estimated output rows, when the plan carries estimates.
-    est: Option<u64>,
-}
-
-impl StreamProbe {
-    pub(crate) fn new(name: impl Into<SpanName>) -> StreamProbe {
-        StreamProbe {
-            name: name.into(),
-            virt_us: 0,
-            wall_ns: 0,
-            batches: 0,
-            rows: 0,
-            bytes: 0,
-            est: None,
-        }
-    }
-
-    /// Attach the planner's row estimate; `EXPLAIN ANALYZE` reads it back
-    /// as the `est` counter beside the actual `rows`.
-    pub(crate) fn with_est(mut self, est: Option<f64>) -> StreamProbe {
-        self.est = est.map(|e| e.round().max(0.0) as u64);
-        self
-    }
-
-    fn record(&mut self, virt_us: u64, wall_ns: u64, out: &[Row]) {
-        let bytes = out.iter().map(Row::approx_bytes).sum::<usize>() as u64;
-        self.record_counts(virt_us, wall_ns, out.len() as u64, bytes);
-    }
-
-    pub(crate) fn record_counts(&mut self, virt_us: u64, wall_ns: u64, rows: u64, bytes: u64) {
-        self.virt_us += virt_us;
-        self.wall_ns += wall_ns;
-        self.batches += 1;
-        self.rows += rows;
-        self.bytes += bytes;
-    }
-
-    pub(crate) fn into_leaf(self, start_us: u64) -> TraceNode {
-        let mut node = TraceNode::leaf(Component::Fdbs, self.name, start_us);
-        node.end_us = start_us + self.virt_us;
-        node.wall_ns = self.wall_ns;
-        node.add_counter("batches", self.batches);
-        node.add_counter("rows", self.rows);
-        node.add_counter("bytes", self.bytes);
-        if let Some(est) = self.est {
-            node.add_counter("est", est);
-        }
-        node
-    }
-}
-
-/// Planner row estimates for the streaming operator chain, parallel to the
-/// `ops` vector both streaming executors build: each step contributes its
-/// composed (`join_rows`) estimate, its residual filter (when present) the
-/// post-filter `out_rows`. The chunked source covers step 0's scan itself,
-/// so `start` skips it and only its filter op (if any) leads the chain.
-pub(crate) fn op_estimates(plan: &Plan, chunk_step0: bool, start: usize) -> Vec<Option<f64>> {
-    let est = |i: usize| plan.step_estimates.get(i);
-    let mut out = Vec::new();
-    if chunk_step0 && plan.step_filters[0].is_some() {
-        out.push(est(0).map(|e| e.out_rows));
-    }
-    for i in start..plan.steps.len() {
-        out.push(est(i).map(|e| e.join_rows));
-        if plan.step_filters[i].is_some() {
-            out.push(est(i).map(|e| e.out_rows));
-        }
-    }
-    out
-}
-
-/// Probes for the whole pipeline: source, one per operator, sink.
-pub(crate) struct StreamProbes {
-    pub(crate) start_us: u64,
-    pub(crate) source: StreamProbe,
-    pub(crate) ops: Vec<StreamProbe>,
-    pub(crate) sink: StreamProbe,
-}
-
-pub(crate) fn op_probe_name(op: &Op<'_>) -> SpanName {
-    match op {
-        Op::HashJoin { .. } => SpanName::Static("hash-join"),
-        Op::IndexProbe { table, .. } => SpanName::from(format!("index-probe {table}")),
-        Op::Cross { .. } => SpanName::Static("cross"),
-        Op::DependentUdtf { udtf, .. } => SpanName::from(format!("dependent-udtf {}", udtf.name)),
-        Op::Filter { .. } => SpanName::Static("filter"),
-    }
-}
-
-/// Start one probe measurement: a wall-clock mark (only when the trace has
-/// wall sampling on — neither the untraced path nor an ordinary virtual
-/// trace ever reads the OS clock here) and the current virtual time.
-pub(crate) fn probe_mark(wall: bool, meter: &Meter) -> (Option<Instant>, u64) {
-    (wall.then(Instant::now), meter.now_us())
-}
-
-pub(crate) fn elapsed_ns(mark: Option<Instant>) -> u64 {
-    mark.map_or(0, |t| t.elapsed().as_nanos() as u64)
-}
-
-fn execute_streaming(
-    fdbs: &Fdbs,
-    plan: &Plan,
-    params: &[Value],
-    meter: &mut Meter,
-) -> FedResult<Table> {
-    let cost = fdbs.cost();
-
-    // Source: stream the leading local scan in bounded chunks when nothing
-    // joins it back to the (empty) seed row; otherwise start from the seed
-    // and let the operators cover every step.
-    let chunk_step0 = matches!(plan.steps.first(), Some(FromStep::ScanLocal { .. }))
-        && plan.step_join_keys.first().is_some_and(|jk| jk.is_none());
-    let (mut source, start) = if chunk_step0 {
-        let Some(FromStep::ScanLocal {
-            table, pushdown, ..
-        }) = plan.steps.first()
-        else {
-            unreachable!("checked above");
-        };
-        let projection = plan.step_projections.first().and_then(|p| p.as_deref());
-        (
-            Source::Chunked {
-                table,
-                pushdown,
-                projection,
-                next: None,
-                started: false,
-                matched: 0,
-                epoch: None,
-            },
-            1,
-        )
-    } else {
-        (Source::Rows(Some(vec![Row::empty()])), 0)
-    };
-
-    // Prepare the operator chain. Build sides, foreign result sets, and
-    // independent UDTF results are produced (and their charges booked)
-    // eagerly, exactly as the materializing paths do even over an empty
-    // prefix.
-    let mut ops: Vec<Op<'_>> = Vec::new();
-    if chunk_step0 {
-        if let Some(filter) = &plan.step_filters[0] {
-            ops.push(Op::Filter { filter });
-        }
-    }
-    for (i, step) in plan.steps.iter().enumerate().skip(start) {
-        let jk = plan.step_join_keys[i].as_ref();
-        let proj = plan.step_projections.get(i).and_then(|p| p.as_deref());
-        let access = plan.step_access.get(i).copied().unwrap_or_default();
-        let op = prepare_step_op(fdbs, step, i, jk, proj, access, params, meter)
-            .context(format!("evaluating FROM item {} ({step:?})", i + 1))?;
-        ops.push(op);
-        if let Some(filter) = &plan.step_filters[i] {
-            ops.push(Op::Filter { filter });
-        }
-    }
-
-    let mut sink = if let Some(agg) = &plan.aggregate {
-        Sink::Aggregate(Aggregator::new(plan, agg, cost, true))
-    } else if !plan.order_by.is_empty() {
-        Sink::Sort(Vec::new())
-    } else {
-        Sink::Project {
-            out: Table::new(plan.out_schema.clone()),
-            seen: plan.distinct.then(HashSet::new),
-        }
-    };
-
-    let mut probes = meter.tracing().then(|| StreamProbes {
-        start_us: meter.now_us(),
-        source: StreamProbe::new(match &source {
-            Source::Chunked { table, .. } => SpanName::from(format!("scan {table}")),
-            Source::Rows(_) => SpanName::Static("seed"),
-        })
-        .with_est(match &source {
-            Source::Chunked { .. } => plan.step_estimates.first().map(|e| e.scan_rows),
-            Source::Rows(_) => None,
-        }),
-        ops: ops
-            .iter()
-            .zip(op_estimates(plan, chunk_step0, start))
-            .map(|(op, est)| StreamProbe::new(op_probe_name(op)).with_est(est))
-            .collect(),
-        sink: StreamProbe::new(
-            match &sink {
-                Sink::Aggregate(_) => "aggregate",
-                Sink::Sort(_) => "sort",
-                Sink::Project { .. } => "project",
-            }
-            .to_string(),
-        ),
-    });
-    let tracing = probes.is_some();
-    let wall = tracing && meter.wall_sampling();
-
-    // Pull batches until the source runs dry or LIMIT is satisfied. When
-    // LIMIT stops the pull early, upstream work (and its Fdbs-side charges)
-    // that the materializing paths would still perform simply never happens.
-    loop {
-        let (w0, v0) = probe_mark(wall, meter);
-        let Some(mut batch) = source.next_batch(fdbs)? else {
-            break;
-        };
-        if let Some(p) = probes.as_mut() {
-            p.source.record(meter.now_us() - v0, elapsed_ns(w0), &batch);
-        }
-        for (i, op) in ops.iter_mut().enumerate() {
-            let (w0, v0) = probe_mark(wall, meter);
-            batch = op
-                .push(fdbs, batch, params, meter)
-                .context(format!("evaluating streaming operator {}", i + 1))?;
-            if let Some(p) = probes.as_mut() {
-                p.ops[i].record(meter.now_us() - v0, elapsed_ns(w0), &batch);
-            }
-        }
-        let (w0, v0) = probe_mark(wall, meter);
-        let in_counts = tracing.then(|| {
-            (
-                batch.len() as u64,
-                batch.iter().map(Row::approx_bytes).sum::<usize>() as u64,
-            )
-        });
-        let done = sink_push(&mut sink, plan, batch, params, meter, cost)?;
-        if let Some(p) = probes.as_mut() {
-            let (rows, bytes) = in_counts.expect("tracing implies counts");
-            p.sink
-                .record_counts(meter.now_us() - v0, elapsed_ns(w0), rows, bytes);
-        }
-        if done {
-            break;
-        }
-    }
-
-    let v0 = meter.now_us();
-    source.finish(cost, meter);
-    if let Some(p) = probes.as_mut() {
-        p.source.virt_us += meter.now_us() - v0;
-    }
-    for (i, op) in ops.iter().enumerate() {
-        let v0 = meter.now_us();
-        op.finish(cost, meter);
-        if let Some(p) = probes.as_mut() {
-            p.ops[i].virt_us += meter.now_us() - v0;
-        }
-    }
-
-    // Emit one leaf span per pipeline stage, source to sink, under the
-    // enclosing `fdbs.execute` span.
-    if let Some(p) = probes.take() {
-        let start = p.start_us;
-        meter.span_leaf(p.source.into_leaf(start));
-        for op_probe in p.ops {
-            meter.span_leaf(op_probe.into_leaf(start));
-        }
-        meter.span_leaf(p.sink.into_leaf(start));
-    }
-
-    match sink {
-        Sink::Aggregate(agg) => finish_aggregate(plan, agg.finish(meter)?, params),
-        Sink::Sort(rows) => scalar_tail(fdbs, plan, rows, params, meter, ExecMode::Streaming),
-        Sink::Project { out, .. } => {
-            if let Some(limit) = plan.limit {
-                if out.row_count() as u64 > limit {
-                    let rows: Vec<Row> = out.into_rows().into_iter().take(limit as usize).collect();
-                    return Ok(table_from_rows(plan.out_schema.clone(), rows));
-                }
-            }
-            Ok(out)
-        }
-    }
-}
-
-/// Build the streaming operator for one lateral step, performing the
-/// eager (pipeline-breaking) work up front.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn prepare_step_op<'p>(
-    fdbs: &Fdbs,
-    step: &'p FromStep,
-    position: usize,
-    jk: Option<&'p JoinKey>,
-    proj: Option<&'p [usize]>,
-    access: Access,
-    params: &[Value],
-    meter: &mut Meter,
-) -> FedResult<Op<'p>> {
-    let cost = fdbs.cost();
-    match step {
-        FromStep::ScanLocal {
-            table,
-            pushdown,
-            schema,
-            ..
-        } => {
-            if let Some(jk) = jk {
-                if use_index_probe(fdbs, table, schema, jk, access)? {
-                    return Ok(Op::IndexProbe {
-                        table,
-                        pushdown,
-                        projection: proj,
-                        build_col: jk.build[0],
-                        probe: &jk.probe[0],
-                        cache: HashMap::new(),
-                        scanned_total: 0,
-                        out_count: 0,
-                    });
-                }
-                let scanned =
-                    fdbs.catalog()
-                        .local()
-                        .scan_project(table.as_str(), pushdown, proj)?;
-                meter.charge(
-                    Component::Fdbs,
-                    "Scan local table",
-                    cost.predicate_eval * scanned.row_count() as u64,
-                );
-                let build_cols = build_positions(&jk.build, proj)?;
-                let rows = scanned.into_rows();
-                tally_rows(meter, &rows);
-                return Ok(Op::HashJoin {
-                    build_rows: rows,
-                    build_cols,
-                    probe: &jk.probe,
-                    table: None,
-                    out_count: 0,
-                });
-            }
-            let scanned = fdbs
-                .catalog()
-                .local()
-                .scan_project(table.as_str(), pushdown, proj)?;
-            meter.charge(
-                Component::Fdbs,
-                "Scan local table",
-                cost.predicate_eval * scanned.row_count() as u64,
-            );
-            let rows = scanned.into_rows();
-            tally_rows(meter, &rows);
-            Ok(Op::Cross {
-                right: rows,
-                charge_select: false,
-                prefix_rows: 0,
-            })
-        }
-        FromStep::ScanForeign {
-            server,
-            remote_name,
-            pushdown,
-            ..
-        } => {
-            let scanned = server.scan_project(remote_name, pushdown, proj)?;
-            meter.charge(
-                Component::Fdbs,
-                format!("Subquery to SQL source {}", server.name()),
-                cost.rmi_call + cost.rmi_return,
-            );
-            let rows = scanned.into_rows();
-            tally_rows(meter, &rows);
-            match jk {
-                Some(jk) => Ok(Op::HashJoin {
-                    build_cols: build_positions(&jk.build, proj)?,
-                    build_rows: rows,
-                    probe: &jk.probe,
-                    table: None,
-                    out_count: 0,
-                }),
-                None => Ok(Op::Cross {
-                    right: rows,
-                    charge_select: false,
-                    prefix_rows: 0,
-                }),
-            }
-        }
-        FromStep::TableFunc {
-            udtf,
-            args,
-            independent,
-            ..
-        } => {
-            if *independent {
-                let arg_values: Vec<Value> = args
-                    .iter()
-                    .map(|a| a.eval(&[], params))
-                    .collect::<FedResult<_>>()?;
-                let result = invoke_udtf(fdbs, udtf, &arg_values, meter)?;
-                let rows = pruned_rows(&result, proj);
-                tally_rows(meter, &rows);
-                match jk {
-                    Some(jk) => Ok(Op::HashJoin {
-                        build_cols: build_positions(&jk.build, proj)?,
-                        build_rows: rows,
-                        probe: &jk.probe,
-                        table: None,
-                        out_count: 0,
-                    }),
-                    None => Ok(Op::Cross {
-                        right: rows,
-                        charge_select: position > 0,
-                        prefix_rows: 0,
-                    }),
-                }
-            } else {
-                Ok(Op::DependentUdtf {
-                    udtf,
-                    args,
-                    projection: proj,
-                    memo_on: fdbs.udtf_memo_enabled(),
-                    memo: HashMap::new(),
-                })
-            }
-        }
-    }
 }
 
 /// Feed one batch to the sink. Returns `true` when the sink is satisfied
@@ -1833,6 +1131,22 @@ mod tests {
     use fedwf_types::{Column, Ident, Schema};
     use std::sync::Arc;
 
+    /// Aggregate `rows` with hashed (streaming) or linear (oracle) group
+    /// lookup.
+    fn aggregate_rows(
+        plan: &Plan,
+        agg: &AggregatePlan,
+        rows: &[Row],
+        hashed: bool,
+    ) -> FedResult<Table> {
+        let mut meter = Meter::new();
+        let mut a = Aggregator::new(plan, agg, &CostModel::zero(), hashed);
+        for row in rows {
+            a.push(row, &[], &mut meter)?;
+        }
+        a.finish(&mut meter)
+    }
+
     #[test]
     fn coerce_agg_rejects_lossy_results() {
         assert_eq!(
@@ -1854,7 +1168,6 @@ mod tests {
     /// loudly, not be pushed unchecked into the mistyped table.
     #[test]
     fn double_aggregate_into_int_column_fails_loudly() {
-        let fdbs = Fdbs::new(CostModel::zero());
         let agg = AggregatePlan {
             keys: vec![],
             columns: vec![(
@@ -1883,10 +1196,8 @@ mod tests {
                 DataType::Int,
             )])),
         };
-        let mut meter = Meter::new();
-        for mode in [ExecMode::JoinAware, ExecMode::Naive] {
-            let err = aggregate_rows(&fdbs, &plan, &agg, &[Row::empty()], &[], &mut meter, mode)
-                .unwrap_err();
+        for hashed in [true, false] {
+            let err = aggregate_rows(&plan, &agg, &[Row::empty()], hashed).unwrap_err();
             assert!(
                 err.to_string().contains("does not fit"),
                 "unexpected error: {err}"
@@ -1896,7 +1207,6 @@ mod tests {
 
     #[test]
     fn integer_sum_overflow_is_an_error() {
-        let fdbs = Fdbs::new(CostModel::zero());
         let agg = AggregatePlan {
             keys: vec![],
             columns: vec![(
@@ -1932,9 +1242,8 @@ mod tests {
             Row::new(vec![Value::BigInt(i64::MAX)]),
             Row::new(vec![Value::BigInt(1)]),
         ];
-        let mut meter = Meter::new();
-        for mode in [ExecMode::JoinAware, ExecMode::Naive] {
-            let err = aggregate_rows(&fdbs, &plan, &agg, &rows, &[], &mut meter, mode).unwrap_err();
+        for hashed in [true, false] {
+            let err = aggregate_rows(&plan, &agg, &rows, hashed).unwrap_err();
             assert!(err.to_string().contains("SUM overflow"), "{err}");
         }
     }

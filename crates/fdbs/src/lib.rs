@@ -73,7 +73,7 @@ pub(crate) mod vexpr;
 
 pub use catalog::Catalog;
 pub use engine::{ExecOptions, Fdbs};
-pub use exec::{execute_plan_with_mode, ExecMode};
+pub use exec::ExecMode;
 pub use expr::BoundExpr;
 pub use optimizer::PlannerMode;
 pub use plan::{JoinKey, LogicalPlan, Plan, PlanBuilder};

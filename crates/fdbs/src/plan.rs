@@ -149,12 +149,13 @@ pub struct JoinKey {
     /// Build-side column indexes, local to the step's own schema.
     pub build: Vec<usize>,
     /// The original conjuncts ANDed together, in prefix-layout indexes —
-    /// what the naive reference path evaluates per composed row.
+    /// what the naive oracle evaluates per composed row.
     pub residual: BoundExpr,
 }
 
 /// How the executor composes one step with the prefix — chosen by the
-/// cost-based optimizer, honored by every executor.
+/// cost-based optimizer, honored by the streaming executor (the oracle
+/// always composes by cross product).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Access {
     /// The executor's own syntactic heuristic: index probe whenever the

@@ -1,47 +1,54 @@
-//! The vectorized streaming executor: typed column batches end to end.
+//! The streaming executor: typed column batches end to end.
 //!
-//! This is [`crate::exec::ExecMode::Streaming`] with the `Vec<Row>` batches
-//! replaced by [`ColumnBatch`]es. The source pulls column vectors straight
-//! out of relstore's version chains (same chunk bounds, same pinned
-//! snapshot epoch), residual filters evaluate predicates into selection
-//! vectors ([`crate::vexpr`]), hash-join and index probes hash join keys
-//! over column slices, and the sinks aggregate/project over typed vectors.
+//! This is [`crate::exec::ExecMode::Streaming`], the one production
+//! executor. The source pulls column vectors straight out of relstore's
+//! version chains (bounded chunks, snapshot epoch pinned at the first
+//! pull), residual filters evaluate predicates into selection vectors
+//! ([`crate::vexpr`]), hash-join and index probes hash join keys over
+//! column slices, and the sinks aggregate/project over typed vectors.
 //! Rows materialize only where they must: at pipeline breakers (build
 //! sides, sort buffers, UDTF compositions) and at the client boundary.
+//! A traced execution emits one leaf span per pipeline stage (source,
+//! each operator, sink) whose byte actuals count column-vector bytes
+//! (validity words included) where a columnar batch flowed.
 //!
-//! Parity contract with the row-at-a-time streaming path (which stays
-//! callable via [`crate::engine::ExecOptions::vectorized`]):
+//! Parity contract with the row kernels in `exec.rs` ([`Op::push`],
+//! [`sink_push`]), which run every batch that is already rows and every
+//! batch a columnar kernel gives up on:
 //!
 //! * **Results**: identical rows in identical order. Shared scalar kernels
 //!   plus the fallback rule below make this hold bit-for-bit, NaN and NULL
 //!   included.
 //! * **Charges**: identical virtual-time totals. Per-row charges are
-//!   booked per batch (`amount × rows`), deferred charges reuse the row
-//!   path's [`Op::finish`] formulas verbatim.
-//! * **Spans**: identical probe names and tree shape; actuals count column
-//!   -vector bytes (validity words included) where a columnar batch flowed.
+//!   booked per batch (`amount × rows`), deferred charges use
+//!   [`Op::finish`]'s formulas.
 //! * **Errors**: any vectorized kernel error demotes that batch to the
-//!   row-at-a-time reference implementation, whose outcome — including
-//!   *which* error surfaces first — is authoritative. Vectorized kernels
-//!   evaluate eagerly and must never surface an error the lazy row path
-//!   would not raise.
+//!   row kernel, whose outcome — including *which* error surfaces first —
+//!   is authoritative. Vectorized kernels evaluate eagerly and must never
+//!   surface an error the lazy row kernel would not raise.
+//!
+//! Against the [`crate::exec::ExecMode::Naive`] oracle the contract is the
+//! one `tests/exec_equivalence.rs` checks: the same row multiset for every
+//! query (the same rows in the same order where both scan one table in
+//! slot order), and the same multiset of non-FDBS charges with the UDTF
+//! memo off.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::time::Instant;
 
 use fedwf_relstore::{Predicate, RowId};
-use fedwf_sim::{Component, CostModel, Meter, SpanName};
+use fedwf_sim::{Component, CostModel, Meter, SpanName, TraceNode};
 use fedwf_types::{ColumnBatch, FedResult, Ident, ResultExt, Row, Table, TxnId, Value, ValueKey};
 
 use crate::engine::Fdbs;
 use crate::exec::{
-    build_key, build_positions, elapsed_ns, finish_aggregate, join_key_checked, op_estimates,
-    op_probe_name, prepare_step_op, probe_mark, scalar_tail, sink_push, table_from_rows,
-    tally_rows, use_index_probe, Aggregator, ExecMode, Op, Sink, StreamProbe, StreamProbes,
-    STREAM_BATCH_ROWS,
+    build_key, build_positions, finish_aggregate, invoke_udtf, join_key_checked, pruned_rows,
+    scalar_tail, sink_push, table_from_rows, tally_rows, use_index_probe, Aggregator, ExecMode, Op,
+    Sink, STREAM_BATCH_ROWS,
 };
 use crate::expr::BoundExpr;
-use crate::plan::{Access, AggColumn, FromStep, Plan};
+use crate::plan::{AggColumn, FromStep, Plan};
 use crate::vexpr::{eval_filter_mask, eval_vcol, VCol};
 
 /// A streaming batch: columnar while it can be, rows once an operator
@@ -101,8 +108,9 @@ pub(crate) fn tally_batch(meter: &mut Meter, batch: &ColumnBatch) {
     meter.tally_materialized(batch.len() as u64, batch.approx_bytes() as u64);
 }
 
-/// The columnar batch source — mirrors `exec::Source` including the
-/// deferred scan charge and the snapshot epoch pinned at first pull.
+/// Where batches come from: a bounded columnar cursor over the leading
+/// local scan when it has no join key, or the single seed row otherwise
+/// (operators then cover every step including the first).
 enum VSource<'p> {
     Rows(Option<Vec<Row>>),
     Chunked {
@@ -112,6 +120,8 @@ enum VSource<'p> {
         next: Option<RowId>,
         started: bool,
         matched: u64,
+        /// Snapshot epoch pinned at the first pull: every later chunk reads
+        /// the same committed state even while writers commit in between.
         epoch: Option<TxnId>,
     },
 }
@@ -151,6 +161,8 @@ impl VSource<'_> {
         }
     }
 
+    /// Book the deferred scan charge — one record for the whole scan, the
+    /// same total a single full scan books.
     fn finish(&self, cost: &CostModel, meter: &mut Meter) {
         if let VSource::Chunked { matched, .. } = self {
             meter.charge(
@@ -162,24 +174,23 @@ impl VSource<'_> {
     }
 }
 
-/// Build the streaming operator for one lateral step with columnar eager
-/// work: local and foreign build sides cross the storage / SQL-MED
-/// boundary as column batches (tallied in column bytes) and materialize
-/// to rows only because they *are* pipeline-breaker state. Steps with no
-/// columnar advantage delegate to the row path's [`prepare_step_op`].
-#[allow(clippy::too_many_arguments)]
-fn prepare_step_op_vectorized<'p>(
+/// Build the streaming operator for lateral step `i`, doing its eager
+/// (pipeline-breaking) work up front. Local and foreign build sides cross
+/// the storage / SQL-MED boundary as column batches (tallied in column
+/// bytes) and become rows only because they *are* pipeline-breaker state;
+/// an independent UDTF is invoked once here, even over an empty prefix.
+fn prepare_step_op<'p>(
     fdbs: &Fdbs,
-    step: &'p FromStep,
-    position: usize,
-    jk: Option<&'p crate::plan::JoinKey>,
-    proj: Option<&'p [usize]>,
-    access: Access,
+    plan: &'p Plan,
+    i: usize,
     params: &[Value],
     meter: &mut Meter,
+    udtf_memo: bool,
 ) -> FedResult<Op<'p>> {
     let cost = fdbs.cost();
-    match step {
+    let jk = plan.step_join_keys[i].as_ref();
+    let proj = plan.step_projections.get(i).and_then(|p| p.as_deref());
+    let right = match &plan.steps[i] {
         FromStep::ScanLocal {
             table,
             pushdown,
@@ -187,35 +198,19 @@ fn prepare_step_op_vectorized<'p>(
             ..
         } => {
             if let Some(jk) = jk {
+                let access = plan.step_access.get(i).copied().unwrap_or_default();
                 if use_index_probe(fdbs, table, schema, jk, access)? {
-                    return prepare_step_op(
-                        fdbs,
-                        step,
-                        position,
-                        Some(jk),
-                        proj,
-                        access,
-                        params,
-                        meter,
-                    );
+                    return Ok(Op::IndexProbe {
+                        table,
+                        pushdown,
+                        projection: proj,
+                        build_col: jk.build[0],
+                        probe: &jk.probe[0],
+                        cache: HashMap::new(),
+                        scanned_total: 0,
+                        out_count: 0,
+                    });
                 }
-                let batch =
-                    fdbs.catalog()
-                        .local()
-                        .scan_project_columnar(table.as_str(), pushdown, proj)?;
-                meter.charge(
-                    Component::Fdbs,
-                    "Scan local table",
-                    cost.predicate_eval * batch.len() as u64,
-                );
-                tally_batch(meter, &batch);
-                return Ok(Op::HashJoin {
-                    build_rows: batch.to_rows(),
-                    build_cols: build_positions(&jk.build, proj)?,
-                    probe: &jk.probe,
-                    table: None,
-                    out_count: 0,
-                });
             }
             let batch =
                 fdbs.catalog()
@@ -227,11 +222,7 @@ fn prepare_step_op_vectorized<'p>(
                 cost.predicate_eval * batch.len() as u64,
             );
             tally_batch(meter, &batch);
-            Ok(Op::Cross {
-                right: batch.to_rows(),
-                charge_select: false,
-                prefix_rows: 0,
-            })
+            batch.to_rows()
         }
         FromStep::ScanForeign {
             server,
@@ -248,33 +239,56 @@ fn prepare_step_op_vectorized<'p>(
                 cost.rmi_call + cost.rmi_return,
             );
             tally_batch(meter, &batch);
-            let rows = batch.to_rows();
-            match jk {
-                Some(jk) => Ok(Op::HashJoin {
-                    build_cols: build_positions(&jk.build, proj)?,
-                    build_rows: rows,
-                    probe: &jk.probe,
-                    table: None,
-                    out_count: 0,
-                }),
-                None => Ok(Op::Cross {
-                    right: rows,
-                    charge_select: false,
-                    prefix_rows: 0,
-                }),
-            }
+            batch.to_rows()
         }
-        FromStep::TableFunc { .. } => {
-            prepare_step_op(fdbs, step, position, jk, proj, access, params, meter)
+        FromStep::TableFunc {
+            udtf,
+            args,
+            independent: true,
+            ..
+        } => {
+            let arg_values: Vec<Value> = args
+                .iter()
+                .map(|a| a.eval(&[], params))
+                .collect::<FedResult<_>>()?;
+            let result = invoke_udtf(fdbs, udtf, &arg_values, meter)?;
+            let rows = pruned_rows(&result, proj);
+            tally_rows(meter, &rows);
+            rows
         }
-    }
+        FromStep::TableFunc { udtf, args, .. } => {
+            return Ok(Op::DependentUdtf {
+                udtf,
+                args,
+                projection: proj,
+                memo_on: udtf_memo,
+                memo: HashMap::new(),
+            });
+        }
+    };
+    Ok(match jk {
+        Some(jk) => Op::HashJoin {
+            build_cols: build_positions(&jk.build, proj)?,
+            build_rows: right,
+            probe: &jk.probe,
+            table: None,
+            out_count: 0,
+        },
+        // An independent UDTF composed after the first step books the
+        // paper's join-with-selection.
+        None => Op::Cross {
+            right,
+            charge_select: i > 0 && matches!(plan.steps[i], FromStep::TableFunc { .. }),
+            prefix_rows: 0,
+        },
+    })
 }
 
 /// What a vectorized operator arm decided for a columnar batch.
 enum Planned {
     Done(VBatch),
     /// The kernel could not handle the batch (expression error, operator
-    /// with no columnar form): re-run it through the row path.
+    /// with no columnar form): re-run it through the row kernel.
     Fallback,
 }
 
@@ -309,7 +323,7 @@ fn vop_push(
                 let sel = (sel.len() != b.len()).then_some(sel);
                 Planned::Done(VBatch::Cols(b.clone(), sel))
             }
-            // The row path re-evaluates from scratch: charges, partial
+            // The row kernel re-evaluates from scratch: charges, partial
             // output, and the authoritative error all come from it.
             Err(_) => Planned::Fallback,
         },
@@ -490,7 +504,7 @@ fn vsink_push(
                     Ok(false)
                 }
                 // Key or argument evaluation failed somewhere in the
-                // batch: the row path finds the first offending row and
+                // batch: the row kernel finds the first offending row and
                 // charges/accumulates up to it.
                 _ => {
                     for row in &b.to_rows() {
@@ -508,7 +522,7 @@ fn vsink_push(
             // the filter's survivors are never gathered at all. Computed
             // projections collapse the selection first so expressions are
             // only evaluated on surviving rows — exactly the rows the
-            // row-at-a-time path would see.
+            // row kernel would see.
             let bare = plan
                 .projection
                 .iter()
@@ -562,7 +576,7 @@ fn vsink_push(
                     Ok(plan.limit.is_some_and(|l| out.row_count() as u64 >= l))
                 }
                 Err(_) => {
-                    // Row-path reference: evaluate, charge, emit and stop
+                    // Row-kernel reference: evaluate, charge, emit and stop
                     // at LIMIT row by row until the authoritative error.
                     for row in &selected_rows(&b, sel.as_deref()) {
                         let values: Vec<Value> = plan
@@ -584,17 +598,131 @@ fn vsink_push(
     }
 }
 
-/// [`crate::exec::execute_plan_with_mode`]'s streaming strategy over
-/// column batches. Mirrors `execute_streaming` stage for stage — same
-/// probe names, same deferred charges, same LIMIT-driven early stop.
-pub(crate) fn execute_streaming_vectorized(
+/// Per-operator actuals accumulated while tracing: active virtual time,
+/// wall time, and the batches/rows/bytes the operator emitted. Rendered
+/// as one leaf span per operator after the pipeline drains. The leaf's
+/// `start..end` window is the pipeline start plus the *accumulated active*
+/// virtual time (operators interleave batch-by-batch, so per-operator
+/// wall-clock windows would overlap meaninglessly); its booked vector is
+/// left empty — the charges themselves are already attributed to the
+/// enclosing `fdbs.execute` span, so actuals never double-count.
+struct StreamProbe {
+    name: SpanName,
+    virt_us: u64,
+    wall_ns: u64,
+    batches: u64,
+    rows: u64,
+    bytes: u64,
+    /// Planner-estimated output rows, when the plan carries estimates.
+    est: Option<u64>,
+}
+
+impl StreamProbe {
+    fn new(name: impl Into<SpanName>) -> StreamProbe {
+        StreamProbe {
+            name: name.into(),
+            virt_us: 0,
+            wall_ns: 0,
+            batches: 0,
+            rows: 0,
+            bytes: 0,
+            est: None,
+        }
+    }
+
+    /// Attach the planner's row estimate; `EXPLAIN ANALYZE` reads it back
+    /// as the `est` counter beside the actual `rows`.
+    fn with_est(mut self, est: Option<f64>) -> StreamProbe {
+        self.est = est.map(|e| e.round().max(0.0) as u64);
+        self
+    }
+
+    fn record_counts(&mut self, virt_us: u64, wall_ns: u64, rows: u64, bytes: u64) {
+        self.virt_us += virt_us;
+        self.wall_ns += wall_ns;
+        self.batches += 1;
+        self.rows += rows;
+        self.bytes += bytes;
+    }
+
+    fn into_leaf(self, start_us: u64) -> TraceNode {
+        let mut node = TraceNode::leaf(Component::Fdbs, self.name, start_us);
+        node.end_us = start_us + self.virt_us;
+        node.wall_ns = self.wall_ns;
+        node.add_counter("batches", self.batches);
+        node.add_counter("rows", self.rows);
+        node.add_counter("bytes", self.bytes);
+        if let Some(est) = self.est {
+            node.add_counter("est", est);
+        }
+        node
+    }
+}
+
+/// Planner row estimates for the streaming operator chain, parallel to the
+/// `ops` vector the executor builds: each step contributes its
+/// composed (`join_rows`) estimate, its residual filter (when present) the
+/// post-filter `out_rows`. The chunked source covers step 0's scan itself,
+/// so `start` skips it and only its filter op (if any) leads the chain.
+fn op_estimates(plan: &Plan, chunk_step0: bool, start: usize) -> Vec<Option<f64>> {
+    let est = |i: usize| plan.step_estimates.get(i);
+    let mut out = Vec::new();
+    if chunk_step0 && plan.step_filters[0].is_some() {
+        out.push(est(0).map(|e| e.out_rows));
+    }
+    for i in start..plan.steps.len() {
+        out.push(est(i).map(|e| e.join_rows));
+        if plan.step_filters[i].is_some() {
+            out.push(est(i).map(|e| e.out_rows));
+        }
+    }
+    out
+}
+
+/// Probes for the whole pipeline: source, one per operator, sink.
+struct StreamProbes {
+    start_us: u64,
+    source: StreamProbe,
+    ops: Vec<StreamProbe>,
+    sink: StreamProbe,
+}
+
+fn op_probe_name(op: &Op<'_>) -> SpanName {
+    match op {
+        Op::HashJoin { .. } => SpanName::Static("hash-join"),
+        Op::IndexProbe { table, .. } => SpanName::from(format!("index-probe {table}")),
+        Op::Cross { .. } => SpanName::Static("cross"),
+        Op::DependentUdtf { udtf, .. } => SpanName::from(format!("dependent-udtf {}", udtf.name)),
+        Op::Filter { .. } => SpanName::Static("filter"),
+    }
+}
+
+/// Start one probe measurement: a wall-clock mark (only when the trace has
+/// wall sampling on — neither the untraced path nor an ordinary virtual
+/// trace ever reads the OS clock here) and the current virtual time.
+fn probe_mark(wall: bool, meter: &Meter) -> (Option<Instant>, u64) {
+    (wall.then(Instant::now), meter.now_us())
+}
+
+fn elapsed_ns(mark: Option<Instant>) -> u64 {
+    mark.map_or(0, |t| t.elapsed().as_nanos() as u64)
+}
+
+/// Run `plan` through the streaming pipeline: source, one operator per
+/// lateral step (plus one per residual filter), sink. `udtf_memo` turns on
+/// the dependent-UDTF memo, keyed by argument tuple within one step.
+pub(crate) fn execute_vectorized(
     fdbs: &Fdbs,
     plan: &Plan,
     params: &[Value],
     meter: &mut Meter,
+    udtf_memo: bool,
 ) -> FedResult<Table> {
     let cost = fdbs.cost();
 
+    // Source: stream the leading local scan in bounded chunks when nothing
+    // joins it back to the (empty) seed row; otherwise start from the seed
+    // and let the operators cover every step.
     let chunk_step0 = matches!(plan.steps.first(), Some(FromStep::ScanLocal { .. }))
         && plan.step_join_keys.first().is_some_and(|jk| jk.is_none());
     let (mut source, start) = if chunk_step0 {
@@ -621,6 +749,9 @@ pub(crate) fn execute_streaming_vectorized(
         (VSource::Rows(Some(vec![Row::empty()])), 0)
     };
 
+    // Prepare the operator chain. Build sides, foreign result sets, and
+    // independent UDTF results are produced (and their charges booked)
+    // eagerly, even over an empty prefix.
     let mut ops: Vec<Op<'_>> = Vec::new();
     if chunk_step0 {
         if let Some(filter) = &plan.step_filters[0] {
@@ -628,10 +759,7 @@ pub(crate) fn execute_streaming_vectorized(
         }
     }
     for (i, step) in plan.steps.iter().enumerate().skip(start) {
-        let jk = plan.step_join_keys[i].as_ref();
-        let proj = plan.step_projections.get(i).and_then(|p| p.as_deref());
-        let access = plan.step_access.get(i).copied().unwrap_or_default();
-        let op = prepare_step_op_vectorized(fdbs, step, i, jk, proj, access, params, meter)
+        let op = prepare_step_op(fdbs, plan, i, params, meter, udtf_memo)
             .context(format!("evaluating FROM item {} ({step:?})", i + 1))?;
         ops.push(op);
         if let Some(filter) = &plan.step_filters[i] {
@@ -646,7 +774,7 @@ pub(crate) fn execute_streaming_vectorized(
     } else {
         Sink::Project {
             out: Table::new(plan.out_schema.clone()),
-            seen: plan.distinct.then(std::collections::HashSet::new),
+            seen: plan.distinct.then(HashSet::new),
         }
     };
 
@@ -677,6 +805,9 @@ pub(crate) fn execute_streaming_vectorized(
     let tracing = probes.is_some();
     let wall = tracing && meter.wall_sampling();
 
+    // Pull batches until the source runs dry or LIMIT is satisfied. When
+    // LIMIT stops the pull early, upstream work (and its Fdbs-side
+    // charges) simply never happens.
     loop {
         let (w0, v0) = probe_mark(wall, meter);
         let Some(mut batch) = source.next_batch(fdbs)? else {
@@ -729,6 +860,8 @@ pub(crate) fn execute_streaming_vectorized(
         }
     }
 
+    // Emit one leaf span per pipeline stage, source to sink, under the
+    // enclosing `fdbs.execute` span.
     if let Some(p) = probes.take() {
         let start = p.start_us;
         meter.span_leaf(p.source.into_leaf(start));

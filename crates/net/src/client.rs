@@ -154,7 +154,11 @@ impl TcpClient {
             .map_err(|e| e.with_context(format!("sending {}", request.label())))?;
         let read_timeout = match budget {
             // Never Some(ZERO): that means "no timeout" to the socket API.
-            Some(b) => Some((b + self.config.reply_grace).max(Duration::from_millis(1))),
+            // Saturating: a `Duration::MAX` budget must not overflow.
+            Some(b) => Some(
+                b.saturating_add(self.config.reply_grace)
+                    .max(Duration::from_millis(1)),
+            ),
             None => self.config.idle_read_timeout,
         };
         let _ = stream.set_read_timeout(read_timeout);

@@ -33,7 +33,7 @@ use fedwf_types::{FedError, FedResult};
 /// other version is rejected with a [`Protocol`](fedwf_types::ErrorLayer)
 /// error naming both versions; bump it on any incompatible grammar
 /// change (see DESIGN.md §14).
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Upper bound on `len`. Far above any real table the workloads produce;
 /// its job is to make a desynchronized length prefix fail fast instead of
@@ -245,14 +245,20 @@ mod tests {
         assert!(read_frame(&mut Cursor::new(bad), || true)
             .unwrap_err()
             .is_protocol());
-        // Wrong version byte (CRC recomputed so only the version differs).
-        let mut versioned = wire.clone();
-        versioned[8] = 9;
-        let crc = crc32(&versioned[8..]);
-        versioned[4..8].copy_from_slice(&crc.to_le_bytes());
-        let err = read_frame(&mut Cursor::new(versioned), || true).unwrap_err();
-        assert!(err.is_protocol());
-        assert!(err.to_string().contains("version 9"), "{err}");
+        // Wrong version byte (CRC recomputed so only the version differs):
+        // the previous grammar (1) and an unknown one (9).
+        for version in [1u8, 9] {
+            let mut versioned = wire.clone();
+            versioned[8] = version;
+            let crc = crc32(&versioned[8..]);
+            versioned[4..8].copy_from_slice(&crc.to_le_bytes());
+            let err = read_frame(&mut Cursor::new(versioned), || true).unwrap_err();
+            assert!(err.is_protocol());
+            assert!(
+                err.to_string().contains(&format!("version {version}")),
+                "{err}"
+            );
+        }
         // Absurd length prefix: rejected before allocating.
         let mut huge = wire;
         huge[0..4].copy_from_slice(&u32::MAX.to_le_bytes());

@@ -515,7 +515,7 @@ impl Database {
     }
 
     /// [`Database::scan_chunk`] in columnar form — the cursor behind the
-    /// vectorized streaming executor. The caller pins `epoch` once; every
+    /// streaming executor. The caller pins `epoch` once; every
     /// chunk reads that same snapshot.
     pub fn scan_chunk_columnar(
         &self,
@@ -529,23 +529,6 @@ impl Database {
         let tables = self.tables.read();
         Self::resolve(&tables, table, &self.name)?
             .scan_chunk_columnar_at(predicate, projection, start_slot, max_rows, epoch)
-    }
-
-    /// [`Database::scan_eq_project`] in columnar form: `column = key AND
-    /// residual`, index-served when possible, projected columns as a batch.
-    pub fn scan_eq_project_columnar(
-        &self,
-        table: &str,
-        column: usize,
-        key: Value,
-        residual: &Predicate,
-        projection: Option<&[usize]>,
-    ) -> FedResult<ColumnBatch> {
-        self.scan_project_columnar(
-            table,
-            &Predicate::eq(column, key).and(residual.clone()),
-            projection,
-        )
     }
 
     /// Full-table scan (at the published commit epoch, like

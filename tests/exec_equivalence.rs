@@ -1,14 +1,14 @@
-//! Every executor *and* every planner must be observationally equivalent
-//! to the naive (Cartesian-product, syntactic-order) reference path: the
-//! same row multiset for every query, and — with dependent-UDTF
-//! memoization off — the same multiset of non-FDBS ("architecture")
-//! charges, since composition strategy and join order are FDBS-internal
-//! concerns that must never leak into what the paper measures about the
-//! architectures. Part A drives generated join/filter/DISTINCT/aggregate
-//! queries (including 3-way joins over skewed-NDV columns) straight into
-//! an [`fedwf::fdbs::Fdbs`], crossing executor × vectorization × pruning
-//! × planner mode; Part B replays the paper's Fig. 5 workload on all four
-//! integration architectures under both executors.
+//! The production executor under either planner must be observationally
+//! equivalent to the reference oracle (naive Cartesian-product executor,
+//! syntactic FROM order, unpruned plans, no memo): the same row multiset
+//! for every query, and — with dependent-UDTF memoization off — the same
+//! multiset of non-FDBS ("architecture") charges, since composition
+//! strategy and join order are FDBS-internal concerns that must never leak
+//! into what the paper measures about the architectures. Part A drives
+//! generated join/filter/DISTINCT/aggregate queries (including 3-way joins
+//! over skewed-NDV columns) straight into an [`fedwf::fdbs::Fdbs`]; Part B
+//! replays the paper's Fig. 5 workload on all four integration
+//! architectures under both executors.
 
 use std::sync::Arc;
 
@@ -260,6 +260,15 @@ fn row_multiset(t: &Table) -> Vec<String> {
     rows
 }
 
+/// The reference oracle: the naive cross-product executor in syntactic
+/// FROM order (its plans are bound unpruned), memo off.
+fn oracle() -> ExecOptions {
+    ExecOptions::default()
+        .mode(ExecMode::Naive)
+        .udtf_memo(false)
+        .planner(PlannerMode::Syntactic)
+}
+
 /// The architecture charge multiset: everything except FDBS-internal
 /// composition work, keyed without virtual start times (the two executors
 /// legitimately book different FDBS durations in between).
@@ -292,64 +301,36 @@ fn generated_queries_agree_between_executors() {
         for _ in 0..rng.range_usize(1, 4) {
             let sql = gen_query(rng);
 
-            // Reference: the naive cross-product path in syntactic FROM
-            // order with pruning off.
-            fdbs.set_options(
-                ExecOptions::default()
-                    .mode(ExecMode::Naive)
-                    .udtf_memo(false)
-                    .projection_pruning(false)
-                    .planner(PlannerMode::Syntactic),
-            );
+            fdbs.set_options(oracle());
             let mut naive_meter = Meter::new();
             let naive = fdbs.execute(&sql, &mut naive_meter).unwrap();
             let naive_rows = row_multiset(&naive);
             let naive_arch = arch_charges(naive_meter.charges());
 
-            // Every (executor, vectorization, pruning, planner)
-            // combination must reproduce the reference row multiset and
-            // architecture charge multiset — join reordering may change
-            // FDBS-internal composition work, never the rows and never
-            // the charges the paper attributes to the architectures.
-            // Streaming runs twice: over row batches (the retained
-            // reference pipeline) and over column batches.
-            for (mode, vectorized) in [
-                (ExecMode::Naive, true),
-                (ExecMode::JoinAware, true),
-                (ExecMode::Streaming, false),
-                (ExecMode::Streaming, true),
-            ] {
-                for pruning in [false, true] {
-                    for planner in [PlannerMode::Syntactic, PlannerMode::CostBased] {
-                        fdbs.set_options(
-                            ExecOptions::default()
-                                .mode(mode)
-                                .vectorized(vectorized)
-                                .projection_pruning(pruning)
-                                .planner(planner)
-                                .udtf_memo(false),
-                        );
-                        let mut meter = Meter::new();
-                        let got = fdbs.execute(&sql, &mut meter).unwrap();
-                        assert_eq!(
-                            naive_rows,
-                            row_multiset(&got),
-                            "row multisets diverge for {sql} ({mode:?}, \
-                             vectorized={vectorized}, pruning={pruning}, {planner})"
-                        );
-                        assert_eq!(
-                            naive_arch,
-                            arch_charges(meter.charges()),
-                            "architecture charges diverge for {sql} ({mode:?}, \
-                             vectorized={vectorized}, pruning={pruning}, {planner})"
-                        );
-                    }
-                }
+            // Production under either planner must reproduce the oracle's
+            // row multiset and architecture charge multiset — join
+            // reordering may change FDBS-internal composition work, never
+            // the rows and never the charges the paper attributes to the
+            // architectures.
+            for planner in [PlannerMode::Syntactic, PlannerMode::CostBased] {
+                fdbs.set_options(ExecOptions::default().planner(planner).udtf_memo(false));
+                let mut meter = Meter::new();
+                let got = fdbs.execute(&sql, &mut meter).unwrap();
+                assert_eq!(
+                    naive_rows,
+                    row_multiset(&got),
+                    "row multisets diverge for {sql} ({planner})"
+                );
+                assert_eq!(
+                    naive_arch,
+                    arch_charges(meter.charges()),
+                    "architecture charges diverge for {sql} ({planner})"
+                );
             }
 
             // Memoization may only *remove* dependent-UDTF invocations —
             // never change the rows. (The default configuration:
-            // streaming, vectorized, pruned, cost-based, memo on.)
+            // streaming, cost-based, memo on.)
             fdbs.set_options(ExecOptions::default());
             let mut memo_meter = Meter::new();
             let memoed = fdbs.execute(&sql, &mut memo_meter).unwrap();
@@ -368,8 +349,8 @@ fn generated_queries_agree_between_executors() {
 }
 
 /// ORDER BY may reference a column the SELECT list never mentions; the
-/// pruner must keep it in the step projection for the sort, on both the
-/// streaming and materializing paths.
+/// pruner must keep it in the step projection for the sort. The oracle's
+/// unpruned plan agrees.
 #[test]
 fn order_by_on_non_projected_column_survives_pruning() {
     let fdbs = Fdbs::new(CostModel::zero());
@@ -380,7 +361,7 @@ fn order_by_on_non_projected_column_survives_pruning() {
         &mut meter,
     )
     .unwrap();
-    for mode in [ExecMode::Streaming, ExecMode::JoinAware, ExecMode::Naive] {
+    for mode in [ExecMode::Streaming, ExecMode::Naive] {
         fdbs.set_options(fdbs.options().mode(mode));
         let t = fdbs
             .execute("SELECT S FROM T ORDER BY V DESC", &mut meter)
@@ -409,32 +390,15 @@ fn index_probe_join_with_pruned_projection() {
     // Only R.W is referenced downstream, so the pruned projection drops
     // both R.A and the key column R.K (the probe happens in storage).
     let sql = "SELECT L.V, B.W FROM L, R AS B WHERE B.K = L.K ORDER BY L.V";
-    let mut expect: Option<Vec<String>> = None;
-    for (mode, vectorized) in [
-        (ExecMode::Naive, true),
-        (ExecMode::JoinAware, true),
-        (ExecMode::Streaming, false),
-        (ExecMode::Streaming, true),
-    ] {
-        for pruning in [false, true] {
-            fdbs.set_options(
-                ExecOptions::default()
-                    .mode(mode)
-                    .vectorized(vectorized)
-                    .projection_pruning(pruning),
-            );
+    for mode in [ExecMode::Naive, ExecMode::Streaming] {
+        for planner in [PlannerMode::Syntactic, PlannerMode::CostBased] {
+            fdbs.set_options(ExecOptions::default().mode(mode).planner(planner));
             let t = fdbs.execute(sql, &mut meter).unwrap();
-            let rows = row_multiset(&t);
-            match &expect {
-                None => {
-                    assert_eq!(rows, ["10|100", "20|200", "21|200"].map(String::from));
-                    expect = Some(rows);
-                }
-                Some(e) => assert_eq!(
-                    e, &rows,
-                    "({mode:?}, vectorized={vectorized}, pruning={pruning})"
-                ),
-            }
+            assert_eq!(
+                row_multiset(&t),
+                ["10|100", "20|200", "21|200"].map(String::from),
+                "({mode:?}, {planner})"
+            );
         }
     }
     fdbs.set_options(ExecOptions::default());
@@ -444,9 +408,8 @@ fn index_probe_join_with_pruned_projection() {
 /// them. The VARCHAR column cycles empty strings, real strings, and NULLs
 /// (the offset-pair edge cases), V carries a NULL stripe, and the LIMITs
 /// land mid-batch — one inside the first batch's successor, one deep in
-/// the third. The vectorized executor must match row-batch streaming
-/// *row-for-row in order* (the parity contract), and both must match the
-/// materializing executors as multisets.
+/// the third. On these single-table queries both executors scan in slot
+/// order, so production must match the oracle *row for row, in order*.
 #[test]
 fn batch_boundary_limit_and_varchar_edges() {
     let fdbs = Fdbs::new(CostModel::zero());
@@ -484,29 +447,103 @@ fn batch_boundary_limit_and_varchar_edges() {
         "SELECT T.V, COUNT(*) AS c FROM T GROUP BY T.V ORDER BY 1",
     ];
     for sql in queries {
-        fdbs.set_options(
-            ExecOptions::default()
-                .mode(ExecMode::Streaming)
-                .vectorized(false),
-        );
+        fdbs.set_options(oracle());
         let reference = fdbs.execute(sql, &mut meter).unwrap();
-        fdbs.set_options(fdbs.options().vectorized(true));
-        let vectorized = fdbs.execute(sql, &mut meter).unwrap();
+        fdbs.set_options(ExecOptions::default());
+        let production = fdbs.execute(sql, &mut meter).unwrap();
         assert_eq!(
-            reference, vectorized,
-            "ordered results diverge between row-batch and columnar \
-             streaming for {sql}"
+            reference, production,
+            "ordered results diverge between the oracle and production for {sql}"
         );
-        for mode in [ExecMode::Naive, ExecMode::JoinAware] {
-            fdbs.set_options(fdbs.options().mode(mode));
-            let got = fdbs.execute(sql, &mut meter).unwrap();
-            assert_eq!(
-                row_multiset(&reference),
-                row_multiset(&got),
-                "row multisets diverge for {sql} ({mode:?})"
-            );
-        }
     }
+}
+
+/// Each statement resolves the engine's options once: its plan-cache key,
+/// its plan and every one of its operators see the same value while
+/// another thread keeps reconfiguring the engine. Two dependent-UDTF steps
+/// over repeated arguments make a split visible — one step memoized, the
+/// other not — as a charge log equal to neither solo log.
+#[test]
+fn options_resolve_once_per_statement_under_concurrent_reconfiguration() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let fdbs = Fdbs::new(CostModel::default());
+    let mut meter = Meter::new();
+    fdbs.execute("CREATE TABLE T (K INT)", &mut meter).unwrap();
+    let keys: Vec<String> = (0..32).map(|i| format!("({})", i % 4)).collect();
+    insert_rows(&fdbs, "T", &keys);
+    for (name, column) in [("A", "M"), ("B", "N")] {
+        fdbs.register_udtf(
+            Udtf::native(
+                name,
+                vec![(Ident::new("K"), DataType::Int)],
+                Arc::new(Schema::of(&[(column, DataType::Int)])),
+                move |args, _m| Ok(Table::scalar(column, args[0].clone())),
+            )
+            .with_charges(ChargeSpec {
+                on_start: vec![ChargeItem::new(Component::Udtf, "Start A-UDTF", 7)],
+                on_finish: vec![ChargeItem::new(Component::Udtf, "Finish A-UDTF", 3)],
+            }),
+        )
+        .unwrap();
+    }
+    let sql = "SELECT T.K, A.M, B.N FROM T, TABLE (A(T.K)) AS A, TABLE (B(T.K)) AS B";
+    let options = |memo: bool| ExecOptions::default().udtf_memo(memo);
+
+    // Solo logs of warm executions (the first run compiles).
+    let solo = |memo: bool| {
+        fdbs.set_options(options(memo));
+        fdbs.execute(sql, &mut Meter::new()).unwrap();
+        let mut m = Meter::new();
+        let t = fdbs.execute(sql, &mut m).unwrap();
+        (t, m.charges().to_vec())
+    };
+    let (table, memo_log) = solo(true);
+    let (unmemoized, plain_log) = solo(false);
+    assert_eq!(table, unmemoized);
+    assert!(memo_log.len() < plain_log.len(), "the memo saved nothing");
+
+    let done = AtomicBool::new(false);
+    let splits: Vec<usize> = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut memo = false;
+            while !done.load(Ordering::Relaxed) {
+                memo = !memo;
+                fdbs.set_options(options(memo));
+            }
+        });
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut split = 0;
+                    for _ in 0..200 {
+                        let mut m = Meter::new();
+                        let Ok(t) = fdbs.execute(sql, &mut m) else {
+                            split += 1;
+                            continue;
+                        };
+                        let log = m.charges();
+                        if t != table || (log != memo_log.as_slice() && log != plain_log.as_slice())
+                        {
+                            split += 1;
+                        }
+                    }
+                    split
+                })
+            })
+            .collect();
+        let joined: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
+        // Stop the reconfiguring thread before surfacing a worker panic.
+        done.store(true, Ordering::Relaxed);
+        joined
+            .into_iter()
+            .map(|w| w.expect("worker panicked"))
+            .collect()
+    });
+    assert_eq!(
+        splits, [0; 4],
+        "executions per worker whose outcome matched neither solo run"
+    );
 }
 
 // ---------------------------------------------------------------------------

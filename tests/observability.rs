@@ -291,17 +291,17 @@ fn disabled_tracing_is_virtually_invisible() {
 }
 
 /// The materialization counters must fire exactly where the executor
-/// materializes. A pipeline breaker (ORDER BY) books the same buffered
-/// row count on the row-batch and columnar streaming paths — with the
-/// columnar leg booking typed column-vector bytes (validity words
-/// included), nonzero and no larger than the boxed-row footprint — while
-/// a pure scan→filter→project pipeline books zero on both: that is the
+/// materializes. A pipeline breaker (ORDER BY) books exactly the rows it
+/// buffers — counted here from the data — in typed column-vector bytes
+/// (validity words included): nonzero, and no larger than the same rows
+/// boxed. A pure scan→filter→project pipeline books zero: that is the
 /// streaming guarantee. A counter silently stuck at zero on the breaker
 /// query means a batch path lost its tally call.
 #[test]
 fn materialization_counters_fire_at_pipeline_breakers() {
-    use fedwf::fdbs::{ExecMode, Fdbs};
+    use fedwf::fdbs::Fdbs;
     use fedwf::sim::{CostModel, Meter};
+    use fedwf::types::{Row, Value};
 
     let fdbs = Fdbs::new(CostModel::zero());
     let mut meter = Meter::new();
@@ -315,42 +315,37 @@ fn materialization_counters_fire_at_pipeline_breakers() {
         &mut meter,
     )
     .unwrap();
-    fdbs.set_options(fdbs.options().mode(ExecMode::Streaming));
 
-    let run = |vectorized: bool, sql: &str| {
-        fdbs.set_options(fdbs.options().vectorized(vectorized));
+    let run = |sql: &str| {
         let mut m = Meter::new();
         fdbs.execute(sql, &mut m).unwrap();
         (m.rows_materialized(), m.bytes_materialized())
     };
 
-    let breaker = "SELECT T.K, T.S FROM T WHERE T.V > 1 ORDER BY T.K";
-    let (row_rows, row_bytes) = run(false, breaker);
-    let (col_rows, col_bytes) = run(true, breaker);
-    assert!(
-        row_rows > 0 && col_rows > 0,
-        "sort buffer booked no rows (row leg {row_rows}, columnar leg {col_rows})"
-    );
+    // `V > 1` is pushed into the scan, so the sort buffer holds the
+    // pruned (K, S) rows of every i with i % 7 > 1.
+    let buffered: Vec<Row> = (0..200)
+        .filter(|i| i % 7 > 1)
+        .map(|i| Row::new(vec![Value::Int(i), Value::str(format!("s{i}"))]))
+        .collect();
+    let boxed_bytes: usize = buffered.iter().map(Row::approx_bytes).sum();
+    let (rows, bytes) = run("SELECT T.K, T.S FROM T WHERE T.V > 1 ORDER BY T.K");
     assert_eq!(
-        row_rows, col_rows,
-        "the two streaming paths buffered different row counts at the sort"
+        rows,
+        buffered.len() as u64,
+        "the sort buffer booked a row count other than the rows it holds"
     );
     assert!(
-        col_bytes > 0 && col_bytes <= row_bytes,
-        "columnar sort buffer must book nonzero column-vector bytes within \
-         the boxed-row footprint (cols {col_bytes}, rows {row_bytes})"
+        bytes > 0 && bytes <= boxed_bytes as u64,
+        "the sort buffer must book nonzero column-vector bytes within the \
+         boxed-row footprint (cols {bytes}, boxed rows {boxed_bytes})"
     );
 
-    let streaming = "SELECT T.K, T.S FROM T WHERE T.V > 1";
-    for vectorized in [false, true] {
-        let (r, b) = run(vectorized, streaming);
-        assert_eq!(
-            (r, b),
-            (0, 0),
-            "breaker-free pipeline materialized something (vectorized={vectorized})"
-        );
-    }
-    fdbs.set_options(fdbs.options().vectorized(true));
+    assert_eq!(
+        run("SELECT T.K, T.S FROM T WHERE T.V > 1"),
+        (0, 0),
+        "breaker-free pipeline materialized something"
+    );
 }
 
 /// The request metrics delta: each execution shows up in the server's

@@ -203,6 +203,30 @@ fn deadline_timeout_travels_as_the_servers_typed_error() {
     assert_eq!(local.code(), remote.code());
 }
 
+/// A deadline too large to add anything to (`Duration::MAX`) behaves
+/// exactly like no deadline on both transports: the front clamps it, the
+/// wire clamps it, and the client's read timeout saturates instead of
+/// overflowing.
+#[test]
+fn an_unbounded_deadline_equals_no_deadline_on_both_transports() {
+    let rig = rig(ArchitectureKind::Wfms, FrontConfig::default());
+    let supplier = rig.server.scenario().well_known_supplier_name().to_string();
+    let request = || Request::function("GetSuppQual").arg(supplier.clone());
+    rig.front.submit(request()).unwrap(); // warm-up
+    let reference = rig.front.submit(request()).unwrap();
+    let transports: [(&str, &dyn Submit); 2] = [("in-process", &rig.front), ("tcp", &rig.client)];
+    for (transport, submit) in transports {
+        let outcome = submit
+            .submit(request().deadline(Duration::MAX))
+            .unwrap_or_else(|e| panic!("{transport}: {e}"));
+        assert_equivalent(
+            &format!("Duration::MAX deadline ({transport})"),
+            &reference,
+            &outcome,
+        );
+    }
+}
+
 #[test]
 fn overload_sheds_network_calls_with_the_typed_error() {
     // One worker, depth-1 queue: 16 concurrent network clients must be
