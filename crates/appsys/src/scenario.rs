@@ -141,7 +141,7 @@ fn build_stock_system(data: &GeneratedData) -> FedResult<Arc<ApplicationSystem>>
             &[("Qual", DataType::Int)],
         ),
         |db, args| {
-            let t = db.scan("SupplierQuality", &Predicate::eq(0, args[0].clone()))?;
+            let t = db.scan_project("SupplierQuality", &Predicate::eq(0, args[0].clone()), None)?;
             let qual = single_int(t, "Qual", "supplier", &args[0])?;
             Ok(Table::scalar("Qual", qual))
         },
@@ -155,9 +155,10 @@ fn build_stock_system(data: &GeneratedData) -> FedResult<Arc<ApplicationSystem>>
             &[("Number", DataType::Int)],
         ),
         |db, args| {
-            let t = db.scan(
+            let t = db.scan_project(
                 "StockNumbers",
                 &Predicate::eq(0, args[0].clone()).and(Predicate::eq(1, args[1].clone())),
+                None,
             )?;
             let no = single_int(
                 t,
@@ -177,7 +178,7 @@ fn build_stock_system(data: &GeneratedData) -> FedResult<Arc<ApplicationSystem>>
             &[("Quantity", DataType::Int)],
         ),
         |db, args| {
-            let t = db.scan("InStock", &Predicate::eq(0, args[0].clone()))?;
+            let t = db.scan_project("InStock", &Predicate::eq(0, args[0].clone()), None)?;
             let q = single_int(t, "Quantity", "component", &args[0])?;
             Ok(Table::scalar("Quantity", q))
         },
@@ -244,7 +245,7 @@ fn build_purchasing_system(data: &GeneratedData) -> FedResult<Arc<ApplicationSys
             &[("Relia", DataType::Int)],
         ),
         |db, args| {
-            let t = db.scan("Suppliers", &Predicate::eq(0, args[0].clone()))?;
+            let t = db.scan_project("Suppliers", &Predicate::eq(0, args[0].clone()), None)?;
             let r = single_int(t, "Relia", "supplier", &args[0])?;
             Ok(Table::scalar("Relia", r))
         },
@@ -258,7 +259,7 @@ fn build_purchasing_system(data: &GeneratedData) -> FedResult<Arc<ApplicationSys
             &[("SupplierNo", DataType::Int)],
         ),
         |db, args| {
-            let t = db.scan("Suppliers", &Predicate::eq(1, args[0].clone()))?;
+            let t = db.scan_project("Suppliers", &Predicate::eq(1, args[0].clone()), None)?;
             let no = single_int(t, "SupplierNo", "supplier name", &args[0])?;
             Ok(Table::scalar("SupplierNo", no))
         },
@@ -273,9 +274,10 @@ fn build_purchasing_system(data: &GeneratedData) -> FedResult<Arc<ApplicationSys
             &[("CompNo", DataType::Int), ("SupplierNo", DataType::Int)],
         ),
         |db, args| {
-            let t = db.scan(
+            let t = db.scan_project(
                 "Discounts",
                 &Predicate::cmp(2, CmpOp::GtEq, args[0].clone()),
+                None,
             )?;
             let schema = Arc::new(Schema::of(&[
                 ("CompNo", DataType::Int),
@@ -326,7 +328,7 @@ fn build_purchasing_system(data: &GeneratedData) -> FedResult<Arc<ApplicationSys
                 .as_i64()
                 .ok_or_else(|| FedError::app_system("Grade must not be NULL"))?;
             let comp_no = args[1].clone();
-            let offers = db.scan("Discounts", &Predicate::eq(1, comp_no))?;
+            let offers = db.scan_project("Discounts", &Predicate::eq(1, comp_no), None)?;
             let best_discount = offers
                 .rows()
                 .iter()
@@ -390,7 +392,7 @@ fn build_pdm_system(data: &GeneratedData) -> FedResult<Arc<ApplicationSystem>> {
             &[("No", DataType::Int)],
         ),
         |db, args| {
-            let t = db.scan("Components", &Predicate::eq(1, args[0].clone()))?;
+            let t = db.scan_project("Components", &Predicate::eq(1, args[0].clone()), None)?;
             let no = single_int(t, "CompNo", "component name", &args[0])?;
             Ok(Table::scalar("No", no))
         },
@@ -404,7 +406,7 @@ fn build_pdm_system(data: &GeneratedData) -> FedResult<Arc<ApplicationSystem>> {
             &[("Name", DataType::Varchar)],
         ),
         |db, args| {
-            let t = db.scan("Components", &Predicate::eq(0, args[0].clone()))?;
+            let t = db.scan_project("Components", &Predicate::eq(0, args[0].clone()), None)?;
             let name = single_int(t, "Name", "component", &args[0])?;
             Ok(Table::scalar("Name", name))
         },
@@ -418,7 +420,7 @@ fn build_pdm_system(data: &GeneratedData) -> FedResult<Arc<ApplicationSystem>> {
             &[("SubCompNo", DataType::Int)],
         ),
         |db, args| {
-            let t = db.scan("Bom", &Predicate::eq(0, args[0].clone()))?;
+            let t = db.scan_project("Bom", &Predicate::eq(0, args[0].clone()), None)?;
             let schema = Arc::new(Schema::of(&[("SubCompNo", DataType::Int)]));
             let mut out = Table::new(schema);
             for row in t.rows() {

@@ -57,7 +57,12 @@ fn bench_storage(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("indexed_point_lookup", rows),
             &db,
-            |b, db| b.iter(|| db.scan("T", &Predicate::eq(0, 500)).expect("scan")),
+            |b, db| {
+                b.iter(|| {
+                    db.scan_project("T", &Predicate::eq(0, 500), None)
+                        .expect("scan")
+                })
+            },
         );
         group.bench_with_input(BenchmarkId::new("full_scan", rows), &db, |b, db| {
             b.iter(|| db.scan_all("T").expect("scan"))

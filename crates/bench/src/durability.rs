@@ -9,11 +9,13 @@
 //!    the statement actually durable — expect orders of magnitude, that is
 //!    the price of the D in ACID).
 //! 2. **Read-path tax** — scan throughput through an epoch-pinned snapshot
-//!    read versus the live view. The MVCC version chains sit on the scan's
-//!    hot path, so this bounds what every reader pays for writers never
-//!    blocking them. The acceptance bar is snapshot reads within 15% of
-//!    the in-memory scan (a ratio of two ~20 ns/row loops; it moves
-//!    several points with binary layout alone).
+//!    read versus the live view, both pulled through the streaming
+//!    executor's cursor (`Database::scan_chunk_columnar`, 256-row chunks).
+//!    The MVCC version chains sit on the scan's hot path, so this bounds
+//!    what every reader pays for writers never blocking them. The
+//!    acceptance bar is snapshot reads within 15% of the in-memory scan (a
+//!    ratio of two ~20 ns/row loops; it moves several points with binary
+//!    layout alone).
 //! 3. **Recovery latency** — `Database::open_with` wall time as a function
 //!    of WAL length, measured on logs of growing statement counts. Replay
 //!    is linear in the log, so the interesting number is the per-statement
@@ -170,7 +172,7 @@ pub fn scan_throughput(rows: i32, scans: usize, rounds: usize) -> ScanThroughput
             let mut n = 0usize;
             while let Some(start) = cursor {
                 let (batch, next) = db
-                    .scan_chunk(TABLE, &Predicate::True, None, start, 256, at)
+                    .scan_chunk_columnar(TABLE, &Predicate::True, None, start, 256, at)
                     .unwrap();
                 n += batch.len();
                 cursor = next;

@@ -98,6 +98,39 @@ impl IntegrationConfig {
     }
 }
 
+/// A deployed federated function and its single-flight warm-up state.
+struct Deployment {
+    function: Arc<DeployedFunction>,
+    /// Set by the first successful call since the last `clear_caches`:
+    /// from then on every cache a call touches (FDBS plans, workflow
+    /// templates) is warm, and calls run concurrently after one atomic
+    /// load. The `Release` store after the warming call pairs with the
+    /// `Acquire` loads in [`Deployment::call`].
+    warm: AtomicBool,
+    /// Held by the one caller that warms the caches; the other cold
+    /// callers wait here and then see a fully warm state instead of each
+    /// paying part of the warm-up.
+    warming: Mutex<()>,
+}
+
+impl Deployment {
+    fn call(&self, args: &[Value], meter: &mut Meter) -> FedResult<Table> {
+        if self.warm.load(Ordering::Acquire) {
+            return self.function.call(args, meter);
+        }
+        let warming = self.warming.lock();
+        if self.warm.load(Ordering::Acquire) {
+            drop(warming);
+            return self.function.call(args, meter);
+        }
+        let result = self.function.call(args, meter);
+        if result.is_ok() {
+            self.warm.store(true, Ordering::Release);
+        }
+        result
+    }
+}
+
 /// The integration server: application systems at the bottom, FDBS + WfMS
 /// (through controller and wrapper) in the middle, SQL at the top.
 pub struct IntegrationServer {
@@ -108,7 +141,7 @@ pub struct IntegrationServer {
     controller: Controller,
     /// Read-mostly catalog of deployed federated functions: every call
     /// takes a shared read lock; only `deploy` writes.
-    deployed: RwLock<BTreeMap<Ident, Arc<DeployedFunction>>>,
+    deployed: RwLock<BTreeMap<Ident, Arc<Deployment>>>,
     /// Boot bookkeeping; only consulted while the environment is still
     /// cold — the hot call path short-circuits on [`Self::all_booted`].
     env: Mutex<EnvState>,
@@ -225,10 +258,15 @@ impl IntegrationServer {
 
     /// Deploy a federated function.
     pub fn deploy(&self, spec: &MappingSpec) -> FedResult<()> {
-        let deployed = self.architecture().deploy(spec)?;
-        self.deployed
-            .write()
-            .insert(spec.name.clone(), Arc::new(deployed));
+        let function = Arc::new(self.architecture().deploy(spec)?);
+        self.deployed.write().insert(
+            spec.name.clone(),
+            Arc::new(Deployment {
+                function,
+                warm: AtomicBool::new(false),
+                warming: Mutex::new(()),
+            }),
+        );
         Ok(())
     }
 
@@ -244,6 +282,10 @@ impl IntegrationServer {
     }
 
     pub fn deployed_function(&self, name: &str) -> FedResult<Arc<DeployedFunction>> {
+        Ok(self.deployment(name)?.function.clone())
+    }
+
+    fn deployment(&self, name: &str) -> FedResult<Arc<Deployment>> {
         self.deployed
             .read()
             .get(&Ident::new(name))
@@ -339,10 +381,10 @@ impl IntegrationServer {
         match request.target() {
             Target::Function(name) => {
                 self.calls.inc();
-                let function = self.deployed_function(name)?;
-                let args = resolve_args(&function, request.params_ref())?;
+                let deployment = self.deployment(name)?;
+                let args = resolve_args(&deployment.function, request.params_ref())?;
                 self.charge_boots(meter);
-                function.call(&args, meter)
+                deployment.call(&args, meter)
             }
             Target::Sql(sql) => {
                 self.queries.inc();
@@ -394,13 +436,18 @@ impl IntegrationServer {
     ///
     /// Atomic with respect to in-flight calls: the exclusive phase guard
     /// waits for running calls to drain and blocks new ones until every
-    /// cache (plan, template, result, env) has been cleared together.
+    /// cache (plan, template, result, env) has been cleared together. The
+    /// first caller of each function afterwards warms its caches alone
+    /// (single flight), so every call sees them fully cold or fully warm.
     pub fn clear_caches(&self) {
         let _phase = self.phase.write();
         self.fdbs.clear_plan_cache();
         self.wrapper.clear_template_cache();
         self.wrapper.clear_result_cache();
         self.env.lock().clear_caches();
+        for deployment in self.deployed.read().values() {
+            deployment.warm.store(false, Ordering::Release);
+        }
     }
 
     /// Whether the environment (all processes) has been booted.

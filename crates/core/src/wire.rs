@@ -395,6 +395,26 @@ mod tests {
         assert!(decoded.message.contains("999"));
     }
 
+    /// A 41-byte outcome body whose zero-column table claims ten million
+    /// rows (or `u32::MAX`): each row would decode from no bytes at all.
+    #[test]
+    fn hostile_zero_column_outcome_is_a_typed_protocol_error() {
+        for rows in [10_000_000, u32::MAX] {
+            let mut w = WireWriter::new();
+            w.put_u32(0); // schema: no columns
+            w.put_u32(rows);
+            w.put_u64(0); // now_us
+            w.put_u32(0); // charges
+            w.put_u64(0); // rows materialized
+            w.put_u64(0); // bytes materialized
+            w.put_u8(0); // no trace
+            w.put_u32(0); // metrics
+            let bytes = w.into_bytes();
+            assert_eq!(bytes.len(), 41);
+            assert!(decode_outcome(&bytes).unwrap_err().is_protocol());
+        }
+    }
+
     #[test]
     fn garbage_request_is_a_typed_protocol_error() {
         assert!(decode_request(&[0xFF, 0x01]).unwrap_err().is_protocol());

@@ -7,8 +7,6 @@ use fedwf_relstore::Database;
 use fedwf_types::sync::RwLock;
 use fedwf_types::{FedError, FedResult, Ident, SchemaRef};
 
-use fedwf_relstore::Predicate;
-
 use crate::sqlmed::ForeignServer;
 use crate::stats::TableStatistics;
 use crate::udtf::Udtf;
@@ -168,7 +166,7 @@ impl Catalog {
         let collected = match origin {
             TableOrigin::Local => {
                 let epoch = self.local.table_mutation_epoch(name.as_str())?;
-                let table = self.local.scan(name.as_str(), &Predicate::True)?;
+                let table = self.local.scan_all(name.as_str())?;
                 TableStatistics::from_table(&table).with_epoch(epoch)
             }
             TableOrigin::Foreign {

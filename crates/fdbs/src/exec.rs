@@ -768,16 +768,7 @@ pub(crate) enum Op<'p> {
         table: Option<HashMap<Vec<ValueKey>, Vec<usize>>>,
         out_count: usize,
     },
-    IndexProbe {
-        table: &'p Ident,
-        pushdown: &'p Predicate,
-        projection: Option<&'p [usize]>,
-        build_col: usize,
-        probe: &'p BoundExpr,
-        cache: HashMap<ValueKey, Vec<Row>>,
-        scanned_total: u64,
-        out_count: usize,
-    },
+    IndexProbe(IndexProbe<'p>),
     Cross {
         right: Vec<Row>,
         /// Book a join-with-selection at finish (independent UDTF composed
@@ -795,6 +786,70 @@ pub(crate) enum Op<'p> {
     Filter {
         filter: &'p BoundExpr,
     },
+}
+
+/// Index nested-loop join: each distinct probe key is looked up once in
+/// the build table through its index, and the matching rows are cached for
+/// the rest of the statement. The row and columnar kernels share
+/// [`IndexProbe::matches`].
+pub(crate) struct IndexProbe<'p> {
+    pub(crate) table: &'p Ident,
+    pushdown: &'p Predicate,
+    projection: Option<&'p [usize]>,
+    build_col: usize,
+    pub(crate) probe: &'p BoundExpr,
+    cache: HashMap<ValueKey, Vec<Row>>,
+    scanned_total: u64,
+    pub(crate) out_count: usize,
+}
+
+impl<'p> IndexProbe<'p> {
+    pub(crate) fn new(
+        table: &'p Ident,
+        pushdown: &'p Predicate,
+        projection: Option<&'p [usize]>,
+        build_col: usize,
+        probe: &'p BoundExpr,
+    ) -> IndexProbe<'p> {
+        IndexProbe {
+            table,
+            pushdown,
+            projection,
+            build_col,
+            probe,
+            cache: HashMap::new(),
+            scanned_total: 0,
+            out_count: 0,
+        }
+    }
+
+    /// Build rows joining probe value `v`: none for a NULL key, otherwise
+    /// the cached result of one `scan_project` of `build_col = v AND
+    /// pushdown`. The equality leads, so the store binds it to the index.
+    pub(crate) fn matches(
+        &mut self,
+        fdbs: &Fdbs,
+        v: Value,
+        meter: &mut Meter,
+    ) -> FedResult<&[Row]> {
+        let Some(key) = join_key_checked(&v)? else {
+            return Ok(&[]);
+        };
+        match self.cache.entry(key) {
+            Entry::Occupied(e) => Ok(e.into_mut()),
+            Entry::Vacant(e) => {
+                let t = fdbs.catalog().local().scan_project(
+                    self.table.as_str(),
+                    &Predicate::eq(self.build_col, v).and(self.pushdown.clone()),
+                    self.projection,
+                )?;
+                self.scanned_total += t.row_count() as u64;
+                let rows = t.into_rows();
+                tally_rows(meter, &rows);
+                Ok(e.insert(rows))
+            }
+        }
+    }
 }
 
 impl Op<'_> {
@@ -840,44 +895,15 @@ impl Op<'_> {
                 *out_count += out.len();
                 Ok(out)
             }
-            Op::IndexProbe {
-                table,
-                pushdown,
-                projection,
-                build_col,
-                probe,
-                cache,
-                scanned_total,
-                out_count,
-            } => {
-                let local = fdbs.catalog().local();
+            Op::IndexProbe(p) => {
                 let mut out = Vec::new();
                 for left in &batch {
-                    let v = probe.eval(left.values(), params)?;
-                    let Some(key) = join_key_checked(&v)? else {
-                        continue;
-                    };
-                    let matches = match cache.entry(key) {
-                        Entry::Occupied(e) => e.into_mut(),
-                        Entry::Vacant(e) => {
-                            let t = local.scan_eq_project(
-                                table.as_str(),
-                                *build_col,
-                                v,
-                                pushdown,
-                                *projection,
-                            )?;
-                            *scanned_total += t.row_count() as u64;
-                            let rows = t.into_rows();
-                            tally_rows(meter, &rows);
-                            e.insert(rows)
-                        }
-                    };
-                    for r in matches.iter() {
+                    let v = p.probe.eval(left.values(), params)?;
+                    for r in p.matches(fdbs, v, meter)? {
                         out.push(left.concat(r));
                     }
                 }
-                *out_count += out.len();
+                p.out_count += out.len();
                 Ok(out)
             }
             Op::Cross {
@@ -941,17 +967,13 @@ impl Op<'_> {
                 out_count,
                 ..
             } => charge_join(meter, cost, build_rows.len() + out_count),
-            Op::IndexProbe {
-                scanned_total,
-                out_count,
-                ..
-            } => {
+            Op::IndexProbe(p) => {
                 meter.charge(
                     Component::Fdbs,
                     "Scan local table",
-                    cost.predicate_eval * scanned_total,
+                    cost.predicate_eval * p.scanned_total,
                 );
-                charge_join(meter, cost, *out_count);
+                charge_join(meter, cost, p.out_count);
             }
             Op::Cross {
                 right,

@@ -118,7 +118,7 @@ impl ForeignServer for RelstoreServer {
     }
 
     fn scan(&self, table: &str, predicate: &Predicate) -> FedResult<Table> {
-        self.db.scan(table, predicate)
+        self.db.scan_project(table, predicate, None)
     }
 
     fn scan_project(

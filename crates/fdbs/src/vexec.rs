@@ -33,7 +33,6 @@
 //! slot order), and the same multiset of non-FDBS charges with the UDTF
 //! memo off.
 
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
@@ -44,8 +43,8 @@ use fedwf_types::{ColumnBatch, FedResult, Ident, ResultExt, Row, Table, TxnId, V
 use crate::engine::Fdbs;
 use crate::exec::{
     build_key, build_positions, finish_aggregate, invoke_udtf, join_key_checked, pruned_rows,
-    scalar_tail, sink_push, table_from_rows, tally_rows, use_index_probe, Aggregator, ExecMode, Op,
-    Sink, STREAM_BATCH_ROWS,
+    scalar_tail, sink_push, table_from_rows, tally_rows, use_index_probe, Aggregator, ExecMode,
+    IndexProbe, Op, Sink, STREAM_BATCH_ROWS,
 };
 use crate::expr::BoundExpr;
 use crate::plan::{AggColumn, FromStep, Plan};
@@ -200,16 +199,13 @@ fn prepare_step_op<'p>(
             if let Some(jk) = jk {
                 let access = plan.step_access.get(i).copied().unwrap_or_default();
                 if use_index_probe(fdbs, table, schema, jk, access)? {
-                    return Ok(Op::IndexProbe {
+                    return Ok(Op::IndexProbe(IndexProbe::new(
                         table,
                         pushdown,
-                        projection: proj,
-                        build_col: jk.build[0],
-                        probe: &jk.probe[0],
-                        cache: HashMap::new(),
-                        scanned_total: 0,
-                        out_count: 0,
-                    });
+                        proj,
+                        jk.build[0],
+                        &jk.probe[0],
+                    )));
                 }
             }
             let batch =
@@ -376,49 +372,20 @@ fn vop_push(
                 }
             }
         }
-        Op::IndexProbe {
-            table,
-            pushdown,
-            projection,
-            build_col,
-            probe,
-            cache,
-            scanned_total,
-            out_count,
-        } => match eval_vcol(probe, &b, params) {
+        Op::IndexProbe(p) => match eval_vcol(p.probe, &b, params) {
             Err(_) => Planned::Fallback,
             Ok(pc) => {
-                let local = fdbs.catalog().local();
                 let mut out = Vec::new();
                 for i in 0..b.len() {
-                    let v = pc.value_at(i);
-                    let Some(key) = join_key_checked(&v)? else {
-                        continue;
-                    };
-                    let matches = match cache.entry(key) {
-                        Entry::Occupied(e) => e.into_mut(),
-                        Entry::Vacant(e) => {
-                            let t = local.scan_eq_project(
-                                table.as_str(),
-                                *build_col,
-                                v,
-                                pushdown,
-                                *projection,
-                            )?;
-                            *scanned_total += t.row_count() as u64;
-                            let rows = t.into_rows();
-                            tally_rows(meter, &rows);
-                            e.insert(rows)
-                        }
-                    };
+                    let matches = p.matches(fdbs, pc.value_at(i), meter)?;
                     if !matches.is_empty() {
                         let left = b.row(i);
-                        for r in matches.iter() {
+                        for r in matches {
                             out.push(left.concat(r));
                         }
                     }
                 }
-                *out_count += out.len();
+                p.out_count += out.len();
                 Planned::Done(VBatch::Rows(out))
             }
         },
@@ -690,7 +657,7 @@ struct StreamProbes {
 fn op_probe_name(op: &Op<'_>) -> SpanName {
     match op {
         Op::HashJoin { .. } => SpanName::Static("hash-join"),
-        Op::IndexProbe { table, .. } => SpanName::from(format!("index-probe {table}")),
+        Op::IndexProbe(p) => SpanName::from(format!("index-probe {}", p.table)),
         Op::Cross { .. } => SpanName::Static("cross"),
         Op::DependentUdtf { udtf, .. } => SpanName::from(format!("dependent-udtf {}", udtf.name)),
         Op::Filter { .. } => SpanName::Static("filter"),

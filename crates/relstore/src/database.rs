@@ -5,9 +5,9 @@
 //! still serialize behind the write lock, but reads no longer need it for
 //! consistency — every committed statement advances the *commit epoch*, and
 //! a reader that pins an epoch (see [`Database::snapshot_epoch`] /
-//! [`Database::scan_chunk`]) sees exactly the state after that statement,
-//! via the MVCC version chains in [`StoredTable`], no matter how many
-//! statements commit while the scan is in flight.
+//! [`Database::scan_chunk_columnar`]) sees exactly the state after that
+//! statement, via the MVCC version chains in [`StoredTable`], no matter how
+//! many statements commit while the scan is in flight.
 //!
 //! Durability: a database created with [`Database::open`] (or
 //! [`Database::open_with`]) logs every committed statement to a write-ahead
@@ -27,7 +27,7 @@ use fedwf_types::{
 
 use crate::index::IndexKind;
 use crate::predicate::Predicate;
-use crate::table::{ChangeKind, RowId, StoredTable, TableStats, UndoLog};
+use crate::table::{ChangeKind, ColumnSink, RowId, ScanSink, StoredTable, TableStats, UndoLog};
 use crate::wal::{self, ByteReader, CommitStats, Durability, GroupCommitter, Wal, WalRecord};
 use fedwf_types::CommitMode;
 
@@ -148,8 +148,8 @@ impl Database {
     }
 
     /// The newest consistent epoch a reader can pin: the id of the last
-    /// committed statement. Pass it to [`Database::scan_chunk`] to keep a
-    /// multi-pull streaming scan on one snapshot.
+    /// committed statement. Pass it to [`Database::scan_chunk_columnar`] to
+    /// keep a multi-pull streaming scan on one snapshot.
     pub fn snapshot_epoch(&self) -> TxnId {
         self.commit_epoch.load(Ordering::Acquire)
     }
@@ -443,11 +443,6 @@ impl Database {
         })
     }
 
-    /// Scan a table with a predicate.
-    pub fn scan(&self, table: &str, predicate: &Predicate) -> FedResult<Table> {
-        self.scan_project(table, predicate, None)
-    }
-
     /// Projection-pruned scan: the predicate keeps the table's full column
     /// numbering; only the requested columns are returned.
     ///
@@ -461,42 +456,8 @@ impl Database {
         predicate: &Predicate,
         projection: Option<&[usize]>,
     ) -> FedResult<Table> {
-        let tables = self.tables.read();
-        let epoch = self.commit_epoch.load(Ordering::Acquire);
-        Self::resolve(&tables, table, &self.name)?.scan_project_at(predicate, projection, epoch)
-    }
-
-    /// Snapshot scan: rows as of the pinned `epoch` (from
-    /// [`Database::snapshot_epoch`]), regardless of statements committed
-    /// since.
-    pub fn scan_project_at(
-        &self,
-        table: &str,
-        predicate: &Predicate,
-        projection: Option<&[usize]>,
-        epoch: TxnId,
-    ) -> FedResult<Table> {
-        let tables = self.tables.read();
-        Self::resolve(&tables, table, &self.name)?.scan_project_at(predicate, projection, epoch)
-    }
-
-    /// One bounded chunk of a snapshot scan, resuming at `start_slot` — see
-    /// [`StoredTable::scan_chunk_at`]. The read lock is taken per chunk, so
-    /// a streaming consumer never pins the table across pulls; the caller
-    /// pins `epoch` once (at cursor open) and every chunk reads that same
-    /// snapshot, even when writers commit between pulls.
-    pub fn scan_chunk(
-        &self,
-        table: &str,
-        predicate: &Predicate,
-        projection: Option<&[usize]>,
-        start_slot: RowId,
-        max_rows: usize,
-        epoch: TxnId,
-    ) -> FedResult<(Vec<Row>, Option<RowId>)> {
-        let tables = self.tables.read();
-        Self::resolve(&tables, table, &self.name)?
-            .scan_chunk_at(predicate, projection, start_slot, max_rows, epoch)
+        let (out, _) = self.scan_into(table, predicate, projection, 0, usize::MAX, None)?;
+        Ok(out)
     }
 
     /// [`Database::scan_project`] in columnar form: the matching rows come
@@ -508,15 +469,18 @@ impl Database {
         predicate: &Predicate,
         projection: Option<&[usize]>,
     ) -> FedResult<ColumnBatch> {
-        let tables = self.tables.read();
-        let epoch = self.commit_epoch.load(Ordering::Acquire);
-        Self::resolve(&tables, table, &self.name)?
-            .scan_project_columnar_at(predicate, projection, epoch)
+        let (sink, _) =
+            self.scan_into::<ColumnSink>(table, predicate, projection, 0, usize::MAX, None)?;
+        Ok(sink.finish())
     }
 
-    /// [`Database::scan_chunk`] in columnar form — the cursor behind the
-    /// streaming executor. The caller pins `epoch` once; every
-    /// chunk reads that same snapshot.
+    /// One bounded chunk of a snapshot scan at the pinned `epoch` (from
+    /// [`Database::snapshot_epoch`]), resuming at `start_slot`: the cursor
+    /// behind the streaming executor. Returns the chunk and the slot to
+    /// resume from, or `None` when the table is exhausted. The read lock is
+    /// taken per chunk, so a streaming consumer never pins the table across
+    /// pulls; every chunk reads the same snapshot, even when writers commit
+    /// between pulls.
     pub fn scan_chunk_columnar(
         &self,
         table: &str,
@@ -526,46 +490,38 @@ impl Database {
         max_rows: usize,
         epoch: TxnId,
     ) -> FedResult<(ColumnBatch, Option<RowId>)> {
-        let tables = self.tables.read();
-        Self::resolve(&tables, table, &self.name)?
-            .scan_chunk_columnar_at(predicate, projection, start_slot, max_rows, epoch)
+        let (sink, next) = self.scan_into::<ColumnSink>(
+            table,
+            predicate,
+            projection,
+            start_slot,
+            max_rows,
+            Some(epoch),
+        )?;
+        Ok((sink.finish(), next))
     }
 
     /// Full-table scan (at the published commit epoch, like
     /// [`Database::scan_project`]).
     pub fn scan_all(&self, table: &str) -> FedResult<Table> {
-        self.scan(table, &Predicate::True)
+        self.scan_project(table, &Predicate::True, None)
     }
 
-    /// Point-lookup scan: `column = key AND residual`. The equality is the
-    /// leading conjunct so `pick_index` binds *it* (equality bindings are
-    /// taken left-first), turning the scan into an index probe when the
-    /// column is indexed.
-    pub fn scan_eq(
+    /// Run [`StoredTable::scan_into`] under the read lock, at `epoch` or —
+    /// when `None` — at the commit epoch published when the lock was taken.
+    fn scan_into<S: ScanSink>(
         &self,
         table: &str,
-        column: usize,
-        key: Value,
-        residual: &Predicate,
-    ) -> FedResult<Table> {
-        self.scan_eq_project(table, column, key, residual, None)
-    }
-
-    /// [`Database::scan_eq`] with a projection applied after the probe; the
-    /// probe column and residual keep the table's full column numbering.
-    pub fn scan_eq_project(
-        &self,
-        table: &str,
-        column: usize,
-        key: Value,
-        residual: &Predicate,
+        predicate: &Predicate,
         projection: Option<&[usize]>,
-    ) -> FedResult<Table> {
-        self.scan_project(
-            table,
-            &Predicate::eq(column, key).and(residual.clone()),
-            projection,
-        )
+        start_slot: RowId,
+        max_rows: usize,
+        epoch: Option<TxnId>,
+    ) -> FedResult<(S, Option<RowId>)> {
+        let tables = self.tables.read();
+        let epoch = epoch.unwrap_or_else(|| self.commit_epoch.load(Ordering::Acquire));
+        Self::resolve(&tables, table, &self.name)?
+            .scan_into(predicate, projection, start_slot, max_rows, epoch)
     }
 
     /// Delete rows matching a predicate. Statement-atomic like the other
@@ -958,14 +914,14 @@ mod tests {
             .index_serves("Components", &Predicate::eq(0, Value::Int(1)))
             .unwrap());
         assert_eq!(
-            db.scan_eq("Components", 0, Value::Int(7), &Predicate::True)
+            db.scan_project("Components", &Predicate::eq(0, Value::Int(7)), None)
                 .unwrap()
                 .row_count(),
             0
         );
         for k in [1, 2] {
             assert_eq!(
-                db.scan_eq("Components", 0, Value::Int(k), &Predicate::True)
+                db.scan_project("Components", &Predicate::eq(0, Value::Int(k)), None)
                     .unwrap()
                     .row_count(),
                 1
@@ -995,7 +951,7 @@ mod tests {
         assert_eq!(db.scan_all("Components").unwrap().row_count(), 3);
         for k in [1, 2, 3] {
             assert_eq!(
-                db.scan_eq("Components", 0, Value::Int(k), &Predicate::True)
+                db.scan_project("Components", &Predicate::eq(0, Value::Int(k)), None)
                     .unwrap()
                     .row_count(),
                 1
@@ -1004,7 +960,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_eq_is_an_index_probe_with_residual() {
+    fn equality_scan_is_an_index_probe_with_residual() {
         let db = db();
         db.insert_all(
             "Components",
@@ -1020,23 +976,22 @@ mod tests {
             .index_serves("Components", &Predicate::eq(0, Value::Int(2)))
             .unwrap());
         let hit = db
-            .scan_eq("Components", 0, Value::Int(2), &Predicate::True)
+            .scan_project("Components", &Predicate::eq(0, Value::Int(2)), None)
             .unwrap();
         assert_eq!(hit.row_count(), 1);
         assert_eq!(hit.value(0, "Name"), Some(&Value::str("nut")));
         // Residual still filters the probed rows.
         let miss = db
-            .scan_eq(
+            .scan_project(
                 "Components",
-                0,
-                Value::Int(2),
-                &Predicate::eq(1, Value::str("bolt")),
+                &Predicate::eq(0, Value::Int(2)).and(Predicate::eq(1, Value::str("bolt"))),
+                None,
             )
             .unwrap();
         assert_eq!(miss.row_count(), 0);
         // NULL key matches nothing under SQL three-valued logic.
         let null = db
-            .scan_eq("Components", 0, Value::Null, &Predicate::True)
+            .scan_project("Components", &Predicate::eq(0, Value::Null), None)
             .unwrap();
         assert_eq!(null.row_count(), 0);
     }
@@ -1071,17 +1026,17 @@ mod tests {
         let epoch = db.snapshot_epoch();
         // Pull the first chunk, then bulk-update, then pull the rest.
         let (first, next) = db
-            .scan_chunk("Components", &Predicate::True, None, 0, 4, epoch)
+            .scan_chunk_columnar("Components", &Predicate::True, None, 0, 4, epoch)
             .unwrap();
         db.update_where("Components", &Predicate::True, "Name", Value::str("new"))
             .unwrap();
-        let mut rows = first;
+        let mut rows = first.to_rows();
         let mut cursor = next;
         while let Some(start) = cursor {
             let (chunk, n) = db
-                .scan_chunk("Components", &Predicate::True, None, start, 4, epoch)
+                .scan_chunk_columnar("Components", &Predicate::True, None, start, 4, epoch)
                 .unwrap();
-            rows.extend(chunk);
+            rows.extend(chunk.to_rows());
             cursor = n;
         }
         assert_eq!(rows.len(), 10);
@@ -1157,7 +1112,12 @@ mod tests {
         }
         let db = durable_db(&log, &snaps);
         assert_eq!(db.scan_all("T").unwrap().row_count(), 6);
-        assert_eq!(db.scan("T", &Predicate::eq(0, 99)).unwrap().row_count(), 1);
+        assert_eq!(
+            db.scan_project("T", &Predicate::eq(0, 99), None)
+                .unwrap()
+                .row_count(),
+            1
+        );
     }
 
     #[test]

@@ -51,11 +51,6 @@ impl Index {
         }
     }
 
-    /// Number of distinct (non-null) keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Insert a key → row id mapping. Fails on a unique violation.
     pub fn insert(&mut self, key: &Value, row_id: RowId) -> FedResult<()> {
         if key.is_null() {
@@ -85,37 +80,14 @@ impl Index {
         }
     }
 
-    /// Row ids for an exact key.
-    pub fn lookup(&self, key: &Value) -> Vec<RowId> {
+    /// Row ids for an exact key (none for NULL, which is never indexed).
+    pub fn lookup(&self, key: &Value) -> &[RowId] {
         if key.is_null() {
-            return vec![];
+            return &[];
         }
         self.entries
             .get(&IndexKey(key.clone()))
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// Row ids for keys in `[low, high]` (inclusive, either side optional).
-    pub fn range(&self, low: Option<&Value>, high: Option<&Value>) -> Vec<RowId> {
-        use std::ops::Bound::*;
-        let lo = match low {
-            Some(v) => Included(IndexKey(v.clone())),
-            None => Unbounded,
-        };
-        let hi = match high {
-            Some(v) => Included(IndexKey(v.clone())),
-            None => Unbounded,
-        };
-        self.entries
-            .range((lo, hi))
-            .flat_map(|(_, ids)| ids.iter().copied())
-            .collect()
-    }
-
-    /// All row ids in key order (index-ordered scan).
-    pub fn ordered_ids(&self) -> Vec<RowId> {
-        self.range(None, None)
+            .map_or(&[], Vec::as_slice)
     }
 }
 
@@ -136,8 +108,8 @@ mod tests {
         let mut idx = Index::new("sec", 1, IndexKind::NonUnique);
         idx.insert(&Value::str("a"), 1).unwrap();
         idx.insert(&Value::str("a"), 2).unwrap();
-        assert_eq!(idx.lookup(&Value::str("a")), vec![1, 2]);
-        assert_eq!(idx.distinct_keys(), 1);
+        assert_eq!(idx.lookup(&Value::str("a")), [1, 2]);
+        assert_eq!(idx.entries.len(), 1);
     }
 
     #[test]
@@ -146,7 +118,7 @@ mod tests {
         idx.insert(&Value::Null, 1).unwrap();
         idx.insert(&Value::Null, 2).unwrap(); // no unique violation
         assert!(idx.lookup(&Value::Null).is_empty());
-        assert_eq!(idx.distinct_keys(), 0);
+        assert!(idx.entries.is_empty());
     }
 
     #[test]
@@ -155,26 +127,11 @@ mod tests {
         idx.insert(&Value::Int(5), 1).unwrap();
         idx.insert(&Value::Int(5), 2).unwrap();
         idx.remove(&Value::Int(5), 1);
-        assert_eq!(idx.lookup(&Value::Int(5)), vec![2]);
+        assert_eq!(idx.lookup(&Value::Int(5)), [2]);
         idx.remove(&Value::Int(5), 2);
-        assert_eq!(idx.distinct_keys(), 0);
+        assert!(idx.entries.is_empty());
         // Removing a missing entry is a no-op.
         idx.remove(&Value::Int(5), 99);
-    }
-
-    #[test]
-    fn range_scan_inclusive() {
-        let mut idx = Index::new("r", 0, IndexKind::NonUnique);
-        for i in 1..=5 {
-            idx.insert(&Value::Int(i), i as RowId).unwrap();
-        }
-        assert_eq!(
-            idx.range(Some(&Value::Int(2)), Some(&Value::Int(4))),
-            vec![2, 3, 4]
-        );
-        assert_eq!(idx.range(None, Some(&Value::Int(2))), vec![1, 2]);
-        assert_eq!(idx.range(Some(&Value::Int(4)), None), vec![4, 5]);
-        assert_eq!(idx.ordered_ids(), vec![1, 2, 3, 4, 5]);
     }
 
     #[test]
@@ -183,8 +140,9 @@ mod tests {
         idx.insert(&Value::BigInt(10), 1).unwrap();
         idx.insert(&Value::Int(5), 2).unwrap();
         idx.insert(&Value::Double(7.5), 3).unwrap();
-        assert_eq!(idx.ordered_ids(), vec![2, 3, 1]);
+        let ordered: Vec<RowId> = idx.entries.values().flatten().copied().collect();
+        assert_eq!(ordered, [2, 3, 1]);
         // Cross-type lookup: Int(10) equals BigInt(10) under index order.
-        assert_eq!(idx.lookup(&Value::Int(10)), vec![1]);
+        assert_eq!(idx.lookup(&Value::Int(10)), [1]);
     }
 }

@@ -14,6 +14,8 @@
 //! rows *and index entries* bit-identically — no more whole-table backup
 //! clones at the database layer.
 
+use std::ops::Range;
+
 use fedwf_types::txn::version_visible;
 use fedwf_types::{
     ColumnBatch, ColumnBuilder, FedError, FedResult, Ident, Row, SchemaRef, Table, TxnId, Value,
@@ -26,37 +28,60 @@ use crate::predicate::Predicate;
 /// Stable identifier of a row slot within one table.
 pub type RowId = u64;
 
-/// Columnar emit target for the scan paths: one typed builder per
-/// projected column. Values are appended straight out of the stored rows
-/// (VARCHAR payloads are byte-copied, never re-boxed), so a columnar scan
-/// allocates nothing per row.
-struct ColumnSink<'a> {
+/// Where [`StoredTable::scan_into`] appends matching rows, each projected
+/// onto the scan's columns (all of them when the projection is `None`).
+pub(crate) trait ScanSink {
+    /// An empty output of `schema`, opened once the scan has chosen its
+    /// access path; that path visits at most `max_rows` candidate rows.
+    fn open(schema: SchemaRef, max_rows: usize) -> Self;
+    fn emit(&mut self, row: &Row, projection: Option<&[usize]>);
+    fn len(&self) -> usize;
+}
+
+/// Row output: each emitted row costs one refcount bump (or, projected,
+/// one refcount bump per kept value). Rows grow on demand instead of
+/// reserving `max_rows`: the bound counts candidates, not matches, and row
+/// consumers such as the FDBS index-probe cache keep what was reserved.
+impl ScanSink for Table {
+    fn open(schema: SchemaRef, _max_rows: usize) -> Table {
+        Table::new(schema)
+    }
+
+    fn emit(&mut self, row: &Row, projection: Option<&[usize]>) {
+        self.push_unchecked(match projection {
+            Some(proj) => row.project(proj),
+            None => row.clone(),
+        });
+    }
+
+    fn len(&self) -> usize {
+        self.row_count()
+    }
+}
+
+/// Columnar output: one typed builder per projected column. Values are
+/// appended straight out of the stored rows (VARCHAR payloads are
+/// byte-copied, never re-boxed), so a columnar scan allocates nothing per
+/// row.
+pub(crate) struct ColumnSink {
     builders: Vec<ColumnBuilder>,
-    projection: Option<&'a [usize]>,
     rows: usize,
 }
 
-impl<'a> ColumnSink<'a> {
-    /// `cap` is a row-count hint (chunk size or live-row estimate) so the
-    /// per-column vectors are sized once instead of regrowing mid-scan.
-    fn new(out_schema: &SchemaRef, projection: Option<&'a [usize]>, cap: usize) -> ColumnSink<'a> {
+impl ScanSink for ColumnSink {
+    fn open(schema: SchemaRef, max_rows: usize) -> ColumnSink {
         ColumnSink {
-            builders: out_schema
+            builders: schema
                 .columns()
                 .iter()
-                .map(|c| ColumnBuilder::with_capacity(Some(c.data_type), cap))
+                .map(|c| ColumnBuilder::with_capacity(Some(c.data_type), max_rows))
                 .collect(),
-            projection,
             rows: 0,
         }
     }
 
-    fn len(&self) -> usize {
-        self.rows
-    }
-
-    fn emit(&mut self, row: &Row) {
-        match self.projection {
+    fn emit(&mut self, row: &Row, projection: Option<&[usize]>) {
+        match projection {
             Some(proj) => {
                 for (b, &i) in self.builders.iter_mut().zip(proj) {
                     b.push(&row.values()[i]);
@@ -71,7 +96,13 @@ impl<'a> ColumnSink<'a> {
         self.rows += 1;
     }
 
-    fn finish(self) -> ColumnBatch {
+    fn len(&self) -> usize {
+        self.rows
+    }
+}
+
+impl ColumnSink {
+    pub(crate) fn finish(self) -> ColumnBatch {
         ColumnBatch::new(
             self.rows,
             self.builders
@@ -170,7 +201,7 @@ pub(crate) enum ChangeKind {
 
 /// A heap table: schema, versioned row slots and the indexes over the
 /// *live* versions (historic versions are found via sequential visibility
-/// scans; see [`StoredTable::scan_chunk_at`]).
+/// scans).
 #[derive(Debug, Clone)]
 pub struct StoredTable {
     name: Ident,
@@ -303,11 +334,6 @@ impl StoredTable {
     /// Fetch the live row by id.
     pub fn get(&self, row_id: RowId) -> Option<&Row> {
         Self::live_row(self.slots.get(row_id as usize)?)
-    }
-
-    /// Fetch the row by id as of snapshot `epoch`.
-    pub fn get_at(&self, row_id: RowId, epoch: TxnId) -> Option<&Row> {
-        Self::row_at(self.slots.get(row_id as usize)?, epoch)
     }
 
     /// Close the live version of `slot` as deleted by `txn`.
@@ -574,69 +600,11 @@ impl StoredTable {
             .collect()
     }
 
-    /// Scan live rows matching the predicate, using an index when one
-    /// covers an equality conjunct. Returns a materialized [`Table`].
-    pub fn scan(&self, predicate: &Predicate) -> FedResult<Table> {
-        self.scan_project(predicate, None)
-    }
-
-    /// [`StoredTable::scan`] restricted to the given column indexes: the
-    /// predicate is evaluated against the table's full layout *before*
-    /// projecting, so pushed-down filters keep their original column
-    /// numbering, and only the requested columns are cloned into the result.
-    pub fn scan_project(
-        &self,
-        predicate: &Predicate,
-        projection: Option<&[usize]>,
-    ) -> FedResult<Table> {
-        self.scan_project_at(predicate, projection, TXN_INFINITY)
-    }
-
-    /// Snapshot scan: rows visible at `epoch` (pass [`TXN_INFINITY`] for
-    /// the live view). The index fast path applies only when the indexes —
-    /// which track live versions — are known to coincide with the epoch's
-    /// visible set; otherwise the scan walks version chains sequentially.
-    pub fn scan_project_at(
-        &self,
-        predicate: &Predicate,
-        projection: Option<&[usize]>,
-        epoch: TxnId,
-    ) -> FedResult<Table> {
-        predicate.validate(&self.schema)?;
-        let out_schema = self.projected_schema(projection)?;
-        let mut out = Table::new(out_schema);
-        let emit = |row: &Row| match projection {
-            Some(proj) => row.project(proj),
-            None => row.clone(),
-        };
-        match self.pick_index_at(predicate, epoch) {
-            Some((index, key)) => {
-                for row_id in index.lookup(key) {
-                    if let Some(row) = self.get(row_id) {
-                        if predicate.selects(row)? {
-                            out.push_unchecked(emit(row));
-                        }
-                    }
-                }
-            }
-            None => {
-                for chain in &self.slots {
-                    if let Some(row) = self.version_at(chain, epoch) {
-                        if predicate.selects(row)? {
-                            out.push_unchecked(emit(row));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Row of `chain` visible at `epoch`; the live row when `epoch` is
     /// [`TXN_INFINITY`] (a live uncommitted version has `begin <= epoch`
     /// trivially, which is correct because the writer holding the lock is
     /// the only one who can observe it).
-    fn version_at<'a>(&self, chain: &'a [Version], epoch: TxnId) -> Option<&'a Row> {
+    fn version_at(chain: &[Version], epoch: TxnId) -> Option<&Row> {
         if epoch == TXN_INFINITY {
             Self::live_row(chain)
         } else {
@@ -644,156 +612,53 @@ impl StoredTable {
         }
     }
 
-    /// Scan one bounded chunk of matching live rows, resuming at
-    /// `start_slot` — see [`StoredTable::scan_chunk_at`].
-    pub fn scan_chunk(
-        &self,
-        predicate: &Predicate,
-        projection: Option<&[usize]>,
-        start_slot: RowId,
-        max_rows: usize,
-    ) -> FedResult<(Vec<Row>, Option<RowId>)> {
-        self.scan_chunk_at(predicate, projection, start_slot, max_rows, TXN_INFINITY)
-    }
-
-    /// Scan one bounded chunk of rows visible at `epoch`, resuming at
-    /// `start_slot`. Returns the (projected) rows plus the slot to resume
-    /// from, or `None` when the table is exhausted — the pull-based cursor
-    /// behind the streaming executor. Because the epoch is pinned by the
-    /// caller, a multi-chunk scan sees one consistent snapshot even when
-    /// statements commit between pulls. An index-served predicate is
-    /// answered entirely in the first chunk (index result sets are already
-    /// small and bounded).
-    pub fn scan_chunk_at(
+    /// The one read loop behind every scan: rows visible at `epoch` that
+    /// satisfy `predicate`, projected onto `projection` (all columns when
+    /// `None`) and appended to a fresh sink `S`. The predicate keeps the
+    /// table's full column numbering; it is validated first, then the
+    /// projection, both before any row is emitted.
+    ///
+    /// Returns the sink plus the slot to resume from, or `None` when the
+    /// table is exhausted — the pull-based cursor behind the streaming
+    /// executor. A walk visits slots from `start_slot` on and stops once
+    /// `max_rows` rows matched; because the caller pins `epoch`, a
+    /// multi-chunk scan sees one consistent snapshot even when statements
+    /// commit between pulls. An index-served predicate is answered entirely
+    /// by the first pull (index result sets are already small and bounded).
+    pub(crate) fn scan_into<S: ScanSink>(
         &self,
         predicate: &Predicate,
         projection: Option<&[usize]>,
         start_slot: RowId,
         max_rows: usize,
         epoch: TxnId,
-    ) -> FedResult<(Vec<Row>, Option<RowId>)> {
+    ) -> FedResult<(S, Option<RowId>)> {
         predicate.validate(&self.schema)?;
-        self.projected_schema(projection)?;
-        let emit = |row: &Row| match projection {
-            Some(proj) => row.project(proj),
-            None => row.clone(),
-        };
-        if let Some((index, key)) = self.pick_index_at(predicate, epoch) {
-            if start_slot > 0 {
-                return Ok((vec![], None));
+        let schema = self.projected_schema(projection)?;
+        let (probe, walk, limit): (&[RowId], Range<usize>, usize) =
+            match self.pick_index_at(predicate, epoch) {
+                Some((index, key)) if start_slot == 0 => (index.lookup(key), 0..0, usize::MAX),
+                Some(_) => (&[], 0..0, usize::MAX),
+                None => (&[], start_slot as usize..self.slots.len(), max_rows),
+            };
+        let mut sink = S::open(schema, probe.len() + walk.len().min(limit));
+        let mut resume = walk.start;
+        for slot in probe.iter().map(|&id| id as usize).chain(walk.clone()) {
+            if sink.len() >= limit {
+                break;
             }
-            let mut rows = vec![];
-            for row_id in index.lookup(key) {
-                if let Some(row) = self.get(row_id) {
-                    if predicate.selects(row)? {
-                        rows.push(emit(row));
-                    }
-                }
-            }
-            return Ok((rows, None));
-        }
-        let mut rows = Vec::new();
-        let mut slot = start_slot as usize;
-        while slot < self.slots.len() && rows.len() < max_rows {
-            if let Some(row) = self.version_at(&self.slots[slot], epoch) {
+            resume = slot + 1;
+            if let Some(row) = self
+                .slots
+                .get(slot)
+                .and_then(|c| Self::version_at(c, epoch))
+            {
                 if predicate.selects(row)? {
-                    rows.push(emit(row));
-                }
-            }
-            slot += 1;
-        }
-        let next = if slot < self.slots.len() {
-            Some(slot as RowId)
-        } else {
-            None
-        };
-        Ok((rows, next))
-    }
-
-    /// [`StoredTable::scan_project_at`] producing a typed [`ColumnBatch`]
-    /// directly from the version chains: matching rows append straight
-    /// into per-column vectors, so no per-row `Row` is ever allocated.
-    /// Visit order, index usage and epoch semantics are identical to the
-    /// row-producing scan.
-    pub fn scan_project_columnar_at(
-        &self,
-        predicate: &Predicate,
-        projection: Option<&[usize]>,
-        epoch: TxnId,
-    ) -> FedResult<ColumnBatch> {
-        predicate.validate(&self.schema)?;
-        let out_schema = self.projected_schema(projection)?;
-        let mut sink = ColumnSink::new(&out_schema, projection, self.slots.len());
-        match self.pick_index_at(predicate, epoch) {
-            Some((index, key)) => {
-                for row_id in index.lookup(key) {
-                    if let Some(row) = self.get(row_id) {
-                        if predicate.selects(row)? {
-                            sink.emit(row);
-                        }
-                    }
-                }
-            }
-            None => {
-                for chain in &self.slots {
-                    if let Some(row) = self.version_at(chain, epoch) {
-                        if predicate.selects(row)? {
-                            sink.emit(row);
-                        }
-                    }
+                    sink.emit(row, projection);
                 }
             }
         }
-        Ok(sink.finish())
-    }
-
-    /// [`StoredTable::scan_chunk_at`] producing a typed [`ColumnBatch`]:
-    /// the pull-based cursor behind the vectorized streaming executor.
-    /// Resumption, the single-pull index path and epoch pinning all match
-    /// the row-producing chunk scan.
-    pub fn scan_chunk_columnar_at(
-        &self,
-        predicate: &Predicate,
-        projection: Option<&[usize]>,
-        start_slot: RowId,
-        max_rows: usize,
-        epoch: TxnId,
-    ) -> FedResult<(ColumnBatch, Option<RowId>)> {
-        predicate.validate(&self.schema)?;
-        let out_schema = self.projected_schema(projection)?;
-        let mut sink = ColumnSink::new(
-            &out_schema,
-            projection,
-            max_rows.min(self.slots.len().saturating_sub(start_slot as usize)),
-        );
-        if let Some((index, key)) = self.pick_index_at(predicate, epoch) {
-            if start_slot > 0 {
-                return Ok((sink.finish(), None));
-            }
-            for row_id in index.lookup(key) {
-                if let Some(row) = self.get(row_id) {
-                    if predicate.selects(row)? {
-                        sink.emit(row);
-                    }
-                }
-            }
-            return Ok((sink.finish(), None));
-        }
-        let mut slot = start_slot as usize;
-        while slot < self.slots.len() && sink.len() < max_rows {
-            if let Some(row) = self.version_at(&self.slots[slot], epoch) {
-                if predicate.selects(row)? {
-                    sink.emit(row);
-                }
-            }
-            slot += 1;
-        }
-        let next = if slot < self.slots.len() {
-            Some(slot as RowId)
-        } else {
-            None
-        };
-        Ok((sink.finish(), next))
+        Ok((sink, (resume < walk.end).then_some(resume as RowId)))
     }
 
     fn projected_schema(&self, projection: Option<&[usize]>) -> FedResult<SchemaRef> {
@@ -810,20 +675,6 @@ impl StoredTable {
                 Ok(std::sync::Arc::new(self.schema.project(proj)))
             }
         }
-    }
-
-    /// How many live rows the predicate selects (without materializing).
-    pub fn count_where(&self, predicate: &Predicate) -> FedResult<usize> {
-        predicate.validate(&self.schema)?;
-        let mut n = 0;
-        for chain in &self.slots {
-            if let Some(row) = Self::live_row(chain) {
-                if predicate.selects(row)? {
-                    n += 1;
-                }
-            }
-        }
-        Ok(n)
     }
 
     /// Whether a scan of `predicate` would be served by an index.
@@ -938,6 +789,23 @@ mod tests {
         t.insert(row, txn, &mut UndoLog::new())
     }
 
+    /// One whole scan through the read loop as of `epoch`.
+    fn scan_at(
+        t: &StoredTable,
+        predicate: &Predicate,
+        projection: Option<&[usize]>,
+        epoch: TxnId,
+    ) -> FedResult<Table> {
+        let (out, next) = t.scan_into(predicate, projection, 0, usize::MAX, epoch)?;
+        assert_eq!(next, None, "an unbounded scan finishes in one pull");
+        Ok(out)
+    }
+
+    /// Live-view scan of whole rows.
+    fn scan(t: &StoredTable, predicate: &Predicate) -> FedResult<Table> {
+        scan_at(t, predicate, None, TXN_INFINITY)
+    }
+
     fn suppliers() -> StoredTable {
         let schema = Arc::new(Schema::of(&[
             ("SupplierNo", DataType::Int),
@@ -966,54 +834,10 @@ mod tests {
     #[test]
     fn insert_and_scan_all() {
         let t = suppliers();
-        let all = t.scan(&Predicate::True).unwrap();
+        let all = scan(&t, &Predicate::True).unwrap();
         assert_eq!(all.row_count(), 3);
         assert_eq!(t.stats().row_count, 3);
         assert_eq!(t.stats().index_count, 2);
-    }
-
-    /// The columnar scan paths must see exactly what the row paths see —
-    /// same visit order, same index usage, same projection — for full
-    /// scans, indexed scans and resumable chunk scans alike.
-    #[test]
-    fn columnar_scans_match_row_scans() {
-        let mut t = suppliers();
-        ins(
-            &mut t,
-            4,
-            Row::new(vec![Value::Int(4), Value::str(""), Value::Null]),
-        )
-        .unwrap();
-        for (pred, proj) in [
-            (Predicate::True, None),
-            (Predicate::True, Some(vec![2usize, 1])),
-            (Predicate::eq(0, 2), Some(vec![1usize])),
-        ] {
-            let rows = t
-                .scan_project_at(&pred, proj.as_deref(), TXN_INFINITY)
-                .unwrap();
-            let cols = t
-                .scan_project_columnar_at(&pred, proj.as_deref(), TXN_INFINITY)
-                .unwrap();
-            assert_eq!(cols.to_rows(), rows.rows().to_vec(), "pred/proj mismatch");
-        }
-        // Chunked: resume in steps of 2 and compare the concatenation.
-        let full = t
-            .scan_project_at(&Predicate::True, None, TXN_INFINITY)
-            .unwrap();
-        let mut got = Vec::new();
-        let mut start = 0;
-        loop {
-            let (batch, next) = t
-                .scan_chunk_columnar_at(&Predicate::True, None, start, 2, TXN_INFINITY)
-                .unwrap();
-            got.extend(batch.to_rows());
-            match next {
-                Some(s) => start = s,
-                None => break,
-            }
-        }
-        assert_eq!(got, full.rows().to_vec());
     }
 
     #[test]
@@ -1027,7 +851,7 @@ mod tests {
         .unwrap_err();
         assert!(err.to_string().contains("unique"));
         // The failed insert must not leave residue in the name index.
-        let found = t.scan(&Predicate::eq(1, "Dup")).unwrap();
+        let found = scan(&t, &Predicate::eq(1, "Dup")).unwrap();
         assert_eq!(found.row_count(), 0);
         assert_eq!(t.stats().row_count, 3);
     }
@@ -1037,7 +861,7 @@ mod tests {
         let t = suppliers();
         let p = Predicate::eq(0, 2);
         assert!(t.index_serves(&p));
-        let via_index = t.scan(&p).unwrap();
+        let via_index = scan(&t, &p).unwrap();
         assert_eq!(via_index.row_count(), 1);
         assert_eq!(via_index.value(0, "Name"), Some(&Value::str("Bolt")));
     }
@@ -1047,7 +871,7 @@ mod tests {
         let t = suppliers();
         // Equality on the indexed column AND an extra condition that fails.
         let p = Predicate::eq(0, 2).and(Predicate::eq(2, 1));
-        let got = t.scan(&p).unwrap();
+        let got = scan(&t, &p).unwrap();
         assert_eq!(got.row_count(), 0);
     }
 
@@ -1059,9 +883,9 @@ mod tests {
             .unwrap();
         assert_eq!(n, 1);
         assert_eq!(t.stats().row_count, 2);
-        assert_eq!(t.scan(&Predicate::eq(0, 2)).unwrap().row_count(), 0);
+        assert_eq!(scan(&t, &Predicate::eq(0, 2)).unwrap().row_count(), 0);
         // Row id 2 is untouched.
-        assert_eq!(t.scan(&Predicate::eq(0, 3)).unwrap().row_count(), 1);
+        assert_eq!(scan(&t, &Predicate::eq(0, 3)).unwrap().row_count(), 1);
     }
 
     #[test]
@@ -1077,9 +901,9 @@ mod tests {
             )
             .unwrap();
         assert_eq!(n, 1);
-        assert_eq!(t.scan(&Predicate::eq(1, "Cog")).unwrap().row_count(), 0);
+        assert_eq!(scan(&t, &Predicate::eq(1, "Cog")).unwrap().row_count(), 0);
         assert_eq!(
-            t.scan(&Predicate::eq(1, "Cogs Inc")).unwrap().row_count(),
+            scan(&t, &Predicate::eq(1, "Cogs Inc")).unwrap().row_count(),
             1
         );
     }
@@ -1114,25 +938,15 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("unique"));
         // Rows are back exactly.
-        let all = t.scan(&Predicate::True).unwrap();
+        let all = scan(&t, &Predicate::True).unwrap();
         let keys: Vec<_> = all.rows().iter().map(|r| r.values()[0].clone()).collect();
         assert_eq!(keys, vec![Value::Int(1), Value::Int(2), Value::Int(3)]);
         // The index is back exactly too: probing the aborted key finds
         // nothing, probing the original keys finds each row.
-        assert_eq!(t.scan(&Predicate::eq(0, 7)).unwrap().row_count(), 0);
+        assert_eq!(scan(&t, &Predicate::eq(0, 7)).unwrap().row_count(), 0);
         for k in 1..=3 {
-            assert_eq!(t.scan(&Predicate::eq(0, k)).unwrap().row_count(), 1);
+            assert_eq!(scan(&t, &Predicate::eq(0, k)).unwrap().row_count(), 1);
         }
-    }
-
-    #[test]
-    fn count_where() {
-        let t = suppliers();
-        assert_eq!(
-            t.count_where(&Predicate::cmp(2, crate::predicate::CmpOp::GtEq, 80))
-                .unwrap(),
-            2
-        );
     }
 
     #[test]
@@ -1149,12 +963,12 @@ mod tests {
         let t = suppliers();
         // Predicate on Reliability (col 2), projection keeps only Name.
         let p = Predicate::cmp(2, crate::predicate::CmpOp::GtEq, 80);
-        let got = t.scan_project(&p, Some(&[1])).unwrap();
+        let got = scan_at(&t, &p, Some(&[1]), TXN_INFINITY).unwrap();
         assert_eq!(got.schema().len(), 1);
         assert_eq!(got.row_count(), 2);
         assert_eq!(got.value(0, "Name"), Some(&Value::str("Acme")));
         // Out-of-range projection fails loudly.
-        assert!(t.scan_project(&Predicate::True, Some(&[7])).is_err());
+        assert!(scan_at(&t, &Predicate::True, Some(&[7]), TXN_INFINITY).is_err());
     }
 
     #[test]
@@ -1165,14 +979,14 @@ mod tests {
         let mut chunks = 0;
         while let Some(start) = cursor {
             let (chunk, next) = t
-                .scan_chunk(&Predicate::True, Some(&[0]), start, 2)
+                .scan_into::<Table>(&Predicate::True, Some(&[0]), start, 2, TXN_INFINITY)
                 .unwrap();
-            rows.extend(chunk);
+            rows.extend(chunk.into_rows());
             cursor = next;
             chunks += 1;
         }
         assert_eq!(chunks, 2, "3 rows at 2 per chunk takes two pulls");
-        let full = t.scan_project(&Predicate::True, Some(&[0])).unwrap();
+        let full = scan_at(&t, &Predicate::True, Some(&[0]), TXN_INFINITY).unwrap();
         assert_eq!(rows, full.rows().to_vec());
     }
 
@@ -1180,8 +994,8 @@ mod tests {
     fn scan_chunk_serves_indexed_predicate_in_one_pull() {
         let t = suppliers();
         let p = Predicate::eq(0, 2);
-        let (rows, next) = t.scan_chunk(&p, None, 0, 1).unwrap();
-        assert_eq!(rows.len(), 1);
+        let (rows, next) = t.scan_into::<Table>(&p, None, 0, 1, TXN_INFINITY).unwrap();
+        assert_eq!(rows.row_count(), 1);
         assert_eq!(next, None);
     }
 
@@ -1192,7 +1006,7 @@ mod tests {
         ins(&mut t, 1, Row::new(vec![Value::Int(9)])).unwrap();
         t.create_index("late", "a", IndexKind::Unique).unwrap();
         assert!(t.index_serves(&Predicate::eq(0, 9)));
-        assert_eq!(t.scan(&Predicate::eq(0, 9)).unwrap().row_count(), 1);
+        assert_eq!(scan(&t, &Predicate::eq(0, 9)).unwrap().row_count(), 1);
     }
 
     #[test]
@@ -1208,16 +1022,12 @@ mod tests {
         )
         .unwrap();
         // Live view: all zero.
-        let live = t.scan(&Predicate::eq(2, 0)).unwrap();
+        let live = scan(&t, &Predicate::eq(2, 0)).unwrap();
         assert_eq!(live.row_count(), 3);
         // Pinned epoch 3: the old reliabilities, via the version chains.
-        let old = t
-            .scan_project_at(&Predicate::eq(2, 0), None, epoch)
-            .unwrap();
+        let old = scan_at(&t, &Predicate::eq(2, 0), None, epoch).unwrap();
         assert_eq!(old.row_count(), 0);
-        let acme = t
-            .scan_project_at(&Predicate::eq(0, 1), None, epoch)
-            .unwrap();
+        let acme = scan_at(&t, &Predicate::eq(0, 1), None, epoch).unwrap();
         assert_eq!(acme.value(0, "Reliability"), Some(&Value::Int(80)));
     }
 
@@ -1226,11 +1036,11 @@ mod tests {
         let mut t = suppliers();
         t.delete_where(&Predicate::True, 4, &mut UndoLog::new())
             .unwrap();
-        assert_eq!(t.scan(&Predicate::True).unwrap().row_count(), 0);
-        let before = t.scan_project_at(&Predicate::True, None, 3).unwrap();
+        assert_eq!(scan(&t, &Predicate::True).unwrap().row_count(), 0);
+        let before = scan_at(&t, &Predicate::True, None, 3).unwrap();
         assert_eq!(before.row_count(), 3);
         // And an epoch before any insert sees nothing.
-        let empty = t.scan_project_at(&Predicate::True, None, 0).unwrap();
+        let empty = scan_at(&t, &Predicate::True, None, 0).unwrap();
         assert_eq!(empty.row_count(), 0);
     }
 
@@ -1253,7 +1063,7 @@ mod tests {
         .unwrap();
         t.abort(&mut undo);
         assert_eq!(t.slot_count(), before, "aborted insert frees its slot");
-        assert_eq!(t.scan(&Predicate::eq(0, 10)).unwrap().row_count(), 0);
+        assert_eq!(scan(&t, &Predicate::eq(0, 10)).unwrap().row_count(), 0);
         // The freed row id is reused by the next insert.
         let id = ins(
             &mut t,
@@ -1278,13 +1088,11 @@ mod tests {
         t.delete_where(&Predicate::eq(0, 2), 5, &mut UndoLog::new())
             .unwrap();
         t.prune_versions();
-        assert_eq!(t.scan(&Predicate::True).unwrap().row_count(), 2);
+        assert_eq!(scan(&t, &Predicate::True).unwrap().row_count(), 2);
         assert_eq!(t.stats().row_count, 2);
         // Historic epochs are gone after pruning.
         assert_eq!(
-            t.scan_project_at(&Predicate::True, None, 3)
-                .unwrap()
-                .row_count(),
+            scan_at(&t, &Predicate::True, None, 3).unwrap().row_count(),
             0
         );
     }

@@ -90,7 +90,7 @@ impl Oracle {
         // The unique index must probe exactly the live keys.
         for k in 0..KEY_SPACE {
             let hits = db
-                .scan_eq("T", 0, Value::Int(k), &Predicate::True)
+                .scan_project("T", &Predicate::eq(0, Value::Int(k)), None)
                 .unwrap()
                 .row_count();
             assert_eq!(
@@ -301,10 +301,10 @@ fn pinned_readers_never_see_mixed_versions() {
     let mut cursor = Some(0);
     let mut seen = 0;
     while let Some(start) = cursor {
-        let (rows, next) = db
-            .scan_chunk("T", &Predicate::True, None, start, 7, epoch)
+        let (batch, next) = db
+            .scan_chunk_columnar("T", &Predicate::True, None, start, 7, epoch)
             .unwrap();
-        for r in rows {
+        for r in batch.to_rows() {
             assert_eq!(r.values()[1], Value::Int(0), "pinned reader saw the update");
             seen += 1;
         }
@@ -332,10 +332,10 @@ fn pinned_readers_never_see_mixed_versions() {
                     let mut values = Vec::with_capacity(ROWS as usize);
                     let mut cursor = Some(0);
                     while let Some(start) = cursor {
-                        let (rows, next) = db
-                            .scan_chunk("T", &Predicate::True, None, start, 5, epoch)
+                        let (batch, next) = db
+                            .scan_chunk_columnar("T", &Predicate::True, None, start, 5, epoch)
                             .unwrap();
-                        values.extend(rows.into_iter().map(|r| r.values()[1].clone()));
+                        values.extend((0..batch.len()).map(|i| batch.value_at(1, i)));
                         cursor = next;
                     }
                     assert_eq!(values.len(), ROWS as usize);
@@ -461,7 +461,7 @@ fn concurrent_group_commits_recover_to_an_ack_order_prefix() {
             for i in 0..PER_WRITER {
                 let k = w * 100 + i;
                 let hits = db
-                    .scan_eq("T", 0, Value::Int(k), &Predicate::True)
+                    .scan_project("T", &Predicate::eq(0, Value::Int(k)), None)
                     .unwrap()
                     .row_count();
                 assert_eq!(hits, recovered_keys.contains(&k) as usize, "probe for {k}");

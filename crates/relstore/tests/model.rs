@@ -116,7 +116,7 @@ fn storage_agrees_with_oracle() {
                         .filter(|(k, _)| k == key)
                         .map(|(_, p)| *p)
                         .collect();
-                    let got = db.scan("T", &Predicate::eq(0, *key)).unwrap();
+                    let got = db.scan_project("T", &Predicate::eq(0, *key), None).unwrap();
                     let mut actual: Vec<i32> = got
                         .rows()
                         .iter()
@@ -129,7 +129,7 @@ fn storage_agrees_with_oracle() {
                 Op::ScanPayloadGtEq(bound) => {
                     let expected = oracle.rows.iter().filter(|(_, p)| p >= bound).count();
                     let got = db
-                        .scan("T", &Predicate::cmp(1, CmpOp::GtEq, *bound))
+                        .scan_project("T", &Predicate::cmp(1, CmpOp::GtEq, *bound), None)
                         .unwrap();
                     assert_eq!(got.row_count(), expected);
                 }

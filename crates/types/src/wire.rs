@@ -311,6 +311,15 @@ impl<'a> WireReader<'a> {
         let schema = Arc::new(self.get_schema()?);
         let arity = schema.len();
         let rows = self.get_u32()? as usize;
+        // Every value costs at least its tag byte, so a row count the rest
+        // of the frame cannot hold is garbage. That includes any row of a
+        // zero-column table, which would otherwise decode from no bytes.
+        if rows > 0 && (arity == 0 || rows.saturating_mul(arity) > self.remaining()) {
+            return Err(FedError::protocol(format!(
+                "table claims {rows} rows of {arity} columns but {} bytes remain",
+                self.remaining()
+            )));
+        }
         let mut table = Table::new(schema);
         for _ in 0..rows {
             let mut values = Vec::with_capacity(arity);
@@ -440,6 +449,32 @@ mod tests {
         let mut r = WireReader::new(&bytes[..bytes.len() - 3]);
         let err = r.get_str().unwrap_err();
         assert_eq!(err.layer, crate::ErrorLayer::Protocol);
+    }
+
+    #[test]
+    fn row_counts_the_bytes_cannot_hold_are_rejected() {
+        let zero_columns = Arc::new(Schema::new(vec![]));
+        let mut w = WireWriter::new();
+        w.put_table(&Table::new(zero_columns.clone()));
+        let bytes = w.into_bytes();
+        let mut r = WireReader::new(&bytes);
+        assert_eq!(r.get_table().unwrap(), Table::new(zero_columns));
+        // A zero-column header claiming rows, and one-column rows with
+        // fewer bytes left than rows.
+        for (columns, rows) in [(0u32, 1u32), (0, u32::MAX), (1, 3)] {
+            let mut w = WireWriter::new();
+            w.put_u32(columns);
+            for i in 0..columns {
+                w.put_str(&format!("c{i}"));
+                w.put_u8(data_type_tag(DataType::Int));
+                w.put_bool(true);
+            }
+            w.put_u32(rows);
+            w.put_value(&Value::Null);
+            w.put_value(&Value::Null);
+            let err = WireReader::new(&w.into_bytes()).get_table().unwrap_err();
+            assert_eq!(err.layer, crate::ErrorLayer::Protocol, "{err}");
+        }
     }
 
     #[test]

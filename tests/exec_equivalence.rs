@@ -372,8 +372,8 @@ fn order_by_on_non_projected_column_survives_pruning() {
 }
 
 /// An index-probe join whose probed table contributes only non-key columns
-/// to the output: `scan_eq` keeps the table's original key numbering while
-/// the returned rows arrive in the pruned layout.
+/// to the output: the probe's scan keeps the table's original key numbering
+/// while the returned rows arrive in the pruned layout.
 #[test]
 fn index_probe_join_with_pruned_projection() {
     let fdbs = Fdbs::new(CostModel::zero());

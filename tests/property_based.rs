@@ -192,13 +192,19 @@ fn indexed_and_full_scans_agree() {
             .collect();
         db.insert_all("T", rows).unwrap();
 
-        let full = db.scan("T", &Predicate::eq(0, probe)).unwrap();
+        let full = db
+            .scan_project("T", &Predicate::eq(0, probe), None)
+            .unwrap();
         db.create_index("T", "pk", "k", IndexKind::Unique).unwrap();
-        let indexed = db.scan("T", &Predicate::eq(0, probe)).unwrap();
+        let indexed = db
+            .scan_project("T", &Predicate::eq(0, probe), None)
+            .unwrap();
         assert_eq!(full.row_count(), indexed.row_count());
         // Range predicate: count equals the set-based count.
         let expected = keys.iter().filter(|&&k| k < probe).count();
-        let got = db.scan("T", &Predicate::cmp(0, CmpOp::Lt, probe)).unwrap();
+        let got = db
+            .scan_project("T", &Predicate::cmp(0, CmpOp::Lt, probe), None)
+            .unwrap();
         assert_eq!(got.row_count(), expected);
     });
 }
