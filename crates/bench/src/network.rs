@@ -6,8 +6,9 @@
 //! [`Submit`] abstraction — one arm holds the [`ServerFront`] directly,
 //! the other a [`TcpClient`] dialled at a loopback [`NetServer`] wrapped
 //! around the *same* front. The difference per call is therefore exactly
-//! the serving boundary: frame encode/decode (including the full charge
-//! log riding along in every reply) plus two loopback socket hops.
+//! the serving boundary: frame encode/decode (including the charge log,
+//! sent as run-length charge runs, in every reply) plus two loopback
+//! socket hops.
 //!
 //! Wall-clock numbers only — virtual time is transport-invariant by
 //! construction (asserted in `tests/transport_equivalence.rs`), which is
@@ -21,10 +22,13 @@ use std::time::Duration;
 use fedwf_core::{
     paper_functions, ArchitectureKind, FrontConfig, IntegrationServer, Request, ServerFront, Submit,
 };
+use fedwf_fdbs::RelstoreServer;
 use fedwf_net::{NetServer, TcpClient};
+use fedwf_relstore::{Database, IndexKind, Predicate};
 use fedwf_sim::{LatencyHistogram, WallClock};
+use fedwf_types::rng::Rng;
 use fedwf_types::sync::Mutex;
-use fedwf_types::Value;
+use fedwf_types::{DataType, FedError, FedResult, Row, Schema, Value};
 
 use crate::experiments::args_for;
 
@@ -256,6 +260,135 @@ pub fn drain_under_load(clients: usize, calls_per_client: usize) -> (usize, usiz
         rig.net.shutdown();
     });
     counts.into_inner()
+}
+
+/// Load a small federation shaped like the repository benchmark's
+/// `sql_mix` workload into `server`: an indexed fact table `Orders`
+/// (4 000 rows over 100 days), a dimension `Customers` (100 rows, unique
+/// key) and the purchasing system's suppliers as the foreign table
+/// `ErpSuppliers`, served by a second relstore database through the
+/// SQL/MED wrapper. Deterministic; statistics are collected at the end.
+pub fn load_sql_mix_federation(server: &IntegrationServer) -> FedResult<()> {
+    const ORDERS: i32 = 4_000;
+    const CUSTOMERS: i32 = 100;
+    const DAYS: i32 = 100;
+    const SEGMENTS: [&str; 4] = ["auto", "aero", "rail", "marine"];
+    let mut rng = Rng::seed_from_u64(0x5EED);
+    let local = server.fdbs().catalog().local();
+    local.create_table(
+        "Orders",
+        Arc::new(Schema::of(&[
+            ("Id", DataType::Int),
+            ("CustNo", DataType::Int),
+            ("Day", DataType::Int),
+            ("Qty", DataType::Int),
+            ("Price", DataType::Double),
+            ("Note", DataType::Varchar),
+        ])),
+    )?;
+    local.create_index("Orders", "orders_pk", "Id", IndexKind::Unique)?;
+    local.create_index("Orders", "orders_day", "Day", IndexKind::NonUnique)?;
+    local.create_index("Orders", "orders_cust", "CustNo", IndexKind::NonUnique)?;
+    let orders = (0..ORDERS)
+        .map(|id| {
+            let note = match rng.next_below(4) {
+                0 => Value::Null,
+                n => Value::str(format!("note {n}")),
+            };
+            Row::new(vec![
+                Value::Int(id),
+                Value::Int(rng.range_i32(0, CUSTOMERS - 1)),
+                Value::Int(rng.range_i32(0, DAYS - 1)),
+                Value::Int(rng.range_i32(1, 100)),
+                Value::Double(rng.next_below(100_000) as f64 / 100.0),
+                note,
+            ])
+        })
+        .collect();
+    local.insert_all("Orders", orders)?;
+    local.create_table(
+        "Customers",
+        Arc::new(Schema::of(&[
+            ("CustNo", DataType::Int),
+            ("Segment", DataType::Varchar),
+        ])),
+    )?;
+    local.create_index("Customers", "customers_pk", "CustNo", IndexKind::Unique)?;
+    let customers = (0..CUSTOMERS)
+        .map(|c| Row::new(vec![Value::Int(c), Value::str(*rng.pick(&SEGMENTS))]))
+        .collect();
+    local.insert_all("Customers", customers)?;
+
+    let purchasing = server
+        .scenario()
+        .registry
+        .system("purchasing")
+        .ok_or_else(|| FedError::catalog("no purchasing system"))?;
+    let suppliers = purchasing
+        .database()
+        .scan_project("Suppliers", &Predicate::True, None)?;
+    let remote = Database::new("erp");
+    remote.create_table("Suppliers", suppliers.schema().clone())?;
+    remote.create_index("Suppliers", "erp_pk", "SupplierNo", IndexKind::Unique)?;
+    remote.insert_all("Suppliers", suppliers.into_rows())?;
+    server.fdbs().catalog().register_foreign_table(
+        "ErpSuppliers",
+        Arc::new(RelstoreServer::new("erp", Arc::new(remote))),
+        "Suppliers",
+    )?;
+    server.fdbs().analyze()?;
+    Ok(())
+}
+
+/// One request of each `sql_mix` shape over [`load_sql_mix_federation`]:
+/// an index point lookup, an index range with a sort, an index join
+/// with grouping (`join_agg`), a lateral federated function over foreign
+/// rows (`fed_join`, three `GetSuppQual` workflows) and a statement with
+/// inlined literals (`adhoc`).
+pub fn sql_mix_requests() -> Vec<(&'static str, Request)> {
+    vec![
+        (
+            "point",
+            Request::sql("SELECT O.* FROM Orders AS O WHERE O.Id = pk").bind("pk", 1234),
+        ),
+        (
+            "range",
+            Request::sql(
+                "SELECT O.Id, O.Qty, O.Price FROM Orders AS O \
+                 WHERE O.CustNo = pc AND O.Day >= plo AND O.Day < phi ORDER BY O.Id",
+            )
+            .bind("pc", 7)
+            .bind("plo", 10)
+            .bind("phi", 60),
+        ),
+        (
+            "join_agg",
+            Request::sql(
+                "SELECT C.Segment, COUNT(*) AS N, SUM(O.Qty) AS Q \
+                 FROM Orders AS O, Customers AS C \
+                 WHERE O.CustNo = C.CustNo AND O.Day = pd \
+                 GROUP BY C.Segment ORDER BY Q DESC, C.Segment LIMIT 5",
+            )
+            .bind("pd", 42),
+        ),
+        (
+            "fed_join",
+            Request::sql(
+                "SELECT S.SupplierNo, T.Qual \
+                 FROM ErpSuppliers AS S, TABLE (GetSuppQual(S.Name)) AS T \
+                 WHERE S.SupplierNo >= plo AND S.SupplierNo < phi ORDER BY S.SupplierNo",
+            )
+            .bind("plo", 1)
+            .bind("phi", 4),
+        ),
+        (
+            "adhoc",
+            Request::sql(
+                "SELECT O.Id, O.Qty, O.Price FROM Orders AS O \
+                 WHERE O.CustNo = 3 AND O.Day >= 0 AND O.Day < 50 AND O.Id > -17 ORDER BY O.Id",
+            ),
+        ),
+    ]
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use fedwf_sim::{Component, Meter};
+use fedwf_sim::{Component, Meter, SpanName};
 use fedwf_sql::SelectStmt;
 use fedwf_types::{DataType, FedResult, Ident, SchemaRef, Table, Value};
 
@@ -11,12 +11,12 @@ use fedwf_types::{DataType, FedResult, Ident, SchemaRef, Table, Value};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChargeItem {
     pub component: Component,
-    pub step: String,
+    pub step: SpanName,
     pub micros: u64,
 }
 
 impl ChargeItem {
-    pub fn new(component: Component, step: impl Into<String>, micros: u64) -> ChargeItem {
+    pub fn new(component: Component, step: impl Into<SpanName>, micros: u64) -> ChargeItem {
         ChargeItem {
             component,
             step: step.into(),

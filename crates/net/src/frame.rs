@@ -33,7 +33,10 @@ use fedwf_types::{FedError, FedResult};
 /// other version is rejected with a [`Protocol`](fedwf_types::ErrorLayer)
 /// error naming both versions; bump it on any incompatible grammar
 /// change (see DESIGN.md §14).
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 3;
+
+/// Bytes a frame adds around its body: `len`, `crc`, version and kind.
+pub const FRAME_OVERHEAD: usize = 10;
 
 /// Upper bound on `len`. Far above any real table the workloads produce;
 /// its job is to make a desynchronized length prefix fail fast instead of
@@ -80,7 +83,7 @@ pub fn write_frame(w: &mut impl Write, kind: FrameKind, body: &[u8]) -> FedResul
             "frame of {payload_len} bytes exceeds the {MAX_FRAME_LEN}-byte cap"
         )));
     }
-    let mut frame = Vec::with_capacity(8 + payload_len);
+    let mut frame = Vec::with_capacity(FRAME_OVERHEAD + body.len());
     frame.extend_from_slice(&(payload_len as u32).to_le_bytes());
     frame.extend_from_slice(&[0, 0, 0, 0]); // crc placeholder
     frame.push(WIRE_VERSION);
@@ -246,8 +249,8 @@ mod tests {
             .unwrap_err()
             .is_protocol());
         // Wrong version byte (CRC recomputed so only the version differs):
-        // the previous grammar (1) and an unknown one (9).
-        for version in [1u8, 9] {
+        // the previous grammars (1, 2) and an unknown one (9).
+        for version in [1u8, 2, 9] {
             let mut versioned = wire.clone();
             versioned[8] = version;
             let crc = crc32(&versioned[8..]);
@@ -255,7 +258,8 @@ mod tests {
             let err = read_frame(&mut Cursor::new(versioned), || true).unwrap_err();
             assert!(err.is_protocol());
             assert!(
-                err.to_string().contains(&format!("version {version}")),
+                err.to_string().contains(&format!("version {version}"))
+                    && err.to_string().contains(&format!("speaks {WIRE_VERSION}")),
                 "{err}"
             );
         }

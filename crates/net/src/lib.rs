@@ -71,6 +71,34 @@ mod tests {
     }
 
     #[test]
+    fn byte_counters_equal_the_frames_of_one_request() {
+        use crate::frame::{read_frame, write_frame, FRAME_OVERHEAD};
+        use fedwf_core::wire::encode_request;
+
+        let (net, server) = serve(FrontConfig::default());
+        let metrics = Arc::clone(net.metrics());
+        let supplier = server.scenario().well_known_supplier_name().to_string();
+        let body = encode_request(&Request::function("GetSuppQual").arg(supplier), None);
+        let mut stream = std::net::TcpStream::connect(net.local_addr()).unwrap();
+        write_frame(&mut stream, FrameKind::Request, &body).unwrap();
+        let (kind, reply) = read_frame(&mut stream, || false).unwrap().unwrap();
+        assert_eq!(kind, FrameKind::Outcome);
+        // The server counts a reply after writing it: join its threads
+        // before reading the counters.
+        drop(stream);
+        net.shutdown();
+        let counter = |name: &str| metrics.counter(name).get();
+        assert_eq!(
+            counter("net.bytes_in"),
+            (FRAME_OVERHEAD + body.len()) as u64
+        );
+        assert_eq!(
+            counter("net.bytes_out"),
+            (FRAME_OVERHEAD + reply.len()) as u64
+        );
+    }
+
+    #[test]
     fn execution_errors_arrive_typed_and_connection_survives() {
         let (net, server) = serve(FrontConfig::default());
         let client = TcpClient::connect(net.local_addr()).unwrap();

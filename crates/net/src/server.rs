@@ -32,7 +32,7 @@ use fedwf_sim::{Counter, MetricsRegistry};
 use fedwf_types::sync::Mutex;
 use fedwf_types::{FedError, FedResult};
 
-use crate::frame::{read_frame, write_frame, FrameKind};
+use crate::frame::{read_frame, write_frame, FrameKind, FRAME_OVERHEAD};
 
 /// Tuning of a [`NetServer`].
 #[derive(Debug, Clone)]
@@ -126,7 +126,9 @@ impl NetServer {
     }
 
     /// Live counters: `net.connections` (accepted so far), `net.requests`,
-    /// `net.bad_frames` (connections dropped for protocol violations).
+    /// `net.bad_frames` (connections dropped for protocol violations),
+    /// `net.bytes_in` and `net.bytes_out` (whole frames read and written,
+    /// headers included; a frame that fails to read is not counted).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
@@ -173,6 +175,8 @@ struct NetCounters {
     connections: Counter,
     requests: Counter,
     bad_frames: Counter,
+    bytes_in: Counter,
+    bytes_out: Counter,
 }
 
 impl NetCounters {
@@ -181,7 +185,16 @@ impl NetCounters {
             connections: metrics.counter("net.connections"),
             requests: metrics.counter("net.requests"),
             bad_frames: metrics.counter("net.bad_frames"),
+            bytes_in: metrics.counter("net.bytes_in"),
+            bytes_out: metrics.counter("net.bytes_out"),
         }
+    }
+
+    /// Write one frame, counting its bytes once they are out.
+    fn write(&self, writer: &mut &TcpStream, kind: FrameKind, body: &[u8]) -> FedResult<()> {
+        write_frame(writer, kind, body)?;
+        self.bytes_out.add((FRAME_OVERHEAD + body.len()) as u64);
+        Ok(())
     }
 }
 
@@ -237,16 +250,17 @@ fn serve_connection(
                 // still works, then drop the connection — per-connection
                 // state is unrecoverable, the front is untouched.
                 counters.bad_frames.inc();
-                let _ = write_frame(&mut writer, FrameKind::Error, &encode_error(&e));
+                let _ = counters.write(&mut writer, FrameKind::Error, &encode_error(&e));
                 return;
             }
         };
+        counters.bytes_in.add((FRAME_OVERHEAD + body.len()) as u64);
         if kind != FrameKind::Request {
             counters.bad_frames.inc();
             let err = FedError::protocol(format!(
                 "client sent a {kind:?} frame; only Request frames flow client → server"
             ));
-            let _ = write_frame(&mut writer, FrameKind::Error, &encode_error(&err));
+            let _ = counters.write(&mut writer, FrameKind::Error, &encode_error(&err));
             return;
         }
         counters.requests.inc();
@@ -255,8 +269,10 @@ fn serve_connection(
         // framing-level trouble closes it.
         let reply = decode_request(&body).and_then(|request| front.execute(request));
         let written = match reply {
-            Ok(outcome) => write_frame(&mut writer, FrameKind::Outcome, &encode_outcome(&outcome)),
-            Err(e) => write_frame(&mut writer, FrameKind::Error, &encode_error(&e)),
+            Ok(outcome) => {
+                counters.write(&mut writer, FrameKind::Outcome, &encode_outcome(&outcome))
+            }
+            Err(e) => counters.write(&mut writer, FrameKind::Error, &encode_error(&e)),
         };
         if written.is_err() {
             return; // peer gone mid-reply; nothing to salvage

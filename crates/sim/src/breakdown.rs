@@ -32,10 +32,13 @@ impl Breakdown {
         let mut order: Vec<String> = Vec::new();
         let mut sums: BTreeMap<String, u64> = BTreeMap::new();
         for c in charges {
-            if !sums.contains_key(&c.step) {
-                order.push(c.step.clone());
+            match sums.get_mut(&*c.step) {
+                Some(sum) => *sum += c.duration_us,
+                None => {
+                    order.push(c.step.to_string());
+                    sums.insert(c.step.to_string(), c.duration_us);
+                }
             }
-            *sums.entry(c.step.clone()).or_insert(0) += c.duration_us;
         }
         let lines = order
             .into_iter()

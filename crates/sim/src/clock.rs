@@ -8,10 +8,16 @@ use crate::trace::{SpanName, TraceBuf, TraceDetail, TraceNode};
 /// A single booked cost: which component was exercised, a human-readable
 /// step label (these become the rows of Fig. 6's breakdown tables), the
 /// virtual time at which the step started and its duration.
+///
+/// The step is a [`SpanName`]: the fixed labels every engine books are
+/// `Static` and cost nothing per charge; the few formatted ones
+/// (`Load workflow template …`, `Subquery to SQL source …`) are `Shared`.
+/// Equality is by text, so a charge decoded from the wire equals the one
+/// the server booked.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Charge {
     pub component: Component,
-    pub step: String,
+    pub step: SpanName,
     pub start_us: u64,
     pub duration_us: u64,
 }
@@ -56,7 +62,7 @@ impl Meter {
     }
 
     /// Book `duration_us` of work attributed to `component` under `step`.
-    pub fn charge(&mut self, component: Component, step: impl Into<String>, duration_us: u64) {
+    pub fn charge(&mut self, component: Component, step: impl Into<SpanName>, duration_us: u64) {
         self.charges.push(Charge {
             component,
             step: step.into(),
@@ -310,7 +316,7 @@ impl MeterHandle {
         }
     }
 
-    pub fn charge(&self, component: Component, step: impl Into<String>, duration_us: u64) {
+    pub fn charge(&self, component: Component, step: impl Into<SpanName>, duration_us: u64) {
         self.inner
             .lock()
             .expect("meter poisoned")

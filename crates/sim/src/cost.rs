@@ -62,6 +62,7 @@ impl Component {
     /// The stable on-wire tag of this component. Like the error-layer
     /// codes, these travel across process boundaries and must never be
     /// renumbered — only extended.
+    #[inline]
     pub fn wire_tag(self) -> u8 {
         match self {
             Component::Udtf => 0,
@@ -77,6 +78,7 @@ impl Component {
     }
 
     /// Inverse of [`Component::wire_tag`].
+    #[inline]
     pub fn from_wire_tag(tag: u8) -> Option<Component> {
         Component::ALL.into_iter().find(|c| c.wire_tag() == tag)
     }

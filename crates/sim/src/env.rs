@@ -12,6 +12,7 @@ use std::collections::HashSet;
 
 use crate::clock::Meter;
 use crate::cost::{Component, CostModel};
+use crate::trace::SpanName;
 
 /// Long-running processes of the testbed that must be booted once.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -28,12 +29,12 @@ pub enum Process {
 }
 
 impl Process {
-    fn label(&self) -> String {
+    fn label(&self) -> SpanName {
         match self {
-            Process::Fdbs => "Boot FDBS".to_string(),
-            Process::Controller => "Boot controller".to_string(),
-            Process::Wfms => "Boot WfMS".to_string(),
-            Process::AppSystem(name) => format!("Boot application system {name}"),
+            Process::Fdbs => "Boot FDBS".into(),
+            Process::Controller => "Boot controller".into(),
+            Process::Wfms => "Boot WfMS".into(),
+            Process::AppSystem(name) => format!("Boot application system {name}").into(),
         }
     }
 }

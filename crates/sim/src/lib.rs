@@ -53,5 +53,8 @@ pub use clock::{Charge, Meter, MeterHandle};
 pub use cost::{Component, CostModel};
 pub use env::EnvState;
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
-pub use trace::{intern_counter_name, BookedSet, SpanName, SpanNameCache, TraceDetail, TraceNode};
+pub use trace::{
+    intern_counter_name, BookedSet, SpanName, SpanNameCache, TraceDetail, TraceNode,
+    MAX_INTERNED_COUNTER_NAMES,
+};
 pub use wall::{LatencyHistogram, WallClock};

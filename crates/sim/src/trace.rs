@@ -78,8 +78,10 @@ pub enum SpanName {
 /// from the wire (always `Shared`) compares equal to the `Static` name
 /// the server recorded.
 impl PartialEq for SpanName {
+    #[inline]
     fn eq(&self, other: &SpanName) -> bool {
-        **self == **other
+        let (a, b): (&str, &str) = (self, other);
+        std::ptr::eq(a, b) || a == b
     }
 }
 
@@ -88,6 +90,7 @@ impl Eq for SpanName {}
 impl Deref for SpanName {
     type Target = str;
 
+    #[inline]
     fn deref(&self) -> &str {
         match self {
             SpanName::Static(s) => s,
@@ -225,25 +228,40 @@ impl BookedSet {
     }
 }
 
-/// Intern a span-counter name into a `&'static str`.
+/// The counter names the instrumentation records: interned without a
+/// lock or a leak.
+const COUNTER_NAMES: [&str; 5] = ["rows", "rows_out", "batches", "bytes", "est"];
+
+/// How many other distinct counter names a process interns from decoded
+/// traces before it refuses more.
+pub const MAX_INTERNED_COUNTER_NAMES: usize = 64;
+
+/// Intern a span-counter name into a `&'static str`, or `None` once
+/// [`MAX_INTERNED_COUNTER_NAMES`] other names are taken.
 ///
 /// [`TraceNode::counters`] keys are `&'static str` so the hot recording
-/// path never allocates; a wire-decoded trace tree arrives with owned
-/// strings instead. The universe of counter names is the instrumentation's
-/// own (`rows`, `batches`, `bytes`, ...), so each distinct name is leaked
-/// exactly once and then served from this table — decoding a million
-/// traces costs the same handful of leaks as decoding one.
-pub fn intern_counter_name(name: &str) -> &'static str {
+/// path never allocates; a wire-decoded trace tree arrives with borrowed
+/// bytes instead. The instrumentation's own names (`rows`, `batches`,
+/// `bytes`, ...) map to constants. Any other name is leaked once into a
+/// table of bounded size, so a peer sending ever-new names cannot grow
+/// this process's memory, or the lookup time, without bound.
+pub fn intern_counter_name(name: &str) -> Option<&'static str> {
     use std::sync::Mutex;
+    if let Some(known) = COUNTER_NAMES.iter().find(|n| **n == name) {
+        return Some(known);
+    }
     static INTERNED: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
     let table = INTERNED.get_or_init(|| Mutex::new(Vec::new()));
     let mut table = table.lock().expect("counter-name table poisoned");
     if let Some(found) = table.iter().find(|n| **n == name) {
-        return found;
+        return Some(found);
+    }
+    if table.len() >= MAX_INTERNED_COUNTER_NAMES {
+        return None;
     }
     let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
     table.push(leaked);
-    leaked
+    Some(leaked)
 }
 
 /// One span of a trace tree. See the [module docs](self) for the model.
@@ -655,6 +673,24 @@ mod tests {
         assert!(text.contains("request [Controller] 0..27us"));
         assert!(text.contains("\n  fdbs.execute [FDBS]"));
         assert!(text.contains("rows=5"));
+    }
+
+    #[test]
+    fn counter_names_intern_within_a_bound() {
+        for name in COUNTER_NAMES {
+            assert_eq!(intern_counter_name(name), Some(name));
+        }
+        let a = intern_counter_name("trace-test counter").expect("room left");
+        assert!(std::ptr::eq(
+            a,
+            intern_counter_name("trace-test counter").unwrap()
+        ));
+        let refused = (0..=MAX_INTERNED_COUNTER_NAMES)
+            .filter(|i| intern_counter_name(&format!("trace-test counter {i}")).is_none())
+            .count();
+        assert!(refused > 0, "the table grew past its bound");
+        // The instrumentation's own names never run out.
+        assert_eq!(intern_counter_name("rows"), Some("rows"));
     }
 
     #[test]

@@ -12,41 +12,74 @@
 //! it guards both the WAL's on-disk frames and the network protocol's
 //! on-wire frames with the same checksum discipline.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::error::{FedError, FedResult};
 use crate::row::{Column, Row, Schema, Table};
 use crate::value::{DataType, Value};
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3 polynomial) — table-driven, no external crates.
+// CRC-32 (IEEE 802.3 polynomial) — slicing-by-8, no external crates.
 // ---------------------------------------------------------------------------
 
-fn crc32_table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
+/// `CRC32_TABLES[0]` is the classic bytewise table; `CRC32_TABLES[k][b]`
+/// is the CRC of byte `b` followed by `k` zero bytes, which lets the main
+/// loop fold eight input bytes per step with eight independent lookups.
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        table
-    })
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
 /// CRC-32 checksum of `bytes` (IEEE polynomial, as used by zip/png).
+///
+/// Slicing-by-8: eight bytes per step through eight lookup tables, the
+/// tail bytewise. The values are those of the plain bytewise algorithm,
+/// so WAL files and network frames written by either stay readable.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc32_table();
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t7[(lo & 0xFF) as usize]
+            ^ t6[((lo >> 8) & 0xFF) as usize]
+            ^ t5[((lo >> 16) & 0xFF) as usize]
+            ^ t4[(lo >> 24) as usize]
+            ^ t3[(hi & 0xFF) as usize]
+            ^ t2[((hi >> 8) & 0xFF) as usize]
+            ^ t1[((hi >> 16) & 0xFF) as usize]
+            ^ t0[(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t0[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -55,8 +88,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // Writer
 // ---------------------------------------------------------------------------
 
-/// Append-only encoder over a byte buffer. All integers are little-endian;
-/// strings and byte blocks are `u32` length-prefixed.
+/// Append-only encoder over a byte buffer. Fixed-width integers are
+/// little-endian and strings `u32` length-prefixed; the `put_var_*`
+/// methods write LEB128 varints and varint-prefixed strings instead.
 #[derive(Debug, Default)]
 pub struct WireWriter {
     buf: Vec<u8>,
@@ -85,6 +119,7 @@ impl WireWriter {
         self.buf.is_empty()
     }
 
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -111,6 +146,25 @@ impl WireWriter {
 
     pub fn put_str(&mut self, s: &str) {
         self.put_u32(s.len() as u32);
+        self.buf.extend_from_slice(s.as_bytes());
+    }
+
+    /// `v` as an unsigned LEB128 varint: seven bits per byte, low bits
+    /// first, the high bit set on every byte but the last. Values below
+    /// 128 take one byte, `u64::MAX` takes ten.
+    #[inline]
+    pub fn put_var_u64(&mut self, mut v: u64) {
+        self.buf.reserve(10);
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    /// A string with a varint length prefix.
+    pub fn put_var_str(&mut self, s: &str) {
+        self.put_var_u64(s.len() as u64);
         self.buf.extend_from_slice(s.as_bytes());
     }
 
@@ -184,6 +238,11 @@ pub fn data_type_tag(dt: DataType) -> u8 {
     }
 }
 
+fn utf8(bytes: &[u8]) -> FedResult<&str> {
+    std::str::from_utf8(bytes)
+        .map_err(|e| FedError::protocol(format!("invalid utf-8 in string: {e}")))
+}
+
 /// Inverse of [`data_type_tag`].
 pub fn data_type_from_tag(tag: u8) -> FedResult<DataType> {
     Ok(match tag {
@@ -222,6 +281,7 @@ impl<'a> WireReader<'a> {
         self.bytes.len() - self.pos
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> FedResult<&'a [u8]> {
         if self.remaining() < n {
             return Err(FedError::protocol(format!(
@@ -234,6 +294,7 @@ impl<'a> WireReader<'a> {
         Ok(slice)
     }
 
+    #[inline]
     pub fn get_u8(&mut self) -> FedResult<u8> {
         Ok(self.take(1)?[0])
     }
@@ -263,10 +324,52 @@ impl<'a> WireReader<'a> {
     }
 
     pub fn get_str(&mut self) -> FedResult<String> {
+        self.get_str_ref().map(str::to_owned)
+    }
+
+    /// A `u32`-length-prefixed string, borrowed from the frame.
+    pub fn get_str_ref(&mut self) -> FedResult<&'a str> {
         let len = self.get_u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|e| FedError::protocol(format!("invalid utf-8 in string: {e}")))
+        utf8(self.take(len)?)
+    }
+
+    /// Inverse of [`WireWriter::put_var_u64`]. Only the shortest encoding
+    /// of a value decodes: a varint that runs past ten bytes, exceeds
+    /// `u64::MAX` or ends in a padding zero byte is a protocol error.
+    #[inline]
+    pub fn get_var_u64(&mut self) -> FedResult<u64> {
+        let rest = &self.bytes[self.pos..];
+        // Fast path: counts, ids and deltas mostly fit in one byte.
+        if let Some(&b) = rest.first() {
+            if b < 0x80 {
+                self.pos += 1;
+                return Ok(u64::from(b));
+            }
+        }
+        let mut v = 0u64;
+        for (i, &b) in rest.iter().take(10).enumerate() {
+            if i == 9 && b > 1 {
+                return Err(FedError::protocol("varint overflows u64"));
+            }
+            v |= u64::from(b & 0x7F) << (7 * i);
+            if b < 0x80 {
+                if b == 0 {
+                    return Err(FedError::protocol("overlong varint"));
+                }
+                self.pos += i + 1;
+                return Ok(v);
+            }
+        }
+        Err(FedError::protocol(format!(
+            "truncated frame: varint runs past the last {} bytes",
+            rest.len()
+        )))
+    }
+
+    /// A varint-length-prefixed string, borrowed from the frame.
+    pub fn get_var_str(&mut self) -> FedResult<&'a str> {
+        let len = usize::try_from(self.get_var_u64()?).unwrap_or(usize::MAX);
+        utf8(self.take(len)?)
     }
 
     pub fn get_opt_str(&mut self) -> FedResult<Option<String>> {
@@ -287,7 +390,7 @@ impl<'a> WireReader<'a> {
             3 => Value::Double(f64::from_bits(u64::from_le_bytes(
                 self.take(8)?.try_into().unwrap(),
             ))),
-            4 => Value::Varchar(Arc::from(self.get_str()?)),
+            4 => Value::Varchar(Arc::from(self.get_str_ref()?)),
             5 => Value::Boolean(self.get_bool()?),
             other => return Err(FedError::protocol(format!("unknown value tag {other}"))),
         })
@@ -353,11 +456,98 @@ impl<'a> WireReader<'a> {
 mod tests {
     use super::*;
 
+    /// The plain one-byte-at-a-time CRC-32: the oracle `crc32` must match.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let table = &CRC32_TABLES[0];
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_known_vector() {
         // "123456789" -> 0xCBF43926 is the canonical IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// Slicing-by-8 agrees with the bytewise loop on every short length,
+    /// on a band of long ones, and at all eight alignments of the input.
+    #[test]
+    fn crc32_matches_the_bytewise_oracle() {
+        let mut rng = crate::rng::Rng::seed_from_u64(0xC3C3);
+        let data: Vec<u8> = (0..4096 + 8).map(|_| rng.next_u64() as u8).collect();
+        for offset in 0..8 {
+            for len in (0..=64).chain(1000..=4096) {
+                let bytes = &data[offset..offset + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "offset {offset}, length {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_width() {
+        let mut values = vec![0, 1, 127, 128, 255, 300, u64::MAX - 1, u64::MAX];
+        values.extend((0..64).map(|bit| 1u64 << bit));
+        values.extend((1..64).map(|bit| (1u64 << bit) - 1));
+        for v in values {
+            let mut w = WireWriter::new();
+            w.put_var_u64(v);
+            let bytes = w.into_bytes();
+            let width = (64 - v.leading_zeros()).max(1).div_ceil(7) as usize;
+            assert_eq!(bytes.len(), width, "{v}");
+            let mut r = WireReader::new(&bytes);
+            assert_eq!(r.get_var_u64().unwrap(), v);
+            r.expect_exhausted().unwrap();
+            // Every cut is a typed truncation error.
+            for cut in 0..bytes.len() {
+                let err = WireReader::new(&bytes[..cut]).get_var_u64().unwrap_err();
+                assert_eq!(err.layer, crate::ErrorLayer::Protocol, "{v} cut at {cut}");
+            }
+        }
+        let mut w = WireWriter::new();
+        w.put_var_str("grüße");
+        w.put_var_str("");
+        let bytes = w.into_bytes();
+        let mut r = WireReader::new(&bytes);
+        assert_eq!(r.get_var_str().unwrap(), "grüße");
+        assert_eq!(r.get_var_str().unwrap(), "");
+        r.expect_exhausted().unwrap();
+    }
+
+    #[test]
+    fn overlong_and_overflowing_varints_are_rejected() {
+        let cases: [&[u8]; 6] = [
+            // Zero padded to two and to ten bytes.
+            &[0x80, 0x00],
+            &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00],
+            // A tenth byte above bit 63, and an eleventh byte.
+            &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02],
+            &[
+                0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x81, 0x00,
+            ],
+            &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F],
+            // A string length beyond the frame.
+            &[0x05, b'a', b'b'],
+        ];
+        for (i, bytes) in cases.into_iter().enumerate() {
+            let mut r = WireReader::new(bytes);
+            let err = if i == 5 {
+                r.get_var_str().unwrap_err()
+            } else {
+                r.get_var_u64().unwrap_err()
+            };
+            assert_eq!(err.layer, crate::ErrorLayer::Protocol, "case {i}: {err}");
+        }
+        let max = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+        assert_eq!(WireReader::new(&max).get_var_u64().unwrap(), u64::MAX);
     }
 
     #[test]

@@ -281,7 +281,7 @@ fn arch_charges(charges: &[Charge]) -> Vec<(Component, String, u64)> {
     let mut keys: Vec<_> = charges
         .iter()
         .filter(|c| c.component != Component::Fdbs)
-        .map(|c| (c.component, c.step.clone(), c.duration_us))
+        .map(|c| (c.component, c.step.to_string(), c.duration_us))
         .collect();
     keys.sort();
     keys

@@ -106,7 +106,7 @@ fn concurrent_first_calls_boot_each_process_once() {
                 .charges()
                 .iter()
                 .filter(|c| c.component == Component::Boot)
-                .map(|c| c.step.clone())
+                .map(|c| c.step.to_string())
                 .collect::<Vec<_>>()
         }));
     }

@@ -31,7 +31,7 @@ fn server(threaded: bool) -> IntegrationServer {
 fn charge_keys(charges: &[Charge]) -> Vec<(Component, String, u64, u64)> {
     let mut keys: Vec<_> = charges
         .iter()
-        .map(|c| (c.component, c.step.clone(), c.start_us, c.duration_us))
+        .map(|c| (c.component, c.step.to_string(), c.start_us, c.duration_us))
         .collect();
     keys.sort();
     keys

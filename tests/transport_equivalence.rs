@@ -12,8 +12,8 @@
 //! Part A replays the Fig. 5 workload on all four architectures through
 //! both `Submit` implementations. Part B runs a slice of the
 //! exec-equivalence SQL surface (joins, DISTINCT, aggregates over a
-//! local table) through both. Part C covers error identity and the
-//! degradation paths end-to-end.
+//! local table) and the benchmark's `sql_mix` shapes through both. Part
+//! C covers error identity and the degradation paths end-to-end.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -158,6 +158,26 @@ fn sql_surface_is_transport_invariant() {
         let local = rig.front.submit(Request::sql(sql)).unwrap();
         let remote = rig.client.submit(Request::sql(sql)).unwrap();
         assert_equivalent(sql, &local, &remote);
+    }
+}
+
+/// The repository benchmark's `sql_mix` shapes over a real socket. Their
+/// charge logs travel as runs: the index join books dozens of identical
+/// `Evaluate predicates` charges back to back, and the lateral
+/// federated function over foreign rows (`fed_join`) books hundreds.
+#[test]
+fn sql_mix_shapes_are_transport_invariant() {
+    let rig = rig(ArchitectureKind::Wfms, FrontConfig::default());
+    fedwf_bench::network::load_sql_mix_federation(&rig.server).unwrap();
+    for (shape, request) in fedwf_bench::network::sql_mix_requests() {
+        for traced in [false, true] {
+            let request = request.clone().traced(traced);
+            rig.front.submit(request.clone()).unwrap(); // warm the plan cache
+            let local = rig.front.submit(request.clone()).unwrap();
+            let remote = rig.client.submit(request).unwrap();
+            assert_equivalent(&format!("{shape} (traced: {traced})"), &local, &remote);
+            assert_eq!(local.trace, remote.trace, "{shape}: span tree");
+        }
     }
 }
 
