@@ -114,19 +114,6 @@ fn bench_workflow_engine(c: &mut Criterion) {
                 })
             },
         );
-        group.bench_with_input(
-            BenchmarkId::new("threaded_chain", n),
-            &process,
-            |bch, process| {
-                bch.iter(|| {
-                    let mut meter = Meter::new();
-                    engine
-                        .run_threaded(process, &input, &executor, &mut meter)
-                        .expect("run")
-                        .output
-                })
-            },
-        );
     }
     group.finish();
 }

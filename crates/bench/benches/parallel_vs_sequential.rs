@@ -1,11 +1,11 @@
-//! E7 — the parallel/sequential contrast, including the real-thread
-//! navigator (the threaded WfMS pays thread overhead for genuinely
-//! parallel local calls).
+//! E7 — the parallel/sequential contrast in wall time: the WfMS and the
+//! SQL-UDTF architecture on an independent (`GetSuppQualRelia`) and a
+//! dependent (`GetSuppQual`) function.
 
 use fedwf_bench::experiments::{call_fn, make_server};
 use fedwf_bench::micro::Criterion;
 use fedwf_bench::{criterion_group, criterion_main};
-use fedwf_core::{paper_functions, ArchitectureKind, IntegrationConfig, IntegrationServer};
+use fedwf_core::{paper_functions, ArchitectureKind};
 use fedwf_types::Value;
 use std::time::Duration;
 
@@ -43,21 +43,6 @@ fn bench_contrast(c: &mut Criterion) {
         });
     }
 
-    // The threaded navigator on the parallel function.
-    let threaded = IntegrationServer::new(IntegrationConfig {
-        threaded_wfms: true,
-        ..IntegrationConfig::default()
-    })
-    .expect("server");
-    threaded.boot();
-    threaded
-        .deploy(&paper_functions::get_supp_qual_relia())
-        .expect("deploy");
-    let args = [Value::Int(threaded.scenario().well_known_supplier_no())];
-    call_fn(&threaded, "GetSuppQualRelia", &args).unwrap();
-    group.bench_function("wfms_threaded/parallel", |b| {
-        b.iter(|| call_fn(&threaded, "GetSuppQualRelia", &args).unwrap().table)
-    });
     group.finish();
 }
 

@@ -52,8 +52,6 @@ pub struct IntegrationConfig {
     pub cost: CostModel,
     pub data: DataGenConfig,
     pub architecture: ArchitectureKind,
-    /// Run the workflow navigator on real worker threads.
-    pub threaded_wfms: bool,
     /// Enable the wrapper-internal federated-function result cache (the
     /// paper's future-work "query optimization options").
     pub result_cache: bool,
@@ -69,7 +67,6 @@ impl Default for IntegrationConfig {
             cost: CostModel::default(),
             data: DataGenConfig::default(),
             architecture: ArchitectureKind::Wfms,
-            threaded_wfms: false,
             result_cache: false,
             local_store: None,
         }
@@ -142,8 +139,9 @@ pub struct IntegrationServer {
     /// Read-mostly catalog of deployed federated functions: every call
     /// takes a shared read lock; only `deploy` writes.
     deployed: RwLock<BTreeMap<Ident, Arc<Deployment>>>,
-    /// Boot bookkeeping; only consulted while the environment is still
-    /// cold — the hot call path short-circuits on [`Self::all_booted`].
+    /// Which processes have booted; only consulted while the environment
+    /// is still cold — the hot call path short-circuits on
+    /// [`Self::all_booted`].
     env: Mutex<EnvState>,
     /// Set once every process this configuration needs has booted; from
     /// then on `charge_boots` is a single atomic load, no lock at all.
@@ -173,11 +171,8 @@ impl IntegrationServer {
     pub fn new(config: IntegrationConfig) -> FedResult<IntegrationServer> {
         let scenario = build_scenario(config.data.clone())?;
         let controller = Controller::new(scenario.registry.clone(), config.cost.clone());
-        let wrapper = Arc::new(
-            WfmsWrapper::new(controller.clone())
-                .with_threads(config.threaded_wfms)
-                .with_result_cache(config.result_cache),
-        );
+        let wrapper =
+            Arc::new(WfmsWrapper::new(controller.clone()).with_result_cache(config.result_cache));
         let fdbs = match &config.local_store {
             Some(spec) => {
                 let durability = fedwf_relstore::Durability::at_path(&spec.dir)?
@@ -267,17 +262,6 @@ impl IntegrationServer {
                 warming: Mutex::new(()),
             }),
         );
-        Ok(())
-    }
-
-    /// Deploy several federated functions.
-    pub fn deploy_all<'a>(
-        &self,
-        specs: impl IntoIterator<Item = &'a MappingSpec>,
-    ) -> FedResult<()> {
-        for spec in specs {
-            self.deploy(spec)?;
-        }
         Ok(())
     }
 
@@ -430,21 +414,21 @@ impl IntegrationServer {
         self.charge_boots(&mut meter);
     }
 
-    /// Drop all warm state *except* process boots: plan cache and workflow
-    /// template cache. The next call of each function is the paper's
-    /// "after some other function has been invoked" tier.
+    /// Drop all warm state *except* process boots: the FDBS plan cache,
+    /// the wrapper's loaded workflow templates and its result cache. The
+    /// next call of each function is the paper's "after some other
+    /// function has been invoked" tier.
     ///
     /// Atomic with respect to in-flight calls: the exclusive phase guard
     /// waits for running calls to drain and blocks new ones until every
-    /// cache (plan, template, result, env) has been cleared together. The
-    /// first caller of each function afterwards warms its caches alone
-    /// (single flight), so every call sees them fully cold or fully warm.
+    /// cache has been cleared together. The first caller of each function
+    /// afterwards warms its caches alone (single flight), so every call
+    /// sees them fully cold or fully warm.
     pub fn clear_caches(&self) {
         let _phase = self.phase.write();
         self.fdbs.clear_plan_cache();
         self.wrapper.clear_template_cache();
         self.wrapper.clear_result_cache();
-        self.env.lock().clear_caches();
         for deployment in self.deployed.read().values() {
             deployment.warm.store(false, Ordering::Release);
         }

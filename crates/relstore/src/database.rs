@@ -21,6 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fedwf_types::sync::RwLock;
+use fedwf_types::wire::{crc32, WireReader, WireWriter};
 use fedwf_types::{
     ColumnBatch, FedError, FedResult, Ident, Row, SchemaRef, Table, TxnId, Value, TXN_EPOCH_ZERO,
 };
@@ -28,7 +29,7 @@ use fedwf_types::{
 use crate::index::IndexKind;
 use crate::predicate::Predicate;
 use crate::table::{ChangeKind, ColumnSink, RowId, ScanSink, StoredTable, TableStats, UndoLog};
-use crate::wal::{self, ByteReader, CommitStats, Durability, GroupCommitter, Wal, WalRecord};
+use crate::wal::{self, CommitStats, Durability, GroupCommitter, Wal, WalRecord};
 use fedwf_types::CommitMode;
 
 /// Magic prefix of a checkpoint snapshot (versioned).
@@ -601,7 +602,7 @@ impl Database {
         let mut epoch = TXN_EPOCH_ZERO;
         let mut tables = BTreeMap::new();
         if let Some(bytes) = d.snapshots.load()? {
-            let (snap_epoch, snap_tables) = decode_snapshot(&bytes)?;
+            let (snap_epoch, snap_tables) = decode_snapshot(&bytes).map_err(wal::as_recovery)?;
             epoch = snap_epoch;
             tables = snap_tables;
         }
@@ -749,33 +750,34 @@ impl Database {
 /// slot count and live rows (at their original slots, so recovered inserts
 /// keep allocating the same row ids).
 fn encode_snapshot(epoch: TxnId, tables: &BTreeMap<Ident, StoredTable>) -> Vec<u8> {
-    let mut body = Vec::with_capacity(1024);
-    wal::put_u64(&mut body, epoch);
-    wal::put_u32(&mut body, tables.len() as u32);
+    let mut body = WireWriter::with_capacity(1024);
+    body.put_u64(epoch);
+    body.put_u32(tables.len() as u32);
     for t in tables.values() {
-        wal::put_str(&mut body, t.name().as_str());
-        wal::put_schema(&mut body, t.schema());
+        body.put_str(t.name().as_str());
+        body.put_schema(t.schema());
         let indexes = t.index_defs();
-        wal::put_u32(&mut body, indexes.len() as u32);
+        body.put_u32(indexes.len() as u32);
         for (name, column, kind) in indexes {
-            wal::put_str(&mut body, &name);
-            wal::put_u32(&mut body, column as u32);
-            body.push(wal::index_kind_unique(kind) as u8);
+            body.put_str(&name);
+            body.put_u32(column as u32);
+            body.put_bool(wal::index_kind_unique(kind));
         }
-        wal::put_u64(&mut body, t.slot_count());
+        body.put_u64(t.slot_count());
         let live: Vec<_> = t.iter().collect();
-        wal::put_u64(&mut body, live.len() as u64);
+        body.put_u64(live.len() as u64);
         for (slot, row) in live {
-            wal::put_u64(&mut body, slot);
-            wal::put_u32(&mut body, row.len() as u32);
+            body.put_u64(slot);
+            body.put_u32(row.len() as u32);
             for v in row.values() {
-                wal::put_value(&mut body, v);
+                body.put_value(v);
             }
         }
     }
+    let body = body.into_bytes();
     let mut out = Vec::with_capacity(body.len() + 12);
     out.extend_from_slice(SNAPSHOT_MAGIC);
-    wal::put_u32(&mut out, wal::crc32(&body));
+    out.extend_from_slice(&crc32(&body).to_le_bytes());
     out.extend_from_slice(&body);
     out
 }
@@ -784,34 +786,34 @@ fn decode_snapshot(bytes: &[u8]) -> FedResult<(TxnId, BTreeMap<Ident, StoredTabl
     let rest = bytes
         .strip_prefix(SNAPSHOT_MAGIC.as_slice())
         .ok_or_else(|| FedError::recovery("snapshot file has the wrong magic"))?;
-    let mut r = ByteReader::new(rest);
-    let crc = r.take_u32()?;
-    if wal::crc32(&rest[4..]) != crc {
+    let mut r = WireReader::new(rest);
+    let crc = r.get_u32()?;
+    if crc32(&rest[4..]) != crc {
         return Err(FedError::recovery("snapshot file fails its checksum"));
     }
-    let epoch = r.take_u64()?;
-    let n_tables = r.take_u32()?;
+    let epoch = r.get_u64()?;
+    let n_tables = r.get_u32()?;
     let mut tables = BTreeMap::new();
     for _ in 0..n_tables {
-        let name = Ident::new(r.take_str()?);
-        let schema: SchemaRef = Arc::new(r.take_schema()?);
-        let n_indexes = r.take_u32()?;
-        let mut indexes = Vec::with_capacity(n_indexes as usize);
+        let name = Ident::new(r.get_str()?);
+        let schema: SchemaRef = Arc::new(r.get_schema()?);
+        let n_indexes = r.get_u32()?;
+        let mut indexes = Vec::with_capacity((n_indexes as usize).min(r.remaining()));
         for _ in 0..n_indexes {
-            let iname = r.take_str()?;
-            let column = r.take_u32()? as usize;
-            let kind = wal::index_kind_from_unique(r.take_u8()? != 0);
+            let iname = r.get_str()?;
+            let column = r.get_u32()? as usize;
+            let kind = wal::index_kind_from_unique(r.get_bool()?);
             indexes.push((iname, column, kind));
         }
-        let slot_count = r.take_u64()?;
-        let n_live = r.take_u64()?;
-        let mut rows = Vec::with_capacity(n_live as usize);
+        let slot_count = r.get_u64()?;
+        let n_live = r.get_u64()?;
+        let mut rows = Vec::with_capacity((n_live as usize).min(r.remaining()));
         for _ in 0..n_live {
-            let slot = r.take_u64()?;
-            let width = r.take_u32()? as usize;
-            let mut values = Vec::with_capacity(width);
+            let slot = r.get_u64()?;
+            let width = r.get_u32()? as usize;
+            let mut values = Vec::with_capacity(width.min(r.remaining()));
             for _ in 0..width {
-                values.push(r.take_value()?);
+                values.push(r.get_value()?);
             }
             rows.push((slot, Row::new(values)));
         }
@@ -824,8 +826,8 @@ fn decode_snapshot(bytes: &[u8]) -> FedResult<(TxnId, BTreeMap<Ident, StoredTabl
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{MemorySink, MemorySnapshots};
-    use fedwf_types::{DataType, Schema};
+    use crate::wal::{MemorySink, MemorySnapshots, SnapshotStore};
+    use fedwf_types::{DataType, ErrorLayer, Schema};
     use std::sync::Arc;
 
     fn db() -> Database {
@@ -845,6 +847,51 @@ mod tests {
 
     fn durable_db(log: &Arc<MemorySink>, snaps: &Arc<MemorySnapshots>) -> Database {
         Database::open_with("stock", Durability::in_memory(log.clone(), snaps.clone())).unwrap()
+    }
+
+    /// A snapshot whose checksum holds but whose body ends early (every
+    /// cut, with the CRC recomputed) fails recovery as `[recovery]`.
+    #[test]
+    fn a_cut_snapshot_body_is_a_recovery_error() {
+        let log = MemorySink::new();
+        let snaps = MemorySnapshots::new();
+        let db = durable_db(&log, &snaps);
+        db.create_table(
+            "Components",
+            Arc::new(Schema::of(&[
+                ("CompNo", DataType::Int),
+                ("Name", DataType::Varchar),
+            ])),
+        )
+        .unwrap();
+        db.create_index("Components", "pk", "CompNo", IndexKind::Unique)
+            .unwrap();
+        db.insert(
+            "Components",
+            Row::new(vec![Value::Int(1), Value::str("bolt")]),
+        )
+        .unwrap();
+        db.checkpoint().unwrap();
+        drop(db);
+        let bytes = snaps.load().unwrap().unwrap();
+        let body = &bytes[SNAPSHOT_MAGIC.len() + 4..];
+        for cut in 0..body.len() {
+            let mut damaged = SNAPSHOT_MAGIC.to_vec();
+            damaged.extend_from_slice(&crc32(&body[..cut]).to_le_bytes());
+            damaged.extend_from_slice(&body[..cut]);
+            snaps.store(&damaged).unwrap();
+            let durability = Durability::in_memory(log.clone(), snaps.clone());
+            let err = Database::open_with("stock", durability).unwrap_err();
+            assert_eq!(err.layer, ErrorLayer::Recovery, "cut at {cut}: {err}");
+        }
+        snaps.store(&bytes).unwrap();
+        assert_eq!(
+            durable_db(&log, &snaps)
+                .scan_all("Components")
+                .unwrap()
+                .row_count(),
+            1
+        );
     }
 
     #[test]

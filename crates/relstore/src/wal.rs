@@ -24,169 +24,21 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fedwf_types::sync::{Condvar, Mutex};
-use fedwf_types::{Column, CommitMode, DataType, FedError, FedResult, Schema, TxnId, Value};
+use fedwf_types::wire::{crc32, WireReader, WireWriter};
+use fedwf_types::{CommitMode, ErrorLayer, FedError, FedResult, Schema, TxnId, Value};
 
 use crate::index::IndexKind;
 use crate::table::RowId;
 
-// The CRC-32 implementation moved to `fedwf_types::wire` so the network
-// protocol shares the WAL's exact checksum; re-exported here unchanged.
-pub use fedwf_types::wire::crc32;
-
-// ---------------------------------------------------------------------------
-// Byte codec shared by WAL records and checkpoint snapshots.
-// ---------------------------------------------------------------------------
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-pub(crate) fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Int(i) => {
-            out.push(1);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::BigInt(i) => {
-            out.push(2);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Double(d) => {
-            out.push(3);
-            out.extend_from_slice(&d.to_bits().to_le_bytes());
-        }
-        Value::Varchar(s) => {
-            out.push(4);
-            put_str(out, s);
-        }
-        Value::Boolean(b) => {
-            out.push(5);
-            out.push(*b as u8);
-        }
+/// WAL records and checkpoint snapshots are encoded with the shared
+/// [`fedwf_types::wire`] primitives. A payload its reader rejects (a
+/// `[protocol]` error) is a damaged log or snapshot: report it as
+/// `[recovery]`.
+pub(crate) fn as_recovery(mut e: FedError) -> FedError {
+    if e.layer == ErrorLayer::Protocol {
+        e.layer = ErrorLayer::Recovery;
     }
-}
-
-fn data_type_tag(dt: DataType) -> u8 {
-    match dt {
-        DataType::Int => 0,
-        DataType::BigInt => 1,
-        DataType::Double => 2,
-        DataType::Varchar => 3,
-        DataType::Boolean => 4,
-    }
-}
-
-fn data_type_from_tag(tag: u8) -> FedResult<DataType> {
-    Ok(match tag {
-        0 => DataType::Int,
-        1 => DataType::BigInt,
-        2 => DataType::Double,
-        3 => DataType::Varchar,
-        4 => DataType::Boolean,
-        other => return Err(FedError::recovery(format!("unknown data-type tag {other}"))),
-    })
-}
-
-pub(crate) fn put_schema(out: &mut Vec<u8>, schema: &Schema) {
-    put_u32(out, schema.len() as u32);
-    for c in schema.columns() {
-        put_str(out, c.name.as_str());
-        out.push(data_type_tag(c.data_type));
-        out.push(c.nullable as u8);
-    }
-}
-
-/// A bounds-checked little-endian reader over a byte slice.
-pub(crate) struct ByteReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> ByteReader<'a> {
-        ByteReader { bytes, pos: 0 }
-    }
-
-    pub(crate) fn is_exhausted(&self) -> bool {
-        self.pos >= self.bytes.len()
-    }
-
-    fn take(&mut self, n: usize) -> FedResult<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
-        match end {
-            Some(end) => {
-                let s = &self.bytes[self.pos..end];
-                self.pos = end;
-                Ok(s)
-            }
-            None => Err(FedError::recovery(format!(
-                "truncated record: wanted {n} bytes at offset {}, have {}",
-                self.pos,
-                self.bytes.len() - self.pos
-            ))),
-        }
-    }
-
-    pub(crate) fn take_u8(&mut self) -> FedResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn take_u32(&mut self) -> FedResult<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    pub(crate) fn take_u64(&mut self) -> FedResult<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    pub(crate) fn take_str(&mut self) -> FedResult<String> {
-        let len = self.take_u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| FedError::recovery("string payload is not valid UTF-8"))
-    }
-
-    pub(crate) fn take_value(&mut self) -> FedResult<Value> {
-        Ok(match self.take_u8()? {
-            0 => Value::Null,
-            1 => Value::Int(i32::from_le_bytes(self.take(4)?.try_into().expect("4"))),
-            2 => Value::BigInt(i64::from_le_bytes(self.take(8)?.try_into().expect("8"))),
-            3 => Value::Double(f64::from_bits(self.take_u64()?)),
-            4 => Value::str(self.take_str()?),
-            5 => Value::Boolean(self.take_u8()? != 0),
-            other => return Err(FedError::recovery(format!("unknown value tag {other}"))),
-        })
-    }
-
-    pub(crate) fn take_schema(&mut self) -> FedResult<Schema> {
-        let n = self.take_u32()? as usize;
-        let mut columns = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = self.take_str()?;
-            let dt = data_type_from_tag(self.take_u8()?)?;
-            let nullable = self.take_u8()? != 0;
-            let mut c = Column::new(name, dt);
-            if !nullable {
-                c = c.not_null();
-            }
-            columns.push(c);
-        }
-        Ok(Schema::new(columns))
-    }
+    e
 }
 
 // ---------------------------------------------------------------------------
@@ -243,16 +95,16 @@ const TAG_DELETE: u8 = 6;
 const TAG_COMMIT: u8 = 7;
 
 impl WalRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, w: &mut WireWriter) {
         match self {
             WalRecord::CreateTable { table, schema } => {
-                out.push(TAG_CREATE_TABLE);
-                put_str(out, table);
-                put_schema(out, schema);
+                w.put_u8(TAG_CREATE_TABLE);
+                w.put_str(table);
+                w.put_schema(schema);
             }
             WalRecord::DropTable { table } => {
-                out.push(TAG_DROP_TABLE);
-                put_str(out, table);
+                w.put_u8(TAG_DROP_TABLE);
+                w.put_str(table);
             }
             WalRecord::CreateIndex {
                 table,
@@ -260,18 +112,18 @@ impl WalRecord {
                 column,
                 unique,
             } => {
-                out.push(TAG_CREATE_INDEX);
-                put_str(out, table);
-                put_str(out, index);
-                put_str(out, column);
-                out.push(*unique as u8);
+                w.put_u8(TAG_CREATE_INDEX);
+                w.put_str(table);
+                w.put_str(index);
+                w.put_str(column);
+                w.put_bool(*unique);
             }
             WalRecord::Insert { table, row } => {
-                out.push(TAG_INSERT);
-                put_str(out, table);
-                put_u32(out, row.len() as u32);
+                w.put_u8(TAG_INSERT);
+                w.put_str(table);
+                w.put_u32(row.len() as u32);
                 for v in row {
-                    put_value(out, v);
+                    w.put_value(v);
                 }
             }
             WalRecord::Update {
@@ -280,60 +132,63 @@ impl WalRecord {
                 column,
                 value,
             } => {
-                out.push(TAG_UPDATE);
-                put_str(out, table);
-                put_u64(out, *slot);
-                put_u32(out, *column);
-                put_value(out, value);
+                w.put_u8(TAG_UPDATE);
+                w.put_str(table);
+                w.put_u64(*slot);
+                w.put_u32(*column);
+                w.put_value(value);
             }
             WalRecord::Delete { table, slot } => {
-                out.push(TAG_DELETE);
-                put_str(out, table);
-                put_u64(out, *slot);
+                w.put_u8(TAG_DELETE);
+                w.put_str(table);
+                w.put_u64(*slot);
             }
             WalRecord::Commit { txn } => {
-                out.push(TAG_COMMIT);
-                put_u64(out, *txn);
+                w.put_u8(TAG_COMMIT);
+                w.put_u64(*txn);
             }
         }
     }
 
     fn decode(payload: &[u8]) -> FedResult<WalRecord> {
-        let mut r = ByteReader::new(payload);
-        let rec = match r.take_u8()? {
+        Self::read(&mut WireReader::new(payload)).map_err(as_recovery)
+    }
+
+    fn read(r: &mut WireReader) -> FedResult<WalRecord> {
+        let rec = match r.get_u8()? {
             TAG_CREATE_TABLE => WalRecord::CreateTable {
-                table: r.take_str()?,
-                schema: r.take_schema()?,
+                table: r.get_str()?,
+                schema: r.get_schema()?,
             },
             TAG_DROP_TABLE => WalRecord::DropTable {
-                table: r.take_str()?,
+                table: r.get_str()?,
             },
             TAG_CREATE_INDEX => WalRecord::CreateIndex {
-                table: r.take_str()?,
-                index: r.take_str()?,
-                column: r.take_str()?,
-                unique: r.take_u8()? != 0,
+                table: r.get_str()?,
+                index: r.get_str()?,
+                column: r.get_str()?,
+                unique: r.get_bool()?,
             },
             TAG_INSERT => {
-                let table = r.take_str()?;
-                let n = r.take_u32()? as usize;
-                let mut row = Vec::with_capacity(n);
+                let table = r.get_str()?;
+                let n = r.get_u32()? as usize;
+                let mut row = Vec::with_capacity(n.min(r.remaining()));
                 for _ in 0..n {
-                    row.push(r.take_value()?);
+                    row.push(r.get_value()?);
                 }
                 WalRecord::Insert { table, row }
             }
             TAG_UPDATE => WalRecord::Update {
-                table: r.take_str()?,
-                slot: r.take_u64()?,
-                column: r.take_u32()?,
-                value: r.take_value()?,
+                table: r.get_str()?,
+                slot: r.get_u64()?,
+                column: r.get_u32()?,
+                value: r.get_value()?,
             },
             TAG_DELETE => WalRecord::Delete {
-                table: r.take_str()?,
-                slot: r.take_u64()?,
+                table: r.get_str()?,
+                slot: r.get_u64()?,
             },
-            TAG_COMMIT => WalRecord::Commit { txn: r.take_u64()? },
+            TAG_COMMIT => WalRecord::Commit { txn: r.get_u64()? },
             other => {
                 return Err(FedError::recovery(format!(
                     "unknown WAL record tag {other}"
@@ -757,10 +612,11 @@ impl Wal {
     }
 
     fn frame(out: &mut Vec<u8>, record: &WalRecord) {
-        let mut payload = Vec::with_capacity(32);
+        let mut payload = WireWriter::with_capacity(32);
         record.encode(&mut payload);
-        put_u32(out, payload.len() as u32);
-        put_u32(out, crc32(&payload));
+        let payload = payload.into_bytes();
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(&payload).to_le_bytes());
         out.extend_from_slice(&payload);
     }
 
@@ -1377,6 +1233,7 @@ impl Durability {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedwf_types::DataType;
 
     fn sample_records() -> Vec<WalRecord> {
         vec![
@@ -1409,6 +1266,26 @@ mod tests {
     }
 
     #[test]
+    fn damaged_records_are_recovery_errors() {
+        for rec in sample_records() {
+            let mut w = WireWriter::new();
+            rec.encode(&mut w);
+            let mut payload = w.into_bytes();
+            for cut in 0..payload.len() {
+                let err = WalRecord::decode(&payload[..cut]).unwrap_err();
+                assert_eq!(
+                    err.layer,
+                    ErrorLayer::Recovery,
+                    "{rec:?} cut at {cut}: {err}"
+                );
+            }
+            payload.push(0);
+            let err = WalRecord::decode(&payload).unwrap_err();
+            assert_eq!(err.layer, ErrorLayer::Recovery, "{rec:?} + 1 byte: {err}");
+        }
+    }
+
+    #[test]
     fn crc32_known_vector() {
         // The classic test vector: CRC-32("123456789") = 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
@@ -1417,26 +1294,9 @@ mod tests {
     #[test]
     fn records_roundtrip() {
         for rec in sample_records() {
-            let mut payload = vec![];
+            let mut payload = WireWriter::new();
             rec.encode(&mut payload);
-            assert_eq!(WalRecord::decode(&payload).unwrap(), rec);
-        }
-    }
-
-    #[test]
-    fn value_roundtrip_covers_all_types() {
-        for v in [
-            Value::Null,
-            Value::Int(-7),
-            Value::BigInt(1 << 40),
-            Value::Double(3.25),
-            Value::str("héllo"),
-            Value::Boolean(true),
-        ] {
-            let mut out = vec![];
-            put_value(&mut out, &v);
-            let got = ByteReader::new(&out).take_value().unwrap();
-            assert_eq!(format!("{got:?}"), format!("{v:?}"));
+            assert_eq!(WalRecord::decode(&payload.into_bytes()).unwrap(), rec);
         }
     }
 

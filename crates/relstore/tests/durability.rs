@@ -15,11 +15,11 @@
 use std::sync::Arc;
 
 use fedwf_relstore::{
-    Database, Durability, IndexKind, LogSink, MemorySink, MemorySnapshots, Predicate, Wal,
-    WalRecord,
+    Database, Durability, IndexKind, LogSink, MemorySink, MemorySnapshots, Predicate,
+    SnapshotStore, Wal, WalRecord,
 };
 use fedwf_types::rng::Rng;
-use fedwf_types::{check, CommitMode, DataType, Row, Schema, Value};
+use fedwf_types::{check, Column, CommitMode, DataType, Row, Schema, Value};
 
 const KEY_SPACE: i32 = 12;
 
@@ -512,3 +512,133 @@ fn file_backed_database_round_trips() {
     assert_eq!(t.row_count(), 2);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The bytes a fixed statement sequence writes to the log and to a
+/// checkpoint snapshot, pinned as constants: every value type (NULLs,
+/// extremes, non-ASCII text), a NOT NULL column, a unique and a non-unique
+/// index, an UPDATE, a DELETE, a checkpoint and one insert after it. A
+/// codec change that alters a single on-disk byte fails here; recovery
+/// from those bytes must also reproduce the table.
+#[test]
+fn wal_and_snapshot_bytes_are_pinned() {
+    let log = MemorySink::new();
+    let snaps = MemorySnapshots::new();
+    let db = open(&log, &snaps);
+    db.create_table(
+        "Every",
+        Arc::new(Schema::new(vec![
+            Column::new("id", DataType::Int).not_null(),
+            Column::new("big", DataType::BigInt),
+            Column::new("score", DataType::Double),
+            Column::new("name", DataType::Varchar),
+            Column::new("ok", DataType::Boolean),
+        ])),
+    )
+    .unwrap();
+    db.create_index("Every", "pk", "id", IndexKind::Unique)
+        .unwrap();
+    db.create_index("Every", "by_name", "name", IndexKind::NonUnique)
+        .unwrap();
+    let row = |id: i32, big: Value, score: Value, name: Value, ok: Value| {
+        Row::new(vec![Value::Int(id), big, score, name, ok])
+    };
+    db.insert_all(
+        "Every",
+        vec![
+            row(
+                1,
+                Value::BigInt(i64::MIN),
+                Value::Double(3.25),
+                Value::str("Grüße, 東京 🚀"),
+                Value::Boolean(true),
+            ),
+            row(2, Value::Null, Value::Null, Value::Null, Value::Null),
+            row(
+                i32::MAX,
+                Value::BigInt(1 << 40),
+                Value::Double(-0.5),
+                Value::str(""),
+                Value::Boolean(false),
+            ),
+        ],
+    )
+    .unwrap();
+    db.update_where("Every", &Predicate::eq(0, 2), "name", Value::str("ß"))
+        .unwrap();
+    db.delete_where("Every", &Predicate::eq(0, i32::MAX))
+        .unwrap();
+    let log_before_checkpoint = log.read_all().unwrap();
+    db.checkpoint().unwrap();
+    let snapshot = snaps.load().unwrap().expect("checkpoint stored a snapshot");
+    db.insert(
+        "Every",
+        row(
+            -7,
+            Value::BigInt(i64::MAX),
+            Value::Double(1e300),
+            Value::str("naïve"),
+            Value::Null,
+        ),
+    )
+    .unwrap();
+    let log_after_checkpoint = log.read_all().unwrap();
+
+    assert_bytes(
+        "log before the checkpoint",
+        &log_before_checkpoint,
+        LOG_BEFORE_CHECKPOINT,
+    );
+    assert_bytes("snapshot", &snapshot, SNAPSHOT);
+    assert_bytes(
+        "log after the checkpoint",
+        &log_after_checkpoint,
+        LOG_AFTER_CHECKPOINT,
+    );
+
+    let expected = db.scan_all("Every").unwrap();
+    drop(db);
+    let recovered = open(&log, &snaps).scan_all("Every").unwrap();
+    assert_eq!(recovered, expected);
+    assert_eq!(recovered.row_count(), 3);
+}
+
+fn assert_bytes(what: &str, got: &[u8], expected_hex: &str) {
+    let hex: String = got.iter().map(|b| format!("{b:02x}")).collect();
+    assert!(
+        hex == expected_hex,
+        "{what} changed ({} bytes):\n{hex}",
+        got.len()
+    );
+}
+
+const LOG_BEFORE_CHECKPOINT: &str = concat!(
+    "3c0000007aa0ef4a010500000045766572790500000002000000696400000300",
+    "000062696701010500000073636f72650201040000006e616d65030102000000",
+    "6f6b040109000000f979c24e070100000000000000170000002c40b1c0030500",
+    "0000457665727902000000706b02000000696401090000001a7e4dc007020000",
+    "00000000001e0000007bc5915c030500000045766572790700000062795f6e61",
+    "6d65040000006e616d650009000000847ee70c07030000000000000040000000",
+    "f011ed5b04050000004576657279050000000101000000020000000000000080",
+    "030000000000000a4004140000004772c3bcc39f652c20e69db1e4baac20f09f",
+    "9a800501170000006fcd08450405000000457665727905000000010200000000",
+    "0000002c000000ce0f4363040500000045766572790500000001ffffff7f0200",
+    "0000000001000003000000000000e0bf04000000000500090000009d77220607",
+    "04000000000000001d0000004075f89805050000004576657279010000000000",
+    "0000030000000402000000c39f09000000037788ca0705000000000000001200",
+    "0000c484063b06050000004576657279020000000000000009000000e0700744",
+    "070600000000000000",
+);
+const SNAPSHOT: &str = concat!(
+    "4657534e41503100bf7c09c60600000000000000010000000500000045766572",
+    "790500000002000000696400000300000062696701010500000073636f726502",
+    "01040000006e616d650301020000006f6b04010200000002000000706b000000",
+    "00010700000062795f6e616d6503000000000300000000000000020000000000",
+    "0000000000000000000005000000010100000002000000000000008003000000",
+    "0000000a4004140000004772c3bcc39f652c20e69db1e4baac20f09f9a800501",
+    "010000000000000005000000010200000000000402000000c39f00",
+);
+const LOG_AFTER_CHECKPOINT: &str = concat!(
+    "31000000080703df040500000045766572790500000001f9ffffff02ffffffff",
+    "ffffff7f039c7500883ce4377e04060000006e61c3af766500090000007e70ad",
+    "88070700000000000000",
+);

@@ -1,7 +1,5 @@
 //! Branch-local virtual clocks with fork/join semantics.
 
-use std::sync::{Arc, Mutex};
-
 use crate::cost::Component;
 use crate::trace::{SpanName, TraceBuf, TraceDetail, TraceNode};
 
@@ -283,163 +281,10 @@ impl Meter {
         &self.charges
     }
 
-    /// Drain the meter into its charge log.
-    pub fn into_charges(self) -> Vec<Charge> {
-        self.charges
-    }
-
     /// Total booked work (the *sum* of all charges — equals elapsed time on
     /// purely sequential paths, exceeds it when branches overlapped).
     pub fn total_booked_us(&self) -> u64 {
         self.charges.iter().map(|c| c.duration_us).sum()
-    }
-}
-
-/// A shareable, internally synchronized meter handle.
-///
-/// Executors that thread a meter through iterator trees or across worker
-/// threads hold a `MeterHandle`; code that owns a linear branch can use a
-/// plain [`Meter`].
-#[derive(Debug, Clone, Default)]
-pub struct MeterHandle {
-    inner: Arc<Mutex<Meter>>,
-}
-
-impl MeterHandle {
-    pub fn new() -> MeterHandle {
-        MeterHandle::default()
-    }
-
-    pub fn from_meter(meter: Meter) -> MeterHandle {
-        MeterHandle {
-            inner: Arc::new(Mutex::new(meter)),
-        }
-    }
-
-    pub fn charge(&self, component: Component, step: impl Into<SpanName>, duration_us: u64) {
-        self.inner
-            .lock()
-            .expect("meter poisoned")
-            .charge(component, step, duration_us);
-    }
-
-    pub fn now_us(&self) -> u64 {
-        self.inner.lock().expect("meter poisoned").now_us()
-    }
-
-    pub fn elapsed_us(&self) -> u64 {
-        self.inner.lock().expect("meter poisoned").elapsed_us()
-    }
-
-    /// Fork a plain child meter (children are branch-owned, not shared).
-    pub fn fork(&self) -> Meter {
-        self.inner.lock().expect("meter poisoned").fork()
-    }
-
-    pub fn join(&self, children: Vec<Meter>) {
-        self.inner.lock().expect("meter poisoned").join(children);
-    }
-
-    /// Snapshot of the charge log.
-    pub fn charges(&self) -> Vec<Charge> {
-        self.inner
-            .lock()
-            .expect("meter poisoned")
-            .charges()
-            .to_vec()
-    }
-
-    pub fn total_booked_us(&self) -> u64 {
-        self.inner.lock().expect("meter poisoned").total_booked_us()
-    }
-
-    pub fn tally_materialized(&self, rows: u64, bytes: u64) {
-        self.inner
-            .lock()
-            .expect("meter poisoned")
-            .tally_materialized(rows, bytes);
-    }
-
-    pub fn rows_materialized(&self) -> u64 {
-        self.inner
-            .lock()
-            .expect("meter poisoned")
-            .rows_materialized()
-    }
-
-    pub fn bytes_materialized(&self) -> u64 {
-        self.inner
-            .lock()
-            .expect("meter poisoned")
-            .bytes_materialized()
-    }
-
-    /// Extract the meter, leaving a fresh one behind.
-    pub fn take(&self) -> Meter {
-        std::mem::take(&mut *self.inner.lock().expect("meter poisoned"))
-    }
-
-    pub fn set_tracing(&self, enabled: bool) {
-        self.inner
-            .lock()
-            .expect("meter poisoned")
-            .set_tracing(enabled);
-    }
-
-    pub fn tracing(&self) -> bool {
-        self.inner.lock().expect("meter poisoned").tracing()
-    }
-
-    pub fn set_wall_sampling(&self, on: bool) {
-        self.inner
-            .lock()
-            .expect("meter poisoned")
-            .set_wall_sampling(on);
-    }
-
-    pub fn wall_sampling(&self) -> bool {
-        self.inner.lock().expect("meter poisoned").wall_sampling()
-    }
-
-    pub fn set_trace_detail(&self, detail: TraceDetail) {
-        self.inner
-            .lock()
-            .expect("meter poisoned")
-            .set_trace_detail(detail);
-    }
-
-    pub fn trace_detail(&self) -> TraceDetail {
-        self.inner.lock().expect("meter poisoned").trace_detail()
-    }
-
-    pub fn fine_tracing(&self) -> bool {
-        self.inner.lock().expect("meter poisoned").fine_tracing()
-    }
-
-    pub fn span_start(&self, component: Component, name: impl Into<SpanName>) {
-        self.inner
-            .lock()
-            .expect("meter poisoned")
-            .span_start(component, name);
-    }
-
-    pub fn span_end(&self) {
-        self.inner.lock().expect("meter poisoned").span_end();
-    }
-
-    pub fn span_counter(&self, name: &'static str, value: u64) {
-        self.inner
-            .lock()
-            .expect("meter poisoned")
-            .span_counter(name, value);
-    }
-
-    pub fn span_leaf(&self, node: TraceNode) {
-        self.inner.lock().expect("meter poisoned").span_leaf(node);
-    }
-
-    pub fn finish_trace(&self) -> Option<TraceNode> {
-        self.inner.lock().expect("meter poisoned").finish_trace()
     }
 }
 
@@ -509,16 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn handle_shares_state() {
-        let h = MeterHandle::new();
-        let h2 = h.clone();
-        h.charge(Component::Controller, "dispatch", 3);
-        h2.charge(Component::Controller, "dispatch", 4);
-        assert_eq!(h.now_us(), 7);
-        assert_eq!(h.charges().len(), 2);
-    }
-
-    #[test]
     fn join_merges_materialization_counters() {
         let mut m = Meter::new();
         m.tally_materialized(10, 800);
@@ -528,15 +363,6 @@ mod tests {
         m.join(vec![a]);
         assert_eq!(m.rows_materialized(), 15);
         assert_eq!(m.bytes_materialized(), 900);
-    }
-
-    #[test]
-    fn handle_take_resets() {
-        let h = MeterHandle::new();
-        h.charge(Component::Udtf, "s", 9);
-        let m = h.take();
-        assert_eq!(m.now_us(), 9);
-        assert_eq!(h.now_us(), 0);
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!   genuinely saves virtual time;
 //! * a [`CostModel`] names every primitive the paper's breakdown (Fig. 6)
 //!   mentions, with defaults calibrated so the published shapes emerge;
-//! * an [`EnvState`] remembers what has already been booted/compiled/loaded,
-//!   producing the paper's cold / after-other-function / repeated-call
-//!   effects;
+//! * an [`EnvState`] remembers which processes have already been booted,
+//!   the paper's cold tier (the plan and template caches that produce the
+//!   after-other-function and repeated-call tiers live in the engines);
 //! * a [`wall`] module supplies the one place real time *is* wanted — the
 //!   serving-layer throughput harness — with a [`WallClock`] and a
 //!   [`LatencyHistogram`] (QPS, p50/p95/p99), reported alongside, never in
@@ -49,7 +49,7 @@ pub mod trace;
 pub mod wall;
 
 pub use breakdown::{Breakdown, BreakdownLine};
-pub use clock::{Charge, Meter, MeterHandle};
+pub use clock::{Charge, Meter};
 pub use cost::{Component, CostModel};
 pub use env::EnvState;
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};

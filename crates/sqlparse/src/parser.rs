@@ -1,14 +1,20 @@
 //! Recursive-descent parser with precedence climbing for expressions.
 
-use fedwf_types::{DataType, FedError, FedResult, Ident, QualifiedName, Value};
+use fedwf_types::{DataType, FedError, FedResult, Ident, QualifiedName, Value, MAX_EXPR_DEPTH};
 
 use crate::ast::*;
 use crate::lexer::{tokenize, Keyword, Token, TokenKind};
 
-/// The parser over a token stream.
+/// The parser over a token stream. Expressions nest at most
+/// [`MAX_EXPR_DEPTH`] levels, so the parser and whatever walks the tree
+/// afterwards recurse a bounded number of levels.
 pub struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels open around the current position.
+    nesting: usize,
+    /// Levels of the expression just parsed.
+    depth: usize,
 }
 
 impl Parser {
@@ -16,6 +22,8 @@ impl Parser {
         Ok(Parser {
             tokens: tokenize(sql)?,
             pos: 0,
+            nesting: 0,
+            depth: 0,
         })
     }
 
@@ -136,6 +144,9 @@ impl Parser {
             Some(TokenKind::Keyword(Keyword::Explain)) => {
                 self.bump();
                 let analyze = self.eat_keyword(Keyword::Analyze);
+                if self.peek() == Some(&TokenKind::Keyword(Keyword::Explain)) {
+                    return Err(self.error_here("a statement to explain, not another EXPLAIN"));
+                }
                 let inner = self.parse_statement_inner()?;
                 Ok(if analyze {
                     Statement::ExplainAnalyze(Box::new(inner))
@@ -465,14 +476,39 @@ impl Parser {
         self.parse_expr_prec(0)
     }
 
+    /// Parse `inner` one level deeper: inside a parenthesis, `NOT`, sign,
+    /// `CAST` or function argument list.
+    fn nested<T>(&mut self, inner: impl FnOnce(&mut Parser) -> FedResult<T>) -> FedResult<T> {
+        self.deeper(0)?;
+        self.nesting += 1;
+        let result = inner(self);
+        self.nesting -= 1;
+        self.depth += 1;
+        result
+    }
+
+    /// One level on top of `depth`, if that fits under the open levels:
+    /// a nested construct, or a node above its operands (each operator of
+    /// a left-deep chain such as `a + b + c`, each `IS NULL`).
+    fn deeper(&self, depth: usize) -> FedResult<usize> {
+        if self.nesting + depth < MAX_EXPR_DEPTH {
+            return Ok(depth + 1);
+        }
+        Err(self.error_here(&format!(
+            "an expression at most {MAX_EXPR_DEPTH} levels deep"
+        )))
+    }
+
     fn parse_expr_prec(&mut self, min_prec: u8) -> FedResult<Expr> {
         let mut lhs = self.parse_unary()?;
+        let mut depth = self.depth;
         loop {
             // Postfix IS [NOT] NULL binds tighter than comparisons.
             if self.peek() == Some(&TokenKind::Keyword(Keyword::Is)) {
                 self.bump();
                 let negated = self.eat_keyword(Keyword::Not);
                 self.expect_keyword(Keyword::Null)?;
+                depth = self.deeper(depth)?;
                 lhs = Expr::IsNull {
                     expr: Box::new(lhs),
                     negated,
@@ -502,26 +538,28 @@ impl Parser {
             self.bump();
             // Left-associative: the right side must bind strictly tighter.
             let rhs = self.parse_expr_prec(prec + 1)?;
+            depth = self.deeper(depth.max(self.depth))?;
             lhs = Expr::Binary {
                 left: Box::new(lhs),
                 op,
                 right: Box::new(rhs),
             };
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> FedResult<Expr> {
         if self.eat_keyword(Keyword::Not) {
             // NOT binds looser than comparisons but tighter than AND.
-            let expr = self.parse_expr_prec(3)?;
+            let expr = self.nested(|p| p.parse_expr_prec(3))?;
             return Ok(Expr::Unary {
                 op: UnaryOp::Not,
                 expr: Box::new(expr),
             });
         }
         if self.eat(&TokenKind::Minus) {
-            let expr = self.parse_unary()?;
+            let expr = self.nested(Parser::parse_unary)?;
             // Fold negative literals immediately.
             return Ok(match expr {
                 Expr::Literal(Value::Int(v)) => Expr::Literal(Value::Int(-v)),
@@ -534,12 +572,13 @@ impl Parser {
             });
         }
         if self.eat(&TokenKind::Plus) {
-            return self.parse_unary();
+            return self.nested(Parser::parse_unary);
         }
         self.parse_primary()
     }
 
     fn parse_primary(&mut self) -> FedResult<Expr> {
+        self.depth = 0;
         match self.peek().cloned() {
             Some(TokenKind::Integer(v)) => {
                 self.bump();
@@ -572,7 +611,7 @@ impl Parser {
             Some(TokenKind::Keyword(Keyword::Cast)) => {
                 self.bump();
                 self.expect(&TokenKind::LParen)?;
-                let expr = self.parse_expr()?;
+                let expr = self.nested(Parser::parse_expr)?;
                 self.expect_keyword(Keyword::As)?;
                 let data_type = self.parse_data_type()?;
                 self.expect(&TokenKind::RParen)?;
@@ -583,7 +622,7 @@ impl Parser {
             }
             Some(TokenKind::LParen) => {
                 self.bump();
-                let e = self.parse_expr()?;
+                let e = self.nested(Parser::parse_expr)?;
                 self.expect(&TokenKind::RParen)?;
                 Ok(e)
             }
@@ -602,12 +641,16 @@ impl Parser {
                         });
                     }
                     let mut args = Vec::new();
+                    let mut depth = 0;
                     if self.peek() != Some(&TokenKind::RParen) {
-                        args.push(self.parse_expr()?);
+                        args.push(self.nested(Parser::parse_expr)?);
+                        depth = self.depth;
                         while self.eat(&TokenKind::Comma) {
-                            args.push(self.parse_expr()?);
+                            args.push(self.nested(Parser::parse_expr)?);
+                            depth = depth.max(self.depth);
                         }
                     }
+                    self.depth = depth;
                     self.expect(&TokenKind::RParen)?;
                     return Ok(Expr::Function { name: first, args });
                 }
@@ -652,6 +695,8 @@ pub fn parse_expression(sql: &str) -> FedResult<Expr> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedwf_types::rng::Rng;
+    use fedwf_types::ErrorLayer;
 
     #[test]
     fn parses_the_buysuppcomp_select() {
@@ -977,5 +1022,167 @@ mod tests {
             panic!()
         };
         assert_eq!(columns[0].data_type, DataType::Varchar);
+    }
+
+    // ---- hostile nesting -------------------------------------------------
+
+    /// Every way of nesting an expression: `depth` levels of one shape
+    /// around a literal.
+    const SHAPES: [&str; 9] = [
+        "parentheses",
+        "not",
+        "minus",
+        "plus",
+        "abs",
+        "cast",
+        "add_chain",
+        "and_chain",
+        "is_null_chain",
+    ];
+
+    fn nested(shape: &str, depth: usize) -> String {
+        match shape {
+            "parentheses" => format!("{}1{}", "(".repeat(depth), ")".repeat(depth)),
+            "not" => format!("{}TRUE", "NOT ".repeat(depth)),
+            "minus" => format!("{}1", "- ".repeat(depth)),
+            "plus" => format!("{}1", "+ ".repeat(depth)),
+            "abs" => format!("{}1{}", "ABS(".repeat(depth), ")".repeat(depth)),
+            "cast" => format!("{}1{}", "CAST(".repeat(depth), " AS INT)".repeat(depth)),
+            "add_chain" => format!("1{}", " + 1".repeat(depth)),
+            "and_chain" => format!("TRUE{}", " AND TRUE".repeat(depth)),
+            "is_null_chain" => format!("1{}", " IS NOT NULL".repeat(depth)),
+            other => unreachable!("unknown shape {other}"),
+        }
+    }
+
+    fn tree_depth(e: &Expr) -> usize {
+        match e {
+            Expr::Column(_) | Expr::Literal(_) => 0,
+            Expr::Binary { left, right, .. } => 1 + tree_depth(left).max(tree_depth(right)),
+            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IsNull { expr, .. } => {
+                1 + tree_depth(expr)
+            }
+            Expr::Function { args, .. } => 1 + args.iter().map(tree_depth).max().unwrap_or(0),
+        }
+    }
+
+    #[test]
+    fn every_shape_nests_up_to_the_bound() {
+        for shape in SHAPES {
+            let expr = nested(shape, MAX_EXPR_DEPTH);
+            let parsed = parse_expression(&expr).unwrap_or_else(|e| panic!("{shape}: {e}"));
+            assert!(tree_depth(&parsed) <= MAX_EXPR_DEPTH, "{shape}");
+            parse_statement(&format!("SELECT {expr} AS V FROM t WHERE {expr}"))
+                .unwrap_or_else(|e| panic!("{shape} in a statement: {e}"));
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_a_parse_error() {
+        for shape in SHAPES {
+            let expr = nested(shape, MAX_EXPR_DEPTH + 1);
+            let huge = format!("SELECT {} AS V FROM t", nested(shape, 100_000));
+            for sql in [
+                format!("SELECT {expr} AS V FROM t"),
+                format!("SELECT * FROM t WHERE {expr}"),
+                format!("SELECT * FROM TABLE (F({expr})) AS T"),
+                huge,
+            ] {
+                let err = parse_statement(&sql).unwrap_err();
+                assert_eq!(err.layer, ErrorLayer::Parse, "{shape}: {err}");
+                assert!(
+                    err.message.contains("at most 64 levels deep"),
+                    "{shape}: {err}"
+                );
+            }
+            assert_eq!(
+                parse_expression(&expr).unwrap_err().layer,
+                ErrorLayer::Parse,
+                "{shape}"
+            );
+        }
+    }
+
+    /// Levels add up across shapes: 32 parentheses around a 32-operator
+    /// chain is at the bound, one more operator is past it.
+    #[test]
+    fn mixed_nesting_counts_every_level() {
+        let around = |ops: usize| {
+            format!(
+                "{}1{}{}",
+                "(".repeat(32),
+                " + 1".repeat(ops),
+                ")".repeat(32)
+            )
+        };
+        assert!(parse_expression(&around(32)).is_ok());
+        assert_eq!(
+            parse_expression(&around(33)).unwrap_err().layer,
+            ErrorLayer::Parse
+        );
+    }
+
+    /// Whatever nests the shapes at random, an accepted expression is never
+    /// deeper than the bound (so binders and evaluators recurse at most that
+    /// far), and a rejected one is a parse error. A chain whose first operand
+    /// is itself deep is the case a plain nesting counter would miss.
+    #[test]
+    fn accepted_expressions_are_never_deeper_than_the_bound() {
+        fn gen(rng: &mut Rng, budget: &mut usize) -> String {
+            if *budget == 0 {
+                return "1".to_string();
+            }
+            *budget -= 1;
+            match rng.next_below(8) {
+                0 => format!("({})", gen(rng, budget)),
+                1 => format!("NOT {}", gen(rng, budget)),
+                2 => format!("- {}", gen(rng, budget)),
+                3 => format!("ABS({})", gen(rng, budget)),
+                4 => format!("CAST({} AS INT)", gen(rng, budget)),
+                5 => format!("{} IS NULL", gen(rng, budget)),
+                _ => {
+                    let mut chain = gen(rng, budget);
+                    for _ in 0..rng.next_below(40) {
+                        chain.push_str(" + ");
+                        chain.push_str(&gen(rng, budget));
+                    }
+                    chain
+                }
+            }
+        }
+        let (mut accepted, mut rejected) = (0, 0);
+        for seed in 0..400 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut budget = 20 + rng.next_below(400) as usize;
+            let expr = gen(&mut rng, &mut budget);
+            match parse_expression(&expr) {
+                Ok(parsed) => {
+                    accepted += 1;
+                    assert!(tree_depth(&parsed) <= MAX_EXPR_DEPTH, "seed {seed}");
+                }
+                Err(e) => {
+                    rejected += 1;
+                    assert_eq!(e.layer, ErrorLayer::Parse, "seed {seed}: {e}");
+                }
+            }
+        }
+        assert!(
+            accepted > 0 && rejected > 0,
+            "{accepted} accepted, {rejected} rejected"
+        );
+    }
+
+    #[test]
+    fn explain_of_an_explain_is_a_parse_error() {
+        assert!(parse_statement("EXPLAIN SELECT 1").is_ok());
+        for sql in [
+            "EXPLAIN EXPLAIN SELECT 1".to_string(),
+            "EXPLAIN ANALYZE EXPLAIN SELECT 1".to_string(),
+            format!("{}SELECT 1", "EXPLAIN ".repeat(100_000)),
+        ] {
+            let err = parse_statement(&sql).unwrap_err();
+            assert_eq!(err.layer, ErrorLayer::Parse, "{err}");
+            assert!(err.message.contains("not another EXPLAIN"), "{err}");
+        }
     }
 }

@@ -32,3 +32,11 @@ pub use row::{Column, Row, Schema, SchemaRef, Table};
 pub use txn::{CommitMode, TxnId, TXN_EPOCH_ZERO, TXN_INFINITY};
 pub use value::{DataType, Value, ValueKey};
 pub use wire::{crc32, WireReader, WireWriter};
+
+/// The deepest nesting a SQL expression or an FDL transition condition may
+/// have. Parsers, binders and evaluators walk these trees recursively, so
+/// one hostile request nested 2 000 parentheses deep would overflow the
+/// stack of the thread serving it; past this bound the parser returns a
+/// typed error instead. A debug build still runs 128 levels on a 2 MiB
+/// thread, so the bound leaves twice its own depth in reserve.
+pub const MAX_EXPR_DEPTH: usize = 64;

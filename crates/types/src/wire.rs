@@ -1,12 +1,13 @@
 //! The byte-level wire codec shared by the network protocol and the WAL.
 //!
-//! Everything that crosses a process boundary — WAL frames on disk,
-//! `Request`/`Outcome` frames on a socket — is encoded with the same
-//! little-endian primitives: length-prefixed strings, tagged [`Value`]s,
-//! schemas as column lists, tables as schema + row block. The reader is
-//! bounds-checked and never panics on malformed input; every decode error
-//! is a typed [`FedError::protocol`] so a garbage frame surfaces as a
-//! protocol violation instead of a crash.
+//! Everything that crosses a process boundary — WAL records and checkpoint
+//! snapshots on disk, `Request`/`Outcome` frames on a socket — is encoded
+//! with the same little-endian primitives: length-prefixed strings, tagged
+//! [`Value`]s, schemas as column lists, tables as schema + row block. The
+//! reader is bounds-checked and never panics on malformed input; every
+//! decode error is a typed [`FedError::protocol`] so a garbage frame
+//! surfaces as a protocol violation instead of a crash (the store reports
+//! a damaged record or snapshot as `[recovery]`).
 //!
 //! The CRC-32 (IEEE 802.3 polynomial, as used by zip/png) lives here too:
 //! it guards both the WAL's on-disk frames and the network protocol's
@@ -226,8 +227,8 @@ impl WireWriter {
     }
 }
 
-/// Stable on-wire tag of a [`DataType`]. Matches the WAL's historical
-/// encoding, so the tags must never be renumbered.
+/// Stable tag of a [`DataType`] on the wire and on disk (WAL records and
+/// snapshots), so the tags must never be renumbered.
 pub fn data_type_tag(dt: DataType) -> u8 {
     match dt {
         DataType::Int => 0,

@@ -4,10 +4,10 @@
 //! node at the *maximum virtual completion time of its predecessors*, so
 //! mutually unordered activities overlap in virtual time — the fork/join
 //! behaviour behind the paper's observation that the WfMS runs parallel
-//! activities more efficiently than the UDTF approach. Two navigators are
-//! provided with identical semantics and identical virtual-time accounting:
-//! a sequential one and a multi-threaded one (scoped worker threads per
-//! fork level).
+//! activities more efficiently than the UDTF approach. Nodes execute one
+//! after another in topological order on the caller's thread; parallelism
+//! lives in the virtual clock (a fork/join block costs the maximum of its
+//! branches), not in real threads.
 
 use std::collections::HashMap;
 
@@ -117,7 +117,7 @@ impl Engine {
         &self.cost
     }
 
-    /// Run a process instance with the sequential navigator.
+    /// Run a process instance.
     pub fn run(
         &self,
         process: &ProcessModel,
@@ -125,31 +125,8 @@ impl Engine {
         executor: &dyn ProgramExecutor,
         meter: &mut Meter,
     ) -> FedResult<ProcessInstance> {
-        self.run_inner(process, input, executor, meter, false)
-    }
-
-    /// Run a process instance with the multi-threaded navigator. Results
-    /// and virtual-time accounting are identical to [`Engine::run`].
-    pub fn run_threaded(
-        &self,
-        process: &ProcessModel,
-        input: &Container,
-        executor: &dyn ProgramExecutor,
-        meter: &mut Meter,
-    ) -> FedResult<ProcessInstance> {
-        self.run_inner(process, input, executor, meter, true)
-    }
-
-    fn run_inner(
-        &self,
-        process: &ProcessModel,
-        input: &Container,
-        executor: &dyn ProgramExecutor,
-        meter: &mut Meter,
-        threaded: bool,
-    ) -> FedResult<ProcessInstance> {
         if !meter.tracing() {
-            return self.run_inner_body(process, input, executor, meter, threaded);
+            return self.run_body(process, input, executor, meter);
         }
         let span = self
             .process_spans
@@ -157,18 +134,17 @@ impl Engine {
                 format!("wfms.process {}", process.name)
             });
         meter.span_start(Component::WfEngine, span);
-        let result = self.run_inner_body(process, input, executor, meter, threaded);
+        let result = self.run_body(process, input, executor, meter);
         meter.span_end();
         result
     }
 
-    fn run_inner_body(
+    fn run_body(
         &self,
         process: &ProcessModel,
         input: &Container,
         executor: &dyn ProgramExecutor,
         meter: &mut Meter,
-        threaded: bool,
     ) -> FedResult<ProcessInstance> {
         if input.schema() != &process.input {
             return Err(FedError::workflow(format!(
@@ -187,64 +163,13 @@ impl Engine {
             .tracing()
             .then(|| (meter.wall_sampling(), meter.trace_detail()));
 
-        if threaded {
-            // Group nodes into fork levels: a node's level is one past the
-            // maximum level of its predecessors. All nodes of a level are
-            // mutually unordered and run on worker threads.
-            let mut level_of: HashMap<Ident, usize> = HashMap::new();
-            let mut levels: Vec<Vec<&Ident>> = Vec::new();
-            for name in &order {
-                let lvl = process
-                    .predecessors(name)
-                    .iter()
-                    .map(|p| level_of[*p] + 1)
-                    .max()
-                    .unwrap_or(0);
-                level_of.insert((*name).clone(), lvl);
-                if levels.len() <= lvl {
-                    levels.resize_with(lvl + 1, Vec::new);
-                }
-                levels[lvl].push(*name);
-            }
-            for level in levels {
-                let results: Vec<FedResult<(Ident, NodeState, Meter, AuditTrail)>> =
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = level
-                            .iter()
-                            .map(|name| {
-                                let states = &states;
-                                scope.spawn(move || {
-                                    self.exec_node(
-                                        process, name, states, input, executor, started_us,
-                                        threaded, tracing,
-                                    )
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("navigator worker panicked"))
-                            .collect()
-                    });
-                for r in results {
-                    let (name, state, node_meter, node_audit) =
-                        r.map_err(|e| self.fail(&mut audit, process, meter, e))?;
-                    audit.extend(node_audit);
-                    states.insert(name, state);
-                    node_meters.push(node_meter);
-                }
-            }
-        } else {
-            for name in &order {
-                let r = self.exec_node(
-                    process, name, &states, input, executor, started_us, threaded, tracing,
-                );
-                let (name, state, node_meter, node_audit) =
-                    r.map_err(|e| self.fail(&mut audit, process, meter, e))?;
-                audit.extend(node_audit);
-                states.insert(name, state);
-                node_meters.push(node_meter);
-            }
+        for name in &order {
+            let r = self.exec_node(process, name, &states, input, executor, started_us, tracing);
+            let (name, state, node_meter, node_audit) =
+                r.map_err(|e| self.fail(&mut audit, process, meter, e))?;
+            audit.extend(node_audit);
+            states.insert(name, state);
+            node_meters.push(node_meter);
         }
 
         meter.join(node_meters);
@@ -315,7 +240,6 @@ impl Engine {
         input: &Container,
         executor: &dyn ProgramExecutor,
         base_us: u64,
-        threaded: bool,
         tracing: Option<(bool, TraceDetail)>,
     ) -> FedResult<(Ident, NodeState, Meter, AuditTrail)> {
         let node = process.node(name).expect("topo order lists known nodes");
@@ -414,7 +338,6 @@ impl Engine {
                 executor,
                 &mut node_meter,
                 &mut audit,
-                threaded,
             )?,
         };
 
@@ -612,7 +535,6 @@ impl Engine {
         executor: &dyn ProgramExecutor,
         meter: &mut Meter,
         audit: &mut AuditTrail,
-        threaded: bool,
     ) -> FedResult<Table> {
         // Initialize the loop variables.
         let mut vars = l.vars.instantiate();
@@ -638,7 +560,7 @@ impl Engine {
                 "Start sub-workflow",
                 self.cost.wf_subworkflow_start,
             );
-            let instance = self.run_inner(&l.body, &vars, executor, meter, threaded)?;
+            let instance = self.run(&l.body, &vars, executor, meter)?;
             audit.extend(instance.audit);
             if l.accumulate {
                 for row in instance.output.rows() {
@@ -840,7 +762,7 @@ mod tests {
             .unwrap()
     }
 
-    fn run_process(p: &ProcessModel, threaded: bool) -> (ProcessInstance, Meter) {
+    fn run_process(p: &ProcessModel) -> (ProcessInstance, Meter) {
         let engine = Engine::new(CostModel::default());
         let mut input = p.input.instantiate();
         if p.input.has_field(&Ident::new("SupplierName")) {
@@ -850,18 +772,14 @@ mod tests {
         }
         let ex = executor();
         let mut meter = Meter::new();
-        let instance = if threaded {
-            engine.run_threaded(p, &input, &ex, &mut meter).unwrap()
-        } else {
-            engine.run(p, &input, &ex, &mut meter).unwrap()
-        };
+        let instance = engine.run(p, &input, &ex, &mut meter).unwrap();
         (instance, meter)
     }
 
     #[test]
     fn linear_process_produces_result() {
         let p = linear_process();
-        let (instance, _) = run_process(&p, false);
+        let (instance, _) = run_process(&p);
         assert_eq!(instance.output.value(0, "Qual"), Some(&Value::Int(93)));
         assert_eq!(
             instance
@@ -869,15 +787,6 @@ mod tests {
                 .count_events(|e| matches!(e, AuditEvent::ActivityCompleted { .. })),
             2
         );
-    }
-
-    #[test]
-    fn threaded_navigator_matches_sequential() {
-        let p = linear_process();
-        let (seq, m_seq) = run_process(&p, false);
-        let (thr, m_thr) = run_process(&p, true);
-        assert_eq!(seq.output, thr.output);
-        assert_eq!(m_seq.now_us(), m_thr.now_us());
     }
 
     fn parallel_process() -> ProcessModel {
@@ -910,7 +819,7 @@ mod tests {
     #[test]
     fn parallel_activities_overlap_in_virtual_time() {
         let p = parallel_process();
-        let (instance, meter) = run_process(&p, false);
+        let (instance, meter) = run_process(&p);
         let cost = CostModel::default();
         let per_activity = cost.wf_navigation
             + cost.wf_activity_program_start
@@ -924,7 +833,7 @@ mod tests {
     #[test]
     fn sequential_activities_accumulate_virtual_time() {
         let p = linear_process();
-        let (instance, _) = run_process(&p, false);
+        let (instance, _) = run_process(&p);
         let cost = CostModel::default();
         let per_activity = cost.wf_navigation
             + cost.wf_activity_program_start

@@ -18,7 +18,7 @@
 //! END
 //! ```
 
-use fedwf_types::{DataType, FedError, FedResult, Ident, Value};
+use fedwf_types::{DataType, FedError, FedResult, Ident, Value, MAX_EXPR_DEPTH};
 
 use crate::condition::{CondOp, Condition};
 use crate::container::ContainerSchema;
@@ -349,7 +349,7 @@ fn parse_process(lines: &mut Lines) -> FedResult<ProcessModel> {
             "LOOP" => nodes.push(parse_loop(lines, n, rest)?),
             "CONNECT" => {
                 let (spec, condition) = match rest.split_once(" WHEN ") {
-                    Some((spec, cond)) => (spec, parse_condition(n, cond.trim())?),
+                    Some((spec, cond)) => (spec, parse_condition(n, cond.trim(), 0)?),
                     None => (rest, Condition::True),
                 };
                 let (from, to) = spec
@@ -542,7 +542,7 @@ fn parse_loop(lines: &mut Lines, n: usize, rest: &str) -> FedResult<Node> {
                 let (var, from) = split_eq(ln, rest)?;
                 update.push((Ident::new(var), Ident::new(from.trim())));
             }
-            "UNTIL" => until = Some(parse_condition(ln, rest)?),
+            "UNTIL" => until = Some(parse_condition(ln, rest, 0)?),
             "ACCUMULATE" => accumulate = true,
             "MAXITER" => {
                 max_iterations = Some(
@@ -678,28 +678,39 @@ fn parse_literal(n: usize, text: &str) -> FedResult<Value> {
 
 /// Conditions: `TRUE`, `<field> <op> <literal-or-field>`, `NOT <cond>`,
 /// and parenthesized `(<a> AND <b>)` / `(<a> OR <b>)` — exactly the shape
-/// the exporter emits.
-fn parse_condition(n: usize, text: &str) -> FedResult<Condition> {
+/// the exporter emits. `depth` counts the `NOT`s and parentheses around
+/// `text`; past [`MAX_EXPR_DEPTH`] the condition is an error.
+fn parse_condition(n: usize, text: &str, depth: usize) -> FedResult<Condition> {
+    if depth > MAX_EXPR_DEPTH {
+        return Err(err_at(
+            n,
+            format!("condition nested deeper than {MAX_EXPR_DEPTH} levels"),
+        ));
+    }
     let t = text.trim();
     if t.eq_ignore_ascii_case("TRUE") {
         return Ok(Condition::True);
     }
     if let Some(rest) = strip_keyword(t, "NOT") {
-        return Ok(Condition::Not(Box::new(parse_condition(n, rest)?)));
+        return Ok(Condition::Not(Box::new(parse_condition(
+            n,
+            rest,
+            depth + 1,
+        )?)));
     }
     if t.starts_with('(') && t.ends_with(')') {
         let inner = &t[1..t.len() - 1];
         // Find the top-level AND/OR.
         if let Some((a, b, is_and)) = split_bool(inner) {
-            let left = Box::new(parse_condition(n, a)?);
-            let right = Box::new(parse_condition(n, b)?);
+            let left = Box::new(parse_condition(n, a, depth + 1)?);
+            let right = Box::new(parse_condition(n, b, depth + 1)?);
             return Ok(if is_and {
                 Condition::And(left, right)
             } else {
                 Condition::Or(left, right)
             });
         }
-        return parse_condition(n, inner);
+        return parse_condition(n, inner, depth + 1);
     }
     // Comparison: find the operator (longest first).
     for op_text in ["<=", ">=", "<>", "=", "<", ">"] {
@@ -973,5 +984,69 @@ mod tests {
         let model = parse_fdl(text).unwrap();
         assert_eq!(model.name, "p");
         assert_eq!(model.nodes.len(), 1);
+    }
+
+    /// A transition condition nested `depth` levels deep in one shape.
+    fn nested_condition(shape: &str, depth: usize) -> String {
+        match shape {
+            "not" => format!("{}value = 1", "NOT ".repeat(depth)),
+            "parentheses" => format!("{}value = 1{}", "(".repeat(depth), ")".repeat(depth)),
+            "and" => format!(
+                "{}value = 1{}",
+                "(value = 1 AND ".repeat(depth),
+                ")".repeat(depth)
+            ),
+            other => unreachable!("unknown shape {other}"),
+        }
+    }
+
+    fn process_with_condition(condition: &str) -> String {
+        format!(
+            "PROCESS p\nCONST a = 1\nCONST b = 2\nCONNECT a -> b WHEN {condition}\nOUTPUT TABLE b\nEND\n"
+        )
+    }
+
+    #[test]
+    fn conditions_nest_up_to_the_bound_and_run() {
+        for shape in ["not", "parentheses", "and"] {
+            let text = process_with_condition(&nested_condition(shape, MAX_EXPR_DEPTH));
+            let model = parse_fdl(&text).unwrap_or_else(|e| panic!("{shape}: {e}"));
+            let engine = crate::Engine::new(fedwf_sim::CostModel::zero());
+            let mut meter = fedwf_sim::Meter::new();
+            let instance = engine
+                .run(
+                    &model,
+                    &model.input.instantiate(),
+                    &crate::EchoExecutor::new(),
+                    &mut meter,
+                )
+                .unwrap_or_else(|e| panic!("{shape}: {e}"));
+            // An even number of NOTs and a chain of true comparisons hold.
+            assert_eq!(
+                instance.output.value(0, "value"),
+                Some(&Value::Int(2)),
+                "{shape}"
+            );
+        }
+    }
+
+    #[test]
+    fn conditions_nested_past_the_bound_are_workflow_errors() {
+        for shape in ["not", "parentheses", "and"] {
+            for depth in [MAX_EXPR_DEPTH + 1, 100_000] {
+                let text = process_with_condition(&nested_condition(shape, depth));
+                let err = parse_fdl(&text).unwrap_err();
+                assert_eq!(
+                    err.layer,
+                    fedwf_types::ErrorLayer::Workflow,
+                    "{shape}: {err}"
+                );
+                assert!(
+                    err.message
+                        .contains("FDL line 4: condition nested deeper than 64 levels"),
+                    "{shape} at {depth}: {err}"
+                );
+            }
+        }
     }
 }

@@ -20,9 +20,9 @@
 //! * **do-until loops over sub-workflows** — the cyclic-dependency case the
 //!   UDTF architecture cannot express;
 //! * **audit trail** and per-activity retry policies;
-//! * a real **multi-threaded navigator** (scoped std threads) that executes
-//!   unordered activities on worker threads, with results and virtual-time
-//!   accounting identical to the sequential navigator (property-tested).
+//! * one **navigator** that runs the nodes in topological order on the
+//!   caller's thread; concurrent process instances run on their callers'
+//!   threads, each with its own meter.
 //!
 //! # Example
 //!

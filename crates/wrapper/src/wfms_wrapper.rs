@@ -25,8 +25,6 @@ pub struct WfmsWrapper {
     /// load cost). Cleared by [`WfmsWrapper::clear_template_cache`].
     /// Read-mostly: the steady-state path only checks membership.
     loaded_templates: RwLock<HashSet<String>>,
-    /// Run activities on real worker threads.
-    threaded: bool,
     /// The wrapper-internal result cache — one of the paper's future-work
     /// "query optimization options" the wrapper makes available: identical
     /// federated-function invocations are answered from memory instead of
@@ -63,16 +61,9 @@ impl WfmsWrapper {
             controller,
             processes: RwLock::new(BTreeMap::new()),
             loaded_templates: RwLock::new(HashSet::new()),
-            threaded: false,
             result_cache: None,
             history: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Switch the navigator to worker threads (identical results).
-    pub fn with_threads(mut self, threaded: bool) -> WfmsWrapper {
-        self.threaded = threaded;
-        self
     }
 
     /// Enable the wrapper-internal result cache.
@@ -218,12 +209,7 @@ impl WfmsWrapper {
         }
 
         let input = container_from_args(&process, args)?;
-        let instance = if self.threaded {
-            self.engine
-                .run_threaded(&process, &input, &self.executor, meter)?
-        } else {
-            self.engine.run(&process, &input, &self.executor, meter)?
-        };
+        let instance = self.engine.run(&process, &input, &self.executor, meter)?;
         meter.charge(Component::Rmi, "RMI return", cost.wf_rmi_return);
 
         // Record the instance in the audit history.
@@ -328,7 +314,6 @@ impl std::fmt::Debug for WfmsWrapper {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WfmsWrapper")
             .field("processes", &self.process_names())
-            .field("threaded", &self.threaded)
             .finish()
     }
 }
@@ -548,58 +533,5 @@ mod tests {
         let mut m4 = Meter::new();
         w.invoke_process("GetSuppQual", &args, &mut m4).unwrap();
         assert!(m4.now_us() > 10 * CostModel::default().wrapper_cache_lookup);
-    }
-
-    #[test]
-    fn threaded_wrapper_matches_sequential() {
-        let scenario = build_scenario(DataGenConfig::tiny()).unwrap();
-        let make = |threaded: bool| {
-            let controller = Controller::new(scenario.registry.clone(), CostModel::default());
-            let w = WfmsWrapper::new(controller).with_threads(threaded);
-            let p = ProcessBuilder::new("QualRelia")
-                .input(&[("SupplierNo", DataType::Int)])
-                .program(
-                    "GetQuality",
-                    "GetQuality",
-                    vec![DataBinding::new(
-                        "SupplierNo",
-                        DataSource::input("SupplierNo"),
-                    )],
-                    &[("Qual", DataType::Int)],
-                )
-                .program(
-                    "GetReliability",
-                    "GetReliability",
-                    vec![DataBinding::new(
-                        "SupplierNo",
-                        DataSource::input("SupplierNo"),
-                    )],
-                    &[("Relia", DataType::Int)],
-                )
-                .output_row(&[
-                    (
-                        "Qual",
-                        DataType::Int,
-                        DataSource::output("GetQuality", "Qual"),
-                    ),
-                    (
-                        "Relia",
-                        DataType::Int,
-                        DataSource::output("GetReliability", "Relia"),
-                    ),
-                ])
-                .build()
-                .unwrap();
-            w.deploy_process(p).unwrap();
-            let mut meter = Meter::new();
-            let t = w
-                .invoke_process("QualRelia", &[Value::Int(1234)], &mut meter)
-                .unwrap();
-            (t, meter.now_us())
-        };
-        let (t_seq, us_seq) = make(false);
-        let (t_thr, us_thr) = make(true);
-        assert_eq!(t_seq, t_thr);
-        assert_eq!(us_seq, us_thr);
     }
 }

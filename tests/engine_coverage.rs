@@ -135,19 +135,10 @@ fn xor_split_with_conditions_takes_exactly_one_branch() {
         input
             .set(&Ident::new("x"), Value::Int(input_value))
             .unwrap();
-        // Both navigators agree.
-        for threaded in [false, true] {
-            let mut meter = Meter::new();
-            let instance = if threaded {
-                engine
-                    .run_threaded(&process, &input, &ex, &mut meter)
-                    .unwrap()
-            } else {
-                engine.run(&process, &input, &ex, &mut meter).unwrap()
-            };
-            assert_eq!(instance.output.value(0, "hi"), Some(&expect_hi));
-            assert_eq!(instance.output.value(0, "lo"), Some(&expect_lo));
-        }
+        let mut meter = Meter::new();
+        let instance = engine.run(&process, &input, &ex, &mut meter).unwrap();
+        assert_eq!(instance.output.value(0, "hi"), Some(&expect_hi));
+        assert_eq!(instance.output.value(0, "lo"), Some(&expect_lo));
     }
 }
 

@@ -350,42 +350,117 @@ fn materialization_counters_fire_at_pipeline_breakers() {
 
 /// The request metrics delta: each execution shows up in the server's
 /// registry exactly once.
-/// Every outcome's metrics delta holds that request's own increments:
-/// 8 threads issuing mixed function and SQL requests each see exactly
-/// the delta a solo execution reports.
+/// Every outcome is that request's own: on every architecture, each
+/// Fig. 5 function the architecture deploys, a SQL query over a function
+/// and each `sql_mix` shape, traced and untraced, executed from 8 threads
+/// at once, yields exactly what a solo execution yields — table, virtual
+/// clock, charge log, materialization counters, span tree and metrics
+/// delta. Many workflow instances navigate on many threads here at once.
 #[test]
 fn concurrent_metrics_deltas_equal_solo_deltas() {
-    let (server, args) = warm_get_supp_qual(ArchitectureKind::Wfms);
-    let server = std::sync::Arc::new(server);
-    let requests = [
-        Request::function("GetSuppQual").params(args.as_slice()),
-        Request::sql("SELECT T.Qual FROM TABLE (GetSuppQual(S)) AS T").bind("S", args[0].clone()),
-    ];
-    let solo: Vec<_> = requests
-        .iter()
-        .map(|r| {
+    const THREADS: usize = 8;
+    const PER_THREAD: usize = 200;
+    for kind in ArchitectureKind::ALL {
+        let server = make_server(kind);
+        let mut requests = Vec::new();
+        for (spec, _) in paper_functions::fig5_workload() {
+            if server.architecture().supports(&spec) {
+                server.deploy(&spec).expect("deploy");
+                let args = args_for(&server, &spec);
+                requests.push(Request::function(spec.name.as_str()).params(args.as_slice()));
+            }
+        }
+        // The simple-UDTF architecture composes a function in the
+        // application, so SQL cannot name it (`fed_join` and the query
+        // over `GetSuppQual`).
+        let sql_sees_functions = kind != ArchitectureKind::SimpleUdtf;
+        if sql_sees_functions {
+            let supplier = Value::str(server.scenario().well_known_supplier_name());
+            requests.push(
+                Request::sql("SELECT T.Qual FROM TABLE (GetSuppQual(S)) AS T").bind("S", supplier),
+            );
+        }
+        fedwf_bench::network::load_sql_mix_federation(&server).expect("sql_mix federation");
+        requests.extend(
+            fedwf_bench::network::sql_mix_requests()
+                .into_iter()
+                .filter(|(shape, _)| sql_sees_functions || *shape != "fed_join")
+                .map(|(_, r)| r),
+        );
+        let requests: Vec<Request> = requests
+            .into_iter()
+            .flat_map(|r| [r.clone().traced(false), r.traced(true)])
+            .collect();
+        // Warm every plan, template and boot first, so each execution
+        // below is the repeated-call tier.
+        for r in &requests {
             server.execute(r).expect("warm-up");
-            server.execute(r).expect("solo").metrics_delta
-        })
-        .collect();
-    assert_eq!(solo[0].get("server.calls"), Some(1));
-    assert_eq!(solo[1].get("server.queries"), Some(1));
-    let threads: Vec<_> = (0..8)
-        .map(|t| {
-            let server = std::sync::Arc::clone(&server);
-            let requests = requests.clone();
-            let solo = solo.clone();
-            std::thread::spawn(move || {
-                for i in 0..50 {
-                    let k = (t + i) % requests.len();
-                    let outcome = server.execute(&requests[k]).expect("concurrent request");
-                    assert_eq!(outcome.metrics_delta, solo[k], "thread {t}, request {i}");
-                }
+        }
+        let solo: Vec<Observed> = requests
+            .iter()
+            .map(|r| Observed::of(server.execute(r).expect("solo")))
+            .collect();
+        assert!(solo
+            .iter()
+            .any(|o| o.metrics_delta.get("server.calls") == Some(1)));
+        assert!(solo
+            .iter()
+            .any(|o| o.metrics_delta.get("server.queries") == Some(1)));
+        for (r, o) in requests.iter().zip(&solo) {
+            assert_eq!(o.trace.is_some(), r.trace_requested(), "{}", r.label());
+        }
+
+        let server = std::sync::Arc::new(server);
+        let requests = std::sync::Arc::new(requests);
+        let solo = std::sync::Arc::new(solo);
+        let threads: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (server, requests, solo) = (server.clone(), requests.clone(), solo.clone());
+                std::thread::spawn(move || {
+                    for i in 0..PER_THREAD {
+                        let k = (t * 7 + i) % requests.len();
+                        let outcome = server.execute(&requests[k]).expect("concurrent request");
+                        assert_eq!(
+                            Observed::of(outcome),
+                            solo[k],
+                            "{kind:?}: {} (traced: {}), thread {t}, request {i}",
+                            requests[k].label(),
+                            requests[k].trace_requested()
+                        );
+                    }
+                })
             })
-        })
-        .collect();
-    for t in threads {
-        t.join().expect("client thread");
+            .collect();
+        for t in threads {
+            t.join().expect("client thread");
+        }
+    }
+}
+
+/// Everything an [`fedwf::core::Outcome`] carries, comparable as a whole.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    table: fedwf::types::Table,
+    now_us: u64,
+    charges: Vec<fedwf::sim::Charge>,
+    materialized: (u64, u64),
+    trace: Option<fedwf::sim::TraceNode>,
+    metrics_delta: fedwf::sim::MetricsSnapshot,
+}
+
+impl Observed {
+    fn of(outcome: fedwf::core::Outcome) -> Observed {
+        Observed {
+            now_us: outcome.meter.now_us(),
+            materialized: (
+                outcome.meter.rows_materialized(),
+                outcome.meter.bytes_materialized(),
+            ),
+            charges: outcome.meter.charges().to_vec(),
+            table: outcome.table,
+            trace: outcome.trace,
+            metrics_delta: outcome.metrics_delta,
+        }
     }
 }
 
