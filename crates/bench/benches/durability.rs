@@ -7,15 +7,17 @@
 //!
 //! Measures the WAL's write amplification on single-row inserts, the
 //! snapshot-read tax on chunked scans over post-update version chains,
-//! contended-commit throughput across the commit modes (Sync vs Group vs
-//! Async, 8 writer threads), and recovery wall time as a function of WAL
-//! length (with and without a checkpoint). Two bars — snapshot reads
-//! within 15% of the live scan, and file-sink Group commit within 10x of
-//! the memory-sink Group run — are asserted here in the full run and
-//! reported (not asserted) in `--quick`, where the windows are too short
-//! to be stable in CI. The scan bar is a ratio of two ~20 ns/row loops
-//! and swings several points with binary layout (measured 4–13% across
-//! builds of the same scan code), hence 15% rather than a tighter bound.
+//! contended-commit throughput (8 writer threads sharing group-commit
+//! batches on a file and a memory sink), and recovery wall time as a
+//! function of WAL length (with and without a checkpoint). Three bars —
+//! snapshot reads within 15% of the live scan, the 8-writer file-sink cost
+//! per row at most half the lone writer's (the `insert` row's `wal(file)`),
+//! and at least 2 statements per sync in the 8-writer run — are asserted
+//! here in the full run and reported (not asserted) in `--quick`, where
+//! the windows are too short to be stable in CI. The scan bar is a ratio
+//! of two ~20 ns/row loops and swings several points with binary layout
+//! (measured 4–13% across builds of the same scan code), hence 15% rather
+//! than a tighter bound.
 
 use fedwf_bench::durability::run_e16;
 
@@ -31,44 +33,35 @@ fn main() {
     println!("{}", e16.insert.render());
     println!("{}", e16.scan.render());
     println!("{}", e16.contended.render());
-    println!("{}", e16.solo.render());
     for row in &e16.recovery {
         println!("{}", row.render());
     }
 
     let overhead = e16.scan.snapshot_overhead_pct();
     println!("\nsnapshot-read overhead vs live scan: {overhead:.1}%");
-    let ratio = e16.contended.group_vs_memory_ratio();
+    let ratio = e16.contended.file_us_per_row() / e16.insert.wal_file_us_per_row().max(1e-9);
+    let per_sync = e16.contended.statements_per_sync();
     println!(
-        "contended group commit vs memory-sink group commit: {ratio:.1}x  \
-         (sync -> group speedup {:.1}x)",
-        e16.contended.group_speedup_over_sync()
+        "{} writers vs a lone writer, file sink, per row: {ratio:.2}x  \
+         ({per_sync:.1} statements per sync)",
+        e16.contended.writers
     );
-    let solo_ratio = e16.solo.group_vs_sync();
-    println!("single-writer group commit vs sync: {solo_ratio:.2}x");
     if !quick {
+        // Writers that arrive while a batch syncs share the next sync, so
+        // contention must make each durable row cheaper, not dearer…
+        assert!(
+            ratio <= 0.5,
+            "contended commits must cost at most half a lone writer's per row ({ratio:.2}x)"
+        );
+        // …because the syncs really are shared.
+        assert!(
+            per_sync >= 2.0,
+            "contended commits must average at least 2 statements per sync ({per_sync:.1}): {:?}",
+            e16.contended.stats
+        );
         assert!(
             overhead <= 15.0,
             "snapshot reads must stay within 15% of the live scan ({overhead:.1}%)"
-        );
-        assert!(
-            ratio <= 10.0,
-            "group commit must amortise the fsync to within 10x of the \
-             memory-sink protocol cost ({ratio:.1}x)"
-        );
-        // The adaptive linger: a lone writer must no longer pay the 200 µs
-        // straggler wait per commit, so Group stays within a small factor
-        // of Sync (handoff + shared fsync, no wait)…
-        assert!(
-            solo_ratio <= 5.0,
-            "single-writer group commit must approach sync once the linger \
-             disarms ({solo_ratio:.2}x)"
-        );
-        // …while concurrent writers still get coalesced syncs.
-        assert!(
-            e16.contended.group_stats.max_batch > 1,
-            "adaptive linger must not cost the contended run its batching: {:?}",
-            e16.contended.group_stats
         );
     }
     for row in &e16.recovery {

@@ -1,13 +1,14 @@
 //! E16 — what durability costs and what recovery buys.
 //!
-//! Three questions, each answered against the same synthetic table:
+//! Four questions, each answered against the same synthetic table:
 //!
-//! 1. **Write amplification** — insert throughput with the WAL on versus a
-//!    plain in-memory database, on both a memory sink (isolates the commit
-//!    protocol: encode the redo records, CRC-frame them, append, bump the
-//!    epoch) and a file sink (adds the `fdatasync` per commit that makes
-//!    the statement actually durable — expect orders of magnitude, that is
-//!    the price of the D in ACID).
+//! 1. **Write amplification** — single-writer insert throughput with the
+//!    WAL on versus a plain in-memory database, on both a memory sink
+//!    (isolates the commit protocol: encode the redo records, CRC-frame
+//!    them, submit, lead a batch of one, bump the epoch) and a file sink
+//!    (adds the `fdatasync` per commit that makes the statement actually
+//!    durable — expect orders of magnitude, that is the price of the D in
+//!    ACID).
 //! 2. **Read-path tax** — scan throughput through an epoch-pinned snapshot
 //!    read versus the live view, both pulled through the streaming
 //!    executor's cursor (`Database::scan_chunk_columnar`, 256-row chunks).
@@ -16,7 +17,10 @@
 //!    acceptance bar is snapshot reads within 15% of the in-memory scan (a
 //!    ratio of two ~20 ns/row loops; it moves several points with binary
 //!    layout alone).
-//! 3. **Recovery latency** — `Database::open_with` wall time as a function
+//! 3. **Contended commit** — 8 writer threads on one durable database:
+//!    the statements that arrive while one batch syncs share the next
+//!    `fdatasync`, so the per-row cost falls below the single writer's.
+//! 4. **Recovery latency** — `Database::open_with` wall time as a function
 //!    of WAL length, measured on logs of growing statement counts. Replay
 //!    is linear in the log, so the interesting number is the per-statement
 //!    slope (and that a checkpoint resets it).
@@ -26,7 +30,7 @@ use std::time::Duration;
 
 use fedwf_relstore::{CommitStats, Database, Durability, MemorySink, MemorySnapshots, Predicate};
 use fedwf_sim::WallClock;
-use fedwf_types::{CommitMode, DataType, Row, Schema, Value};
+use fedwf_types::{DataType, Row, Schema, Value};
 
 const TABLE: &str = "Events";
 
@@ -92,6 +96,12 @@ pub struct InsertThroughputRow {
 }
 
 impl InsertThroughputRow {
+    /// Wall time per row of the file-sink run, in µs: the lone writer's
+    /// cost of one durable commit.
+    pub fn wal_file_us_per_row(&self) -> f64 {
+        self.wal_file.as_nanos() as f64 / self.rows as f64 / 1000.0
+    }
+
     /// Multiplier of the WAL-on file run over the in-memory run.
     pub fn file_slowdown(&self) -> f64 {
         self.wal_file.as_secs_f64() / self.in_memory.as_secs_f64().max(1e-9)
@@ -252,14 +262,14 @@ pub fn recovery_time(statements: i32, rounds: usize) -> RecoveryRow {
 }
 
 /// One contended-commit side: `writers` threads each insert `per_writer`
-/// distinct rows through a shared database built by `make`. The timed
-/// window ends after `flush_commits`, so Async mode is charged for the
-/// durability it deferred and all modes compare like for like.
+/// distinct rows through a shared durable database built by `make`. Every
+/// insert is durable when it returns, so the timed window ends at the
+/// last join.
 fn contended_side(
     writers: usize,
     per_writer: i32,
     make: &dyn Fn() -> Database,
-) -> (Duration, Option<CommitStats>) {
+) -> (Duration, CommitStats) {
     let db = Arc::new(make());
     let clock = WallClock::start();
     let threads: Vec<_> = (0..writers)
@@ -276,13 +286,15 @@ fn contended_side(
     for t in threads {
         t.join().unwrap();
     }
-    db.flush_commits().unwrap();
     let elapsed = clock.elapsed();
     assert_eq!(
         db.scan_all(TABLE).unwrap().row_count(),
         writers * per_writer as usize
     );
-    (elapsed, db.commit_stats())
+    let stats = db
+        .commit_stats()
+        .expect("a durable database counts commits");
+    (elapsed, stats)
 }
 
 /// Best-of-`rounds` contended run, keeping the stats of the best round.
@@ -292,8 +304,8 @@ fn best_contended(
     per_writer: i32,
     reset: &dyn Fn(),
     make: &dyn Fn() -> Database,
-) -> (Duration, Option<CommitStats>) {
-    let mut best: Option<(Duration, Option<CommitStats>)> = None;
+) -> (Duration, CommitStats) {
+    let mut best: Option<(Duration, CommitStats)> = None;
     for _ in 0..rounds {
         reset();
         let run = contended_side(writers, per_writer, make);
@@ -304,59 +316,46 @@ fn best_contended(
     best.expect("rounds > 0")
 }
 
-/// Contended commit: N writer threads hammering one database, per commit
-/// mode. This is the workload group commit exists for — under `Sync` every
-/// writer pays its own `fdatasync` serially through the commit lock; under
-/// `Group` the log-writer thread coalesces the concurrent commits into a
-/// shared append + sync.
+/// Contended commit: N writer threads hammering one durable database. This
+/// is the workload group commit exists for: while one writer syncs a
+/// batch, the others submit behind it, and the next of them to wait writes
+/// all of their statements with one append and one `fdatasync`.
 #[derive(Debug, Clone)]
 pub struct ContendedCommitRow {
     pub writers: usize,
     pub per_writer: i32,
-    /// File sink, `CommitMode::Sync`: one fdatasync per statement.
-    pub file_sync: Duration,
-    /// File sink, `CommitMode::group()`: batched appends, shared fsyncs.
-    pub file_group: Duration,
-    /// File sink, `CommitMode::asynchronous()`: buffered acks, one final
-    /// flush charged to the window.
-    pub file_async: Duration,
-    /// Memory sink, `CommitMode::group()`: the commit protocol with the
-    /// disk taken out — the reference the acceptance bar compares against.
-    pub mem_group: Duration,
-    /// Committer stats from the best file-sink Group round.
-    pub group_stats: CommitStats,
+    /// File sink: real appends and `fdatasync`s.
+    pub file: Duration,
+    /// Memory sink: the commit protocol with the disk taken out.
+    pub memory: Duration,
+    /// Commit counters from the best file-sink round.
+    pub stats: CommitStats,
 }
 
 impl ContendedCommitRow {
-    /// File-sink Group time relative to the memory-sink Group time. The
-    /// acceptance bar is ~10x: group commit has to amortise the fsync well
-    /// enough that the disk is no longer three orders of magnitude away.
-    pub fn group_vs_memory_ratio(&self) -> f64 {
-        self.file_group.as_secs_f64() / self.mem_group.as_secs_f64().max(1e-9)
+    fn us_per_row(&self, d: Duration) -> f64 {
+        d.as_nanos() as f64 / (self.writers as f64 * self.per_writer as f64) / 1000.0
     }
 
-    /// How much the log-writer thread bought over everyone syncing alone.
-    pub fn group_speedup_over_sync(&self) -> f64 {
-        self.file_sync.as_secs_f64() / self.file_group.as_secs_f64().max(1e-9)
+    /// Wall time per committed row of the file-sink run, in µs.
+    pub fn file_us_per_row(&self) -> f64 {
+        self.us_per_row(self.file)
+    }
+
+    /// Statements each `fdatasync` made durable, on average.
+    pub fn statements_per_sync(&self) -> f64 {
+        self.stats.commits as f64 / self.stats.syncs.max(1) as f64
     }
 
     pub fn render(&self) -> String {
-        let per = |d: Duration| {
-            d.as_nanos() as f64 / (self.writers as f64 * self.per_writer as f64) / 1000.0
-        };
-        let avg_batch = self.group_stats.commits as f64 / self.group_stats.batches.max(1) as f64;
         format!(
-            "commit {}wx{:<5} sync {:>8.2} us/row   group {:>7.2} us/row ({:.1}x faster)   async {:>7.2} us/row   group(mem) {:>6.2} us/row   [{:.1}x of mem; batch avg {:.1} max {}]",
+            "commit {}wx{:<5} wal(file) {:>7.2} us/row   wal(mem) {:>6.2} us/row   [{:.1} statements per sync, max batch {}]",
             self.writers,
             self.per_writer,
-            per(self.file_sync),
-            per(self.file_group),
-            self.group_speedup_over_sync(),
-            per(self.file_async),
-            per(self.mem_group),
-            self.group_vs_memory_ratio(),
-            avg_batch,
-            self.group_stats.max_batch
+            self.file_us_per_row(),
+            self.us_per_row(self.memory),
+            self.statements_per_sync(),
+            self.stats.max_batch
         )
     }
 }
@@ -367,104 +366,15 @@ pub fn contended_commit(writers: usize, per_writer: i32, rounds: usize) -> Conte
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
     };
-    let file_make = |mode: CommitMode| {
-        let dir = dir.clone();
-        move || {
-            let db = Database::open_with(
-                "e16",
-                Durability::at_path(&dir).unwrap().with_commit_mode(mode),
-            )
-            .unwrap();
-            db.create_table(TABLE, schema()).unwrap();
-            db
-        }
-    };
-    let file_side = |mode: CommitMode| {
-        best_contended(rounds, writers, per_writer, &reset_dir, &file_make(mode))
-    };
-    let (file_sync, _) = file_side(CommitMode::Sync);
-    let (file_group, group_stats) = file_side(CommitMode::group());
-    let (file_async, _) = file_side(CommitMode::asynchronous());
-    let (mem_group, _) = best_contended(rounds, writers, per_writer, &|| {}, &|| {
-        let db = Database::open_with(
-            "e16",
-            Durability::in_memory(MemorySink::new(), MemorySnapshots::new())
-                .with_commit_mode(CommitMode::group()),
-        )
-        .unwrap();
-        db.create_table(TABLE, schema()).unwrap();
-        db
-    });
+    let (file, stats) = best_contended(rounds, writers, per_writer, &reset_dir, &|| file_db(&dir));
+    let (memory, _) = best_contended(rounds, writers, per_writer, &|| {}, &wal_db);
     std::fs::remove_dir_all(&dir).ok();
     ContendedCommitRow {
         writers,
         per_writer,
-        file_sync,
-        file_group,
-        file_async,
-        mem_group,
-        group_stats: group_stats.expect("group mode runs a committer"),
-    }
-}
-
-/// Single-writer commit latency: Sync vs Group over the same file sink.
-/// The group linger exists for *concurrent* writers; this row checks what
-/// a lone writer pays for it. With the fixed 200 µs linger it dominated
-/// every commit; the adaptive linger disarms after two solo drains, so
-/// Group should sit within a small factor of Sync (handoff to the
-/// log-writer thread plus the shared fsync, no wait).
-#[derive(Debug, Clone)]
-pub struct SoloCommitRow {
-    pub commits: i32,
-    /// File sink, `CommitMode::Sync`: the committing thread fsyncs itself.
-    pub file_sync: Duration,
-    /// File sink, `CommitMode::group()`: handoff + adaptive linger.
-    pub file_group: Duration,
-}
-
-impl SoloCommitRow {
-    /// Lone-writer Group latency relative to Sync — the adaptive-linger
-    /// acceptance ratio.
-    pub fn group_vs_sync(&self) -> f64 {
-        self.file_group.as_secs_f64() / self.file_sync.as_secs_f64().max(1e-9)
-    }
-
-    pub fn render(&self) -> String {
-        let per = |d: Duration| d.as_nanos() as f64 / self.commits as f64 / 1000.0;
-        format!(
-            "solo   x{:<6} sync {:>8.2} us/row   group {:>7.2} us/row   ({:.2}x of sync)",
-            self.commits,
-            per(self.file_sync),
-            per(self.file_group),
-            self.group_vs_sync()
-        )
-    }
-}
-
-pub fn solo_commit(commits: i32, rounds: usize) -> SoloCommitRow {
-    let dir = scratch_dir("solo");
-    let side = |mode: CommitMode| {
-        best_of(rounds, || {
-            std::fs::remove_dir_all(&dir).ok();
-            std::fs::create_dir_all(&dir).unwrap();
-            insert_side(commits, &|| {
-                let db = Database::open_with(
-                    "e16",
-                    Durability::at_path(&dir).unwrap().with_commit_mode(mode),
-                )
-                .unwrap();
-                db.create_table(TABLE, schema()).unwrap();
-                db
-            })
-        })
-    };
-    let file_sync = side(CommitMode::Sync);
-    let file_group = side(CommitMode::group());
-    std::fs::remove_dir_all(&dir).ok();
-    SoloCommitRow {
-        commits,
-        file_sync,
-        file_group,
+        file,
+        memory,
+        stats,
     }
 }
 
@@ -477,7 +387,6 @@ pub struct E16 {
     pub insert: InsertThroughputRow,
     pub scan: ScanThroughputRow,
     pub contended: ContendedCommitRow,
-    pub solo: SoloCommitRow,
     pub recovery: Vec<RecoveryRow>,
 }
 
@@ -488,7 +397,6 @@ pub fn run_e16(quick: bool) -> E16 {
         (20_000, 200, 5)
     };
     let (writers, per_writer, commit_rounds) = if quick { (8, 25, 2) } else { (8, 200, 3) };
-    let solo_commits = if quick { 50 } else { 400 };
     let recovery_sizes: &[i32] = if quick {
         &[500, 2_000]
     } else {
@@ -498,7 +406,6 @@ pub fn run_e16(quick: bool) -> E16 {
         insert: insert_throughput(rows, rounds),
         scan: scan_throughput(rows, scans, rounds),
         contended: contended_commit(writers, per_writer, commit_rounds),
-        solo: solo_commit(solo_commits, commit_rounds),
         recovery: recovery_sizes
             .iter()
             .map(|&n| recovery_time(n, rounds))
@@ -538,21 +445,14 @@ mod tests {
     }
 
     #[test]
-    fn solo_commit_harness_measures_both_modes() {
-        // Latency bars live in the bench binary (full run); here the
-        // harness just has to land every row under both commit modes.
-        let row = solo_commit(20, 1);
-        assert!(row.file_sync.as_nanos() > 0 && row.file_group.as_nanos() > 0);
-    }
-
-    #[test]
-    fn contended_commit_lands_every_row_in_every_mode() {
+    fn contended_commit_lands_every_row_on_both_sinks() {
         // contended_side asserts the row count per run; here we only need
-        // the harness to survive all four configurations and report stats.
+        // the harness to survive both sinks and report stats.
         let row = contended_commit(4, 10, 1);
-        assert!(row.file_group.as_nanos() > 0 && row.mem_group.as_nanos() > 0);
-        // 40 inserts + 1 CREATE TABLE all went through the group committer.
-        assert_eq!(row.group_stats.commits, 41);
-        assert!(row.group_stats.batches <= row.group_stats.commits);
+        assert!(row.file.as_nanos() > 0 && row.memory.as_nanos() > 0);
+        // 40 inserts + 1 CREATE TABLE all went through the committer.
+        assert_eq!(row.stats.commits, 41);
+        assert_eq!(row.stats.batches, row.stats.syncs);
+        assert!(row.stats.syncs <= row.stats.commits);
     }
 }

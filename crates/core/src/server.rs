@@ -23,25 +23,22 @@ use crate::mapping::MappingSpec;
 use crate::request::{Outcome, Request, Target};
 
 /// Durable local storage for the FDBS's own tables: a directory holding
-/// `wal.log` + `snapshot.bin`, and the [`CommitMode`] commits are
-/// acknowledged under. Absent, the local store is purely in-memory (the
-/// default for simulations).
+/// `wal.log` + `snapshot.bin`. Absent, the local store is purely in-memory
+/// (the default for simulations).
 #[derive(Debug, Clone)]
 pub struct LocalStoreConfig {
     pub dir: std::path::PathBuf,
-    pub commit_mode: CommitMode,
 }
 
 impl LocalStoreConfig {
     pub fn at(dir: impl Into<std::path::PathBuf>) -> LocalStoreConfig {
-        LocalStoreConfig {
-            dir: dir.into(),
-            commit_mode: CommitMode::Sync,
-        }
+        LocalStoreConfig { dir: dir.into() }
     }
 
-    pub fn with_commit_mode(mut self, mode: CommitMode) -> LocalStoreConfig {
-        self.commit_mode = mode;
+    /// Kept for the repository benchmark only, which still calls it with
+    /// [`CommitMode::group`]: the store has one commit path, so this changes
+    /// nothing. It goes with the benchmark's next change.
+    pub fn with_commit_mode(self, _mode: CommitMode) -> LocalStoreConfig {
         self
     }
 }
@@ -55,9 +52,10 @@ pub struct IntegrationConfig {
     /// Enable the wrapper-internal federated-function result cache (the
     /// paper's future-work "query optimization options").
     pub result_cache: bool,
-    /// WAL-backed persistence for the FDBS local store. With
-    /// [`CommitMode::Group`], concurrent [`crate::ServerFront`] callers
-    /// committing INSERTs share one `fdatasync` per log-writer batch.
+    /// WAL-backed persistence for the FDBS local store. Concurrent
+    /// [`crate::ServerFront`] callers committing INSERTs share
+    /// `fdatasync`s: the statements committed while one batch syncs are
+    /// written together by whichever of their callers leads the next.
     pub local_store: Option<LocalStoreConfig>,
 }
 
@@ -175,8 +173,7 @@ impl IntegrationServer {
             Arc::new(WfmsWrapper::new(controller.clone()).with_result_cache(config.result_cache));
         let fdbs = match &config.local_store {
             Some(spec) => {
-                let durability = fedwf_relstore::Durability::at_path(&spec.dir)?
-                    .with_commit_mode(spec.commit_mode);
+                let durability = fedwf_relstore::Durability::at_path(&spec.dir)?;
                 let local = fedwf_relstore::Database::open_with("fdbs", durability)?;
                 Arc::new(Fdbs::with_local(config.cost.clone(), local))
             }

@@ -11,10 +11,12 @@
 //!
 //! Durability: a database created with [`Database::open`] (or
 //! [`Database::open_with`]) logs every committed statement to a write-ahead
-//! log before publishing it, and [`Database::checkpoint`] folds the log
-//! into a snapshot. Reopening replays snapshot + log, discarding any
-//! statement whose commit marker never made it out — see [`crate::wal`]
-//! for the frame format and the recovery invariant.
+//! log before publishing it, through group commit that the committing
+//! threads lead themselves ([`crate::wal::GroupCommitter`]), and
+//! [`Database::checkpoint`] folds the log into a snapshot. Reopening
+//! replays snapshot + log, discarding any statement whose commit marker
+//! never made it out — see [`crate::wal`] for the frame format and the
+//! recovery invariant.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,7 +32,6 @@ use crate::index::IndexKind;
 use crate::predicate::Predicate;
 use crate::table::{ChangeKind, ColumnSink, RowId, ScanSink, StoredTable, TableStats, UndoLog};
 use crate::wal::{self, CommitStats, Durability, GroupCommitter, Wal, WalRecord};
-use fedwf_types::CommitMode;
 
 /// Magic prefix of a checkpoint snapshot (versioned).
 const SNAPSHOT_MAGIC: &[u8; 8] = b"FWSNAP1\0";
@@ -38,28 +39,25 @@ const SNAPSHOT_MAGIC: &[u8; 8] = b"FWSNAP1\0";
 /// An embedded database: a set of tables guarded by a reader-writer lock,
 /// with MVCC snapshot reads and optional WAL-backed durability.
 ///
-/// Commit publication is two-phase when a log-writer thread is in play
-/// ([`CommitMode::Group`] / [`CommitMode::Async`]): a writer applies its
-/// statement and enqueues the encoded log record *while holding* the table
-/// write lock (so txn order == log order), releases the lock, and blocks on
-/// its durability ack; only then does the log writer advance `commit_epoch`
-/// — the MVCC visibility horizon — so a reader can never observe a
-/// statement that a crash could still take away. [`CommitMode::Sync`] keeps
-/// the original inline append+fsync under the lock.
+/// A durable commit is published in two phases: a writer applies its
+/// statement and submits the encoded log record *while holding* the table
+/// write lock (so txn order == log order), releases the lock, and waits
+/// until its statement is durable; only then does `commit_epoch` — the
+/// MVCC visibility horizon — cover it, so a reader can never observe a
+/// statement that a crash could still take away.
 #[derive(Debug, Default)]
 pub struct Database {
     name: String,
     tables: RwLock<BTreeMap<Ident, StoredTable>>,
     /// Id of the last *published* (visible) statement; also the newest
-    /// pinnable epoch. Shared with the log writer, which advances it after
-    /// durability in group mode.
-    commit_epoch: Arc<AtomicU64>,
+    /// pinnable epoch. The committer advances it after each durable batch.
+    commit_epoch: AtomicU64,
     /// Id of the last *allocated* statement. Runs ahead of `commit_epoch`
-    /// while commits are in flight through the log writer. Allocation only
-    /// happens under the table write lock.
+    /// while commits wait for their sync. Allocation only happens under
+    /// the table write lock.
     next_txn: AtomicU64,
     durability: Option<Durability>,
-    /// The log-writer engine; present iff `durability.mode.uses_log_writer()`.
+    /// Present iff `durability` is.
     committer: Option<GroupCommitter>,
 }
 
@@ -70,7 +68,7 @@ impl Database {
         Database {
             name: name.into(),
             tables: RwLock::new(BTreeMap::new()),
-            commit_epoch: Arc::new(AtomicU64::new(TXN_EPOCH_ZERO)),
+            commit_epoch: AtomicU64::new(TXN_EPOCH_ZERO),
             next_txn: AtomicU64::new(TXN_EPOCH_ZERO),
             durability: None,
             committer: None,
@@ -94,24 +92,15 @@ impl Database {
     /// harness passes `Arc`-shared in-memory sinks here and "crashes" by
     /// dropping the database while keeping the sinks.
     pub fn open_with(name: impl Into<String>, durability: Durability) -> FedResult<Database> {
-        let mode = durability.mode;
         let mut db = Database {
             name: name.into(),
             tables: RwLock::new(BTreeMap::new()),
-            commit_epoch: Arc::new(AtomicU64::new(TXN_EPOCH_ZERO)),
+            commit_epoch: AtomicU64::new(TXN_EPOCH_ZERO),
             next_txn: AtomicU64::new(TXN_EPOCH_ZERO),
+            committer: Some(GroupCommitter::new(durability.wal.sink())),
             durability: Some(durability),
-            committer: None,
         };
         db.recover()?;
-        if mode.uses_log_writer() {
-            let sink = db.durability.as_ref().expect("just set").wal.sink();
-            db.committer = Some(GroupCommitter::start(
-                sink,
-                mode,
-                Arc::clone(&db.commit_epoch),
-            ));
-        }
         Ok(db)
     }
 
@@ -124,28 +113,10 @@ impl Database {
         self.durability.is_some()
     }
 
-    /// How commits are acknowledged ([`CommitMode::Sync`] for in-memory
-    /// databases, which have nothing to sync).
-    pub fn commit_mode(&self) -> CommitMode {
-        self.durability
-            .as_ref()
-            .map_or(CommitMode::Sync, |d| d.mode)
-    }
-
-    /// Log-writer counters, when a log writer is running (group/async
-    /// modes). `syncs < commits` is group commit working.
+    /// Commit counters of a durable database. `syncs < commits` is group
+    /// commit working.
     pub fn commit_stats(&self) -> Option<CommitStats> {
         self.committer.as_ref().map(|c| c.stats())
-    }
-
-    /// Durability barrier: returns once every commit accepted so far is on
-    /// disk. A no-op in sync mode (commits are already durable when they
-    /// return); in async mode this is the one way to bound the loss window.
-    pub fn flush_commits(&self) -> FedResult<()> {
-        match &self.committer {
-            Some(c) => c.flush(),
-            None => Ok(()),
-        }
     }
 
     /// The newest consistent epoch a reader can pin: the id of the last
@@ -156,24 +127,17 @@ impl Database {
     }
 
     /// Run one committed write statement: allocate its transaction id,
-    /// apply `f`, then WAL-log the changes and advance the commit epoch —
-    /// or undo everything `f` logged if it (or the WAL append) failed.
+    /// apply `f`, submit the changes to the log and wait until they are
+    /// durable — or undo everything `f` logged if it (or the submit)
+    /// failed.
     ///
-    /// With a log writer (group/async modes) the durable part is pipelined:
-    /// the encoded statement is *enqueued* under the write lock (preserving
-    /// txn order in the log), the lock is released, and the writer blocks
-    /// on its durability ack — so concurrent committers share one
-    /// `fdatasync` instead of serializing one each under the lock.
+    /// The wait happens with the table lock released, so every writer
+    /// that commits while one batch is syncing shares the next sync.
     fn mutate<R>(
         &self,
         table: &str,
         f: impl FnOnce(&mut StoredTable, TxnId, &mut UndoLog) -> FedResult<R>,
     ) -> FedResult<R> {
-        // Back-pressure from a slow disk is taken *before* the table lock:
-        // a full log-writer queue parks producers without blocking readers.
-        if let Some(c) = &self.committer {
-            c.wait_for_space();
-        }
         let mut tables = self.tables.write();
         let t = Self::resolve_mut(&mut tables, table, &self.name)?;
         // Allocation happens only under the write lock, so restoring it on
@@ -181,63 +145,27 @@ impl Database {
         let txn = self.next_txn.load(Ordering::Relaxed) + 1;
         self.next_txn.store(txn, Ordering::Relaxed);
         let mut undo = UndoLog::new();
-        match f(t, txn, &mut undo) {
+        let logged = |e: FedError| e.with_context(format!("logging statement against {table}"));
+        let result = f(t, txn, &mut undo).and_then(|r| {
+            match &self.committer {
+                Some(c) => c
+                    .submit(
+                        txn,
+                        Wal::encode_statement(txn, &Self::redo_records(t, &undo)),
+                    )
+                    .map_err(logged)?,
+                None => self.commit_epoch.store(txn, Ordering::Release),
+            }
+            Ok(r)
+        });
+        match result {
             Ok(r) => {
-                let ticket = match (&self.committer, &self.durability) {
-                    (Some(c), _) => {
-                        let records = Self::redo_records(t, &undo);
-                        let bytes = Wal::encode_statement(txn, &records);
-                        match c.submit(txn, bytes) {
-                            Ok(ticket) => {
-                                if ticket.is_none() {
-                                    // Async mode acks at enqueue: publish
-                                    // visibility now (documented loss
-                                    // window until the next cadence sync).
-                                    self.commit_epoch.store(txn, Ordering::Release);
-                                }
-                                ticket
-                            }
-                            Err(e) => {
-                                // Rejected at the door (dead/stopping log
-                                // writer): nothing was logged, undo fully.
-                                t.abort(&mut undo);
-                                self.next_txn.store(txn - 1, Ordering::Relaxed);
-                                return Err(
-                                    e.with_context(format!("logging statement against {table}"))
-                                );
-                            }
-                        }
-                    }
-                    (None, Some(d)) => {
-                        // Sync mode: inline append+fsync under the lock,
-                        // exactly the single-writer fast path.
-                        let records = Self::redo_records(t, &undo);
-                        if let Err(e) = d.wal.append_statement(txn, &records) {
-                            t.abort(&mut undo);
-                            self.next_txn.store(txn - 1, Ordering::Relaxed);
-                            return Err(
-                                e.with_context(format!("logging statement against {table}"))
-                            );
-                        }
-                        self.commit_epoch.store(txn, Ordering::Release);
-                        None
-                    }
-                    (None, None) => {
-                        self.commit_epoch.store(txn, Ordering::Release);
-                        None
-                    }
-                };
-                // Phase two: wait for the durability ack with the lock
-                // released, so the log writer can coalesce us with every
-                // other writer currently in this window.
                 drop(tables);
-                if let Some(ticket) = ticket {
+                if let Some(c) = &self.committer {
                     // On failure the statement is applied in memory but its
                     // epoch is never published: the versions stay invisible
                     // forever (undo is impossible once the lock is gone).
-                    ticket.wait().map_err(|e| {
-                        e.with_context(format!("logging statement against {table}"))
-                    })?;
+                    c.wait(txn, &self.commit_epoch).map_err(logged)?;
                 }
                 Ok(r)
             }
@@ -286,10 +214,10 @@ impl Database {
     /// The caller has already validated; `undo_on_log_failure` reverts the
     /// in-memory change if the log write fails.
     ///
-    /// Unlike DML, DDL waits for its durability ack *while holding* the
-    /// table write lock: the tables map is not versioned, so a created
-    /// table would otherwise be observable before it is durable. DDL is
-    /// rare enough that pinning readers for one sync is the right trade.
+    /// Unlike DML, DDL waits until it is durable *while holding* the table
+    /// write lock: the tables map is not versioned, so a created table
+    /// would otherwise be observable before it is durable. DDL is rare
+    /// enough that pinning readers for one sync is the right trade.
     fn commit_ddl(
         &self,
         tables: &mut BTreeMap<Ident, StoredTable>,
@@ -298,35 +226,19 @@ impl Database {
     ) -> FedResult<()> {
         let txn = self.next_txn.load(Ordering::Relaxed) + 1;
         self.next_txn.store(txn, Ordering::Relaxed);
-        let result = match (&self.committer, &self.durability) {
-            (Some(c), _) => {
-                let bytes = Wal::encode_statement(txn, &[record]);
-                c.submit(txn, bytes).and_then(|ticket| match ticket {
-                    // Group mode: block for the ack here, under the lock.
-                    Some(t) => t.wait(),
-                    // Async mode: acked at enqueue; publish below.
-                    None => {
-                        self.commit_epoch.store(txn, Ordering::Release);
-                        Ok(())
-                    }
-                })
-            }
-            (None, Some(d)) => d.wal.append_statement(txn, &[record]).map(|()| {
-                self.commit_epoch.store(txn, Ordering::Release);
-            }),
-            (None, None) => {
-                self.commit_epoch.store(txn, Ordering::Release);
-                Ok(())
-            }
+        let Some(c) = &self.committer else {
+            self.commit_epoch.store(txn, Ordering::Release);
+            return Ok(());
         };
-        match result {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                undo_on_log_failure(tables);
-                self.next_txn.store(txn - 1, Ordering::Relaxed);
-                Err(e.with_context("logging DDL statement"))
-            }
+        let logged = c
+            .submit(txn, Wal::encode_statement(txn, &[record]))
+            .and_then(|()| c.wait(txn, &self.commit_epoch));
+        if let Err(e) = logged {
+            undo_on_log_failure(tables);
+            self.next_txn.store(txn - 1, Ordering::Relaxed);
+            return Err(e.with_context("logging DDL statement"));
         }
+        Ok(())
     }
 
     /// Create an empty table.
@@ -447,10 +359,10 @@ impl Database {
     /// Projection-pruned scan: the predicate keeps the table's full column
     /// numbering; only the requested columns are returned.
     ///
-    /// Reads at the *published* commit epoch, not at "latest applied": with
-    /// a log writer, statements sit applied-but-unacked between enqueue and
-    /// fsync, and a reader must never observe one of those (visibility
-    /// would run ahead of durability). In sync mode the two coincide.
+    /// Reads at the *published* commit epoch, not at "latest applied": a
+    /// durable statement sits applied but unpublished between its submit
+    /// and its batch's sync, and a reader must never observe one of those
+    /// (visibility would run ahead of durability).
     pub fn scan_project(
         &self,
         table: &str,
@@ -563,24 +475,22 @@ impl Database {
     /// opened before the checkpoint must not be resumed across it (their
     /// versions may have been pruned).
     pub fn checkpoint(&self) -> FedResult<()> {
-        let Some(d) = &self.durability else {
+        let (Some(d), Some(c)) = (&self.durability, &self.committer) else {
             return Err(FedError::recovery(format!(
                 "database {} is in-memory only: nothing to checkpoint",
                 self.name
             )));
         };
         let mut tables = self.tables.write();
-        // Drain the log writer *while holding the write lock*: every
-        // statement ever submitted was applied (and enqueued) under this
+        // Drain the pending batch *while holding the write lock*: every
+        // statement ever submitted was applied (and submitted) under this
         // lock, so after the flush the WAL holds nothing newer than what
         // the snapshot below will capture — the truncate cannot eat a
         // commit that is pending or mid-batch, and the epoch we record
         // covers every statement left in (and removed from) the log.
-        if let Some(c) = &self.committer {
-            c.flush()
-                .map_err(|e| e.with_context("draining log writer before checkpoint"))?;
-            debug_assert_eq!(c.pending(), 0, "flush drained all queued statements");
-        }
+        c.flush(&self.commit_epoch)
+            .map_err(|e| e.with_context("draining the pending batch before checkpoint"))?;
+        debug_assert_eq!(c.pending(), 0, "flush drained every pending statement");
         let epoch = self.commit_epoch.load(Ordering::Acquire);
         let bytes = encode_snapshot(epoch, &tables);
         d.snapshots.store(&bytes)?;
@@ -629,7 +539,7 @@ impl Database {
             d.wal.truncate_to(replay.committed_len)?;
         }
         self.tables = RwLock::new(tables);
-        self.commit_epoch = Arc::new(AtomicU64::new(epoch));
+        self.commit_epoch = AtomicU64::new(epoch);
         self.next_txn = AtomicU64::new(epoch);
         Ok(())
     }
@@ -826,9 +736,12 @@ fn decode_snapshot(bytes: &[u8]) -> FedResult<(TxnId, BTreeMap<Ident, StoredTabl
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{MemorySink, MemorySnapshots, SnapshotStore};
+    use crate::wal::{LogSink, MemorySink, MemorySnapshots, SnapshotStore};
+    use fedwf_types::sync::{Condvar, Mutex};
     use fedwf_types::{DataType, ErrorLayer, Schema};
-    use std::sync::Arc;
+    use std::sync::atomic::AtomicBool;
+    use std::thread::JoinHandle;
+    use std::time::{Duration, Instant};
 
     fn db() -> Database {
         let db = Database::new("stock");
@@ -1195,20 +1108,24 @@ mod tests {
         let db = db();
         assert!(!db.is_durable());
         assert!(db.checkpoint().is_err());
+        assert_eq!(db.commit_stats(), None);
     }
 
-    /// A sink that makes every append slow, so concurrent commits pile up
-    /// in the log-writer queue and batches actually form.
+    /// A sink whose every sync is slow, so concurrent commits pile up
+    /// behind a batch and batches actually form.
     #[derive(Debug)]
     struct SlowSink {
         inner: Arc<MemorySink>,
-        delay: std::time::Duration,
+        delay: Duration,
     }
 
-    impl crate::wal::LogSink for SlowSink {
+    impl LogSink for SlowSink {
         fn append(&self, bytes: &[u8]) -> FedResult<()> {
-            std::thread::sleep(self.delay);
             self.inner.append(bytes)
+        }
+        fn sync(&self) -> FedResult<()> {
+            std::thread::sleep(self.delay);
+            Ok(())
         }
         fn read_all(&self) -> FedResult<Vec<u8>> {
             self.inner.read_all()
@@ -1218,20 +1135,184 @@ mod tests {
         }
     }
 
-    fn group_db(log: &Arc<MemorySink>, snaps: &Arc<MemorySnapshots>) -> Database {
-        Database::open_with(
-            "stock",
-            Durability::in_memory(log.clone(), snaps.clone()).with_commit_mode(CommitMode::group()),
-        )
-        .unwrap()
+    /// A memory sink whose `sync` blocks while its gate is closed, and
+    /// fails once `fail` is set: it holds a leader inside its sync for as
+    /// long as a test needs.
+    #[derive(Debug, Default)]
+    struct GatedSink {
+        inner: MemorySink,
+        /// Whether the gate is open, and how many syncs wait at it.
+        gate: Mutex<(bool, usize)>,
+        opened: Condvar,
+        fail: AtomicBool,
+    }
+
+    impl GatedSink {
+        fn new() -> Arc<GatedSink> {
+            Arc::new(GatedSink {
+                gate: Mutex::new((true, 0)),
+                ..GatedSink::default()
+            })
+        }
+
+        fn close(&self) {
+            self.gate.lock().0 = false;
+        }
+
+        fn open(&self) {
+            self.gate.lock().0 = true;
+            self.opened.notify_all();
+        }
+
+        fn blocked(&self) -> usize {
+            self.gate.lock().1
+        }
+    }
+
+    impl LogSink for GatedSink {
+        fn append(&self, bytes: &[u8]) -> FedResult<()> {
+            self.inner.append(bytes)
+        }
+        fn sync(&self) -> FedResult<()> {
+            let mut gate = self.gate.lock();
+            gate.1 += 1;
+            while !gate.0 {
+                gate = self.opened.wait(gate);
+            }
+            gate.1 -= 1;
+            if self.fail.load(Ordering::Relaxed) {
+                return Err(FedError::storage("disk on fire"));
+            }
+            Ok(())
+        }
+        fn read_all(&self) -> FedResult<Vec<u8>> {
+            self.inner.read_all()
+        }
+        fn truncate_to(&self, len: u64) -> FedResult<()> {
+            self.inner.truncate_to(len)
+        }
+    }
+
+    /// A durable database over `sink` holding an empty one-column table
+    /// `T` (one committed statement).
+    fn table_over(sink: Arc<dyn LogSink>) -> Arc<Database> {
+        let durability = Durability {
+            wal: Wal::new(sink),
+            snapshots: MemorySnapshots::new(),
+        };
+        let db = Database::open_with("stock", durability).unwrap();
+        db.create_table("T", Arc::new(Schema::of(&[("a", DataType::Int)])))
+            .unwrap();
+        Arc::new(db)
+    }
+
+    fn insert_on_thread(db: &Arc<Database>, k: i32) -> JoinHandle<FedResult<RowId>> {
+        let db = Arc::clone(db);
+        std::thread::spawn(move || db.insert("T", Row::new(vec![Value::Int(k)])))
+    }
+
+    /// Poll `holds` until it is true; fail the test after ten seconds.
+    fn wait_until(what: &str, holds: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !holds() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]
-    fn group_mode_concurrent_writers_all_commit_and_recover() {
+    fn a_lone_writer_syncs_each_statement_alone() {
+        let db = durable_db(&MemorySink::new(), &MemorySnapshots::new());
+        db.create_table("T", Arc::new(Schema::of(&[("a", DataType::Int)])))
+            .unwrap();
+        for i in 0..5 {
+            db.insert("T", Row::new(vec![Value::Int(i)])).unwrap();
+        }
+        assert_eq!(
+            db.commit_stats().unwrap(),
+            CommitStats {
+                commits: 6,
+                batches: 6,
+                syncs: 6,
+                max_batch: 1
+            }
+        );
+    }
+
+    /// Writer A leads a batch and blocks in its sync; seven writers
+    /// submit behind it. Nothing they wrote becomes visible while A's sync
+    /// is blocked, and once it returns one of them leads a batch of exactly
+    /// the seven.
+    #[test]
+    fn writers_arriving_during_a_sync_share_the_next_batch() {
+        let sink = GatedSink::new();
+        let db = table_over(sink.clone());
+        sink.close();
+        let a = insert_on_thread(&db, 0);
+        wait_until("writer A blocks in its sync", || sink.blocked() == 1);
+        let epoch = db.snapshot_epoch();
+        let followers: Vec<_> = (1..=7).map(|k| insert_on_thread(&db, k)).collect();
+        let committer = db.committer.as_ref().unwrap();
+        wait_until("seven statements are pending", || committer.pending() == 7);
+        assert_eq!(db.snapshot_epoch(), epoch, "visible before its sync");
+        assert_eq!(db.scan_all("T").unwrap().row_count(), 0);
+        sink.open();
+        a.join().unwrap().unwrap();
+        for f in followers {
+            f.join().unwrap().unwrap();
+        }
+        assert_eq!(db.snapshot_epoch(), epoch + 8);
+        assert_eq!(db.scan_all("T").unwrap().row_count(), 8);
+        assert_eq!(
+            db.commit_stats().unwrap(),
+            CommitStats {
+                commits: 9,
+                batches: 3,
+                syncs: 3,
+                max_batch: 7
+            }
+        );
+    }
+
+    /// A failed sync kills the committer: its batch, the statements that
+    /// queued behind it and every later commit fail as `[shutdown]`, and
+    /// the epoch stays where it was.
+    #[test]
+    fn a_failed_sync_fails_its_batch_and_every_later_commit() {
+        let sink = GatedSink::new();
+        let db = table_over(sink.clone());
+        sink.close();
+        let a = insert_on_thread(&db, 0);
+        wait_until("writer A blocks in its sync", || sink.blocked() == 1);
+        let epoch = db.snapshot_epoch();
+        let mut writers: Vec<_> = (1..=3).map(|k| insert_on_thread(&db, k)).collect();
+        let committer = db.committer.as_ref().unwrap();
+        wait_until("three statements are pending", || committer.pending() == 3);
+        sink.fail.store(true, Ordering::Relaxed);
+        sink.open();
+        writers.push(a);
+        for w in writers {
+            let err = w.join().unwrap().unwrap_err();
+            assert!(err.is_shutdown(), "{err}");
+        }
+        // Later statements are refused at submit and undone under the lock.
+        let err = db.insert("T", Row::new(vec![Value::Int(9)])).unwrap_err();
+        assert!(err.is_shutdown(), "{err}");
+        let schema = Arc::new(Schema::of(&[("b", DataType::Int)]));
+        assert!(db.create_table("U", schema).unwrap_err().is_shutdown());
+        assert!(!db.has_table("U"));
+        assert!(db.checkpoint().unwrap_err().is_shutdown());
+        assert_eq!(db.snapshot_epoch(), epoch);
+        assert_eq!(db.scan_all("T").unwrap().row_count(), 0);
+        assert_eq!(db.commit_stats().unwrap().commits, 1, "only the DDL");
+    }
+
+    #[test]
+    fn concurrent_writers_all_commit_and_recover() {
         let log = MemorySink::new();
         let snaps = MemorySnapshots::new();
         {
-            let db = Arc::new(group_db(&log, &snaps));
+            let db = Arc::new(durable_db(&log, &snaps));
             db.create_table("T", Arc::new(Schema::of(&[("a", DataType::Int)])))
                 .unwrap();
             let threads: Vec<_> = (0..4)
@@ -1252,34 +1333,30 @@ mod tests {
             // statements (1 DDL + 40 inserts) and the scan sees all rows.
             assert_eq!(db.snapshot_epoch(), 41);
             assert_eq!(db.scan_all("T").unwrap().row_count(), 40);
-            let stats = db.commit_stats().expect("group mode has a log writer");
+            let stats = db.commit_stats().unwrap();
             assert_eq!(stats.commits, 41);
             assert!(stats.syncs <= stats.commits);
-        } // drop = clean shutdown (drains the queue)
+        } // drop = crash; every acked statement is already durable
         let db = durable_db(&log, &snaps);
         assert_eq!(db.scan_all("T").unwrap().row_count(), 40);
     }
 
     #[test]
     fn checkpoint_is_safe_against_concurrently_committing_writers() {
-        // Writers push commits through a *slow* log writer while the main
-        // thread checkpoints repeatedly. The flush-under-lock ordering must
-        // guarantee a checkpoint never truncates a pending commit and never
-        // snapshots state it then loses — whatever interleaving happens,
-        // reopening recovers every acked insert.
+        // Writers commit through a *slow* sync while the main thread
+        // checkpoints repeatedly. Draining the pending batch under the
+        // table lock must guarantee a checkpoint never truncates a pending
+        // commit and never snapshots state it then loses — whatever
+        // interleaving happens, reopening recovers every acked insert.
         let inner = MemorySink::new();
         let snaps = MemorySnapshots::new();
-        let slow: Arc<dyn crate::wal::LogSink> = Arc::new(SlowSink {
+        let slow: Arc<dyn LogSink> = Arc::new(SlowSink {
             inner: Arc::clone(&inner),
-            delay: std::time::Duration::from_micros(300),
+            delay: Duration::from_micros(300),
         });
         let durability = Durability {
             wal: Wal::new(slow),
-            snapshots: snaps.clone() as Arc<dyn crate::wal::SnapshotStore>,
-            mode: CommitMode::Group {
-                max_wait_us: 100,
-                max_batch: 8,
-            },
+            snapshots: snaps.clone() as Arc<dyn SnapshotStore>,
         };
         let db = Arc::new(Database::open_with("stock", durability).unwrap());
         db.create_table("T", Arc::new(Schema::of(&[("a", DataType::Int)])))
@@ -1308,36 +1385,5 @@ mod tests {
         // must carry the full state.
         let db = durable_db(&inner, &snaps);
         assert_eq!(db.scan_all("T").unwrap().row_count(), 36);
-    }
-
-    #[test]
-    fn async_mode_acks_fast_and_flush_bounds_the_loss_window() {
-        let log = MemorySink::new();
-        let snaps = MemorySnapshots::new();
-        let db = Database::open_with(
-            "stock",
-            Durability::in_memory(log.clone(), snaps.clone()).with_commit_mode(CommitMode::Async {
-                flush_interval_us: 60_000_000, // cadence parked; flush drives syncs
-            }),
-        )
-        .unwrap();
-        db.create_table("T", Arc::new(Schema::of(&[("a", DataType::Int)])))
-            .unwrap();
-        for i in 0..5 {
-            db.insert("T", Row::new(vec![Value::Int(i)])).unwrap();
-        }
-        // Acked and visible immediately...
-        assert_eq!(db.scan_all("T").unwrap().row_count(), 5);
-        // ...and flush_commits() is the durability barrier.
-        db.flush_commits().unwrap();
-        assert_eq!(
-            db.commit_mode(),
-            CommitMode::Async {
-                flush_interval_us: 60_000_000
-            }
-        );
-        drop(db);
-        let db = durable_db(&log, &snaps);
-        assert_eq!(db.scan_all("T").unwrap().row_count(), 5);
     }
 }

@@ -27,6 +27,6 @@ pub use index::{Index, IndexKind};
 pub use predicate::{CmpOp, Predicate};
 pub use table::{RowId, StoredTable, TableStats, UndoLog};
 pub use wal::{
-    CommitStats, CommitTicket, Durability, FileSink, FileSnapshots, GroupCommitter, LogSink,
-    MemorySink, MemorySnapshots, OsFs, Replay, SimFs, SnapshotFs, SnapshotStore, Wal, WalRecord,
+    CommitStats, Durability, FileSink, FileSnapshots, GroupCommitter, LogSink, MemorySink,
+    MemorySnapshots, OsFs, Replay, SimFs, SnapshotFs, SnapshotStore, Wal, WalRecord,
 };

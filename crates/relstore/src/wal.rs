@@ -3,29 +3,29 @@
 //! The log is a flat sequence of *frames*, each `[len: u32 LE][crc32: u32
 //! LE][payload]` with the CRC taken over the payload. One committed
 //! statement is a run of redo records followed by a `Commit` record
-//! carrying the statement's transaction id; the whole run is appended with
-//! a single [`LogSink::append`] call. Replay tolerates a torn tail: it
-//! stops at the first short or checksum-failing frame and discards any
-//! buffered records that never reached their commit marker, so a crash
-//! mid-append can only lose the statement that was being written.
+//! carrying the statement's transaction id. A batch of whole statements is
+//! written with one [`LogSink::append`] and one [`LogSink::sync`] by the
+//! [`GroupCommitter`], which the committing threads take turns leading.
+//! Replay tolerates a torn tail: it stops at the first short or
+//! checksum-failing frame and discards any buffered records that never
+//! reached their commit marker, so a crash mid-append can only lose
+//! statements that were never acknowledged.
 //!
 //! Persistence is pluggable behind [`LogSink`] / [`SnapshotStore`] so tests
 //! (and the 1-core CI) can run against shared in-memory buffers and
 //! "crash" by dropping the `Database` while keeping the sink.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, MutexGuard};
 
 use fedwf_types::sync::{Condvar, Mutex};
 use fedwf_types::wire::{crc32, WireReader, WireWriter};
-use fedwf_types::{CommitMode, ErrorLayer, FedError, FedResult, Schema, TxnId, Value};
+use fedwf_types::{ErrorLayer, FedError, FedResult, Schema, TxnId, Value};
 
 use crate::index::IndexKind;
 use crate::table::RowId;
@@ -219,22 +219,14 @@ pub(crate) fn index_kind_from_unique(unique: bool) -> IndexKind {
 // Pluggable persistence.
 // ---------------------------------------------------------------------------
 
-/// Append-only destination of WAL frames. `append` must be atomic with
-/// respect to other appends (the database serializes writers, so in
-/// practice only truncation races matter) and durable once it returns.
+/// Append-only destination of WAL frames. The [`GroupCommitter`] writes
+/// one batch at a time, so only truncation races matter.
 pub trait LogSink: Send + Sync + Debug {
+    /// Write `bytes` after everything appended before. They need not be
+    /// durable until the next [`LogSink::sync`].
     fn append(&self, bytes: &[u8]) -> FedResult<()>;
-    /// Buffered append: the bytes are written in order but need not be
-    /// durable until the next [`LogSink::sync`]. The async commit mode's
-    /// flusher writes through this; the default forwards to the durable
-    /// [`LogSink::append`], which is always correct, just never faster.
-    fn append_nosync(&self, bytes: &[u8]) -> FedResult<()> {
-        self.append(bytes)
-    }
-    /// Make every buffered append durable. Default: nothing buffered.
-    fn sync(&self) -> FedResult<()> {
-        Ok(())
-    }
+    /// Make every append so far durable.
+    fn sync(&self) -> FedResult<()>;
     /// The full current contents of the log.
     fn read_all(&self) -> FedResult<Vec<u8>>;
     /// Cut the log down to its first `len` bytes (drop a torn tail, or
@@ -268,10 +260,10 @@ fn sync_parent_dir(path: &Path) -> FedResult<()> {
         .map_err(|e| io_err("fsyncing parent directory of", path, e))
 }
 
-/// File-backed log sink: appends with `O_APPEND` semantics and fsyncs each
-/// append, so a committed statement survives process death. The parent
-/// directory is fsynced once at open so the log file's *directory entry*
-/// is as durable as its contents.
+/// File-backed log sink: appends with `O_APPEND` semantics, and `sync` is
+/// one `fdatasync`, so a committed statement survives process death. The
+/// parent directory is fsynced once at open so the log file's *directory
+/// entry* is as durable as its contents.
 #[derive(Debug)]
 pub struct FileSink {
     path: PathBuf,
@@ -300,13 +292,6 @@ impl FileSink {
 
 impl LogSink for FileSink {
     fn append(&self, bytes: &[u8]) -> FedResult<()> {
-        let mut file = self.file.lock();
-        file.write_all(bytes)
-            .and_then(|()| file.sync_data())
-            .map_err(|e| io_err("appending to WAL file", &self.path, e))
-    }
-
-    fn append_nosync(&self, bytes: &[u8]) -> FedResult<()> {
         let mut file = self.file.lock();
         file.write_all(bytes)
             .map_err(|e| io_err("appending to WAL file", &self.path, e))
@@ -375,6 +360,10 @@ impl MemorySink {
 impl LogSink for MemorySink {
     fn append(&self, bytes: &[u8]) -> FedResult<()> {
         self.buf.lock().extend_from_slice(bytes);
+        Ok(())
+    }
+
+    fn sync(&self) -> FedResult<()> {
         Ok(())
     }
 
@@ -621,9 +610,9 @@ impl Wal {
     }
 
     /// Frame one committed statement — its redo records plus the trailing
-    /// commit marker — into the byte run a single sink append would write.
-    /// The group committer encodes on the submitting thread and hands the
-    /// bytes to the log writer, which concatenates whole batches.
+    /// commit marker — into one byte run. The committing thread encodes it
+    /// and [`GroupCommitter::submit`]s it, which concatenates whole
+    /// statements into batches.
     pub fn encode_statement(txn: TxnId, records: &[WalRecord]) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 * (records.len() + 1));
         for r in records {
@@ -633,14 +622,8 @@ impl Wal {
         out
     }
 
-    /// Append one committed statement: its redo records plus the trailing
-    /// commit marker, in a single sink append.
-    pub fn append_statement(&self, txn: TxnId, records: &[WalRecord]) -> FedResult<()> {
-        self.sink.append(&Self::encode_statement(txn, records))
-    }
-
     /// The sink this log writes through (the group committer appends
-    /// coalesced batches to it directly).
+    /// batches to it directly).
     pub fn sink(&self) -> Arc<dyn LogSink> {
         Arc::clone(&self.sink)
     }
@@ -698,489 +681,168 @@ fn frame_bounds(bytes: &[u8], pos: usize) -> Option<usize> {
 }
 
 // ---------------------------------------------------------------------------
-// Group commit: the log-writer thread.
+// Group commit, led by the committing threads.
 // ---------------------------------------------------------------------------
 
-/// Counters the log writer keeps; `syncs < commits` is the whole point.
+/// Commit counters; `syncs < commits` means writers shared syncs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommitStats {
-    /// Statements made durable (or acked, in async mode).
+    /// Statements made durable.
     pub commits: u64,
-    /// Batches the log writer drained.
+    /// Batches written, each with one append.
     pub batches: u64,
     /// `fdatasync` calls issued.
     pub syncs: u64,
-    /// Largest number of statements coalesced into one batch.
+    /// Largest number of statements written in one batch.
     pub max_batch: u64,
 }
 
 #[derive(Debug, Default)]
-struct StatsCells {
-    commits: AtomicU64,
-    batches: AtomicU64,
-    syncs: AtomicU64,
-    max_batch: AtomicU64,
-}
-
-impl StatsCells {
-    fn snapshot(&self) -> CommitStats {
-        CommitStats {
-            commits: self.commits.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            syncs: self.syncs.load(Ordering::Relaxed),
-            max_batch: self.max_batch.load(Ordering::Relaxed),
-        }
-    }
-
-    fn record_batch(&self, statements: u64) {
-        self.commits.fetch_add(statements, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.max_batch.fetch_max(statements, Ordering::Relaxed);
-    }
-}
-
-/// One-shot completion cell a committing thread blocks on after releasing
-/// the table lock: the log writer completes it once the statement's batch
-/// is durable (or failed).
-#[derive(Debug, Default)]
-struct WaitCell {
-    done: Mutex<Option<FedResult<()>>>,
-    cv: Condvar,
-}
-
-impl WaitCell {
-    fn complete(&self, result: FedResult<()>) {
-        *self.done.lock() = Some(result);
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) -> FedResult<()> {
-        let mut done = self.done.lock();
-        loop {
-            if let Some(result) = done.take() {
-                return result;
-            }
-            done = self.cv.wait(done);
-        }
-    }
-}
-
-#[derive(Debug)]
-enum Payload {
-    /// An encoded statement (redo frames + commit marker) for `txn`.
-    Statement { txn: TxnId, bytes: Vec<u8> },
-    /// Durability barrier: complete once everything queued before it is
-    /// synced. Contributes no bytes.
-    Flush,
-}
-
-#[derive(Debug)]
-struct Submission {
-    payload: Payload,
-    waiter: Option<Arc<WaitCell>>,
-}
-
-#[derive(Debug, Default)]
 struct CommitterState {
-    queue: VecDeque<Submission>,
-    shutdown: bool,
-    /// Set when a sink append/sync failed: the log writer refuses further
-    /// work so no later statement can be acked past a hole in the log.
+    /// Encoded statements waiting for the next batch, in txn order.
+    pending: Vec<u8>,
+    /// How many statements `pending` holds.
+    pending_statements: u64,
+    /// Txn of the newest submitted statement.
+    last_submitted: TxnId,
+    /// A leader is writing a batch outside the mutex.
+    writing: bool,
+    /// Followers parked until the current batch finishes.
+    parked: usize,
+    /// Set when an append or sync failed: no later statement may be
+    /// acknowledged past a hole in the log.
     dead: Option<FedError>,
+    stats: CommitStats,
 }
 
-#[derive(Debug)]
-struct CommitterShared {
-    state: Mutex<CommitterState>,
-    /// Signaled when the queue gains work or shutdown is requested.
-    work: Condvar,
-    /// Signaled when the queue drains below capacity (back-pressure).
-    space: Condvar,
-}
-
-/// Soft bound on queued submissions; writers block in
-/// [`GroupCommitter::wait_for_space`] *before* taking the table lock, so a
-/// slow disk throttles producers without ever stalling readers.
-const QUEUE_CAPACITY: usize = 256;
-
-/// The group-commit engine: a dedicated log-writer thread drains a bounded
-/// queue of encoded commit records, coalescing every waiter present at
-/// wakeup into **one** contiguous sink append + **one** `fdatasync`, then
-/// releases them all.
+/// Group commit led by the committing threads, which take turns writing
+/// the log.
 ///
-/// Commit protocol (two-phase publish): the writer applies its statement to
-/// the in-memory tables and enqueues here *while still holding* the table
-/// write lock — so queue order, txn order and log order all agree — then
-/// releases the lock and blocks on its [`CommitTicket`]. Only after the batch
-/// is durable does the log writer advance `commit_epoch` (in enqueue
-/// order), so MVCC snapshot visibility never runs ahead of durability.
+/// A writer applies its statement and [`GroupCommitter::submit`]s the
+/// encoded bytes *while holding* the table write lock, so pending order,
+/// txn order and log order all agree. It then releases the lock and
+/// [`GroupCommitter::wait`]s. If no batch is being written, it leads: it
+/// takes every pending statement, writes them with one append and one
+/// sync outside the mutex, and publishes `commit_epoch` to the batch's
+/// last txn. Otherwise it parks until the current batch finishes and looks
+/// again; its statement may be in the next batch, which it may lead. So a
+/// batch holds exactly the statements that arrived while the previous one
+/// was syncing, and a lone writer syncs its own statement with no
+/// hand-off. MVCC visibility never runs ahead of durability.
 ///
-/// If the sink fails, the committer goes *dead*: the failing batch and all
-/// later submissions are completed with a [`FedError::shutdown`]-layer
-/// error, and the epoch is never advanced past the failure — the applied
-/// but unpublished in-memory versions stay invisible forever, which is the
-/// only sound option once the table lock has been released (no undo).
+/// If the sink fails, the committer is *dead*: the failing batch's waiters
+/// and every later submit get a [`FedError::shutdown`]-layer error, and the
+/// epoch never advances past the failure. A statement already applied when
+/// its batch fails stays invisible forever, the only sound option once the
+/// table lock has been released (no undo).
 #[derive(Debug)]
 pub struct GroupCommitter {
-    shared: Arc<CommitterShared>,
-    stats: Arc<StatsCells>,
-    handle: Mutex<Option<JoinHandle<()>>>,
-    mode: CommitMode,
+    sink: Arc<dyn LogSink>,
+    state: Mutex<CommitterState>,
+    /// Signalled when a batch finishes and a follower is parked.
+    batch_done: Condvar,
 }
 
 impl GroupCommitter {
-    /// Spawn the log-writer thread. `commit_epoch` is the database's
-    /// visibility epoch, advanced only after durability (group mode).
-    pub fn start(
-        sink: Arc<dyn LogSink>,
-        mode: CommitMode,
-        commit_epoch: Arc<AtomicU64>,
-    ) -> GroupCommitter {
-        let shared = Arc::new(CommitterShared {
-            state: Mutex::new(CommitterState::default()),
-            work: Condvar::new(),
-            space: Condvar::new(),
-        });
-        let stats = Arc::new(StatsCells::default());
-        let worker = LogWriter {
-            shared: Arc::clone(&shared),
-            stats: Arc::clone(&stats),
-            sink,
-            mode,
-            commit_epoch,
-            linger_on: true,
-            solo_drains: 0,
-        };
-        let handle = std::thread::Builder::new()
-            .name("fedwf-log-writer".into())
-            .spawn(move || worker.run())
-            .expect("spawning log-writer thread");
+    pub fn new(sink: Arc<dyn LogSink>) -> GroupCommitter {
         GroupCommitter {
-            shared,
-            stats,
-            handle: Mutex::new(Some(handle)),
-            mode,
-        }
-    }
-
-    pub fn mode(&self) -> CommitMode {
-        self.mode
-    }
-
-    /// Block until the queue has room (or the committer is dead/stopping —
-    /// then the subsequent submit reports the real error). Called *before*
-    /// the table write lock so back-pressure never blocks readers; the
-    /// bound is soft because several writers may pass the gate together.
-    pub fn wait_for_space(&self) {
-        let mut state = self.shared.state.lock();
-        while state.queue.len() >= QUEUE_CAPACITY && state.dead.is_none() && !state.shutdown {
-            state = self.shared.space.wait(state);
+            sink,
+            state: Mutex::new(CommitterState::default()),
+            batch_done: Condvar::new(),
         }
     }
 
     fn dead_error(e: &FedError) -> FedError {
-        FedError::shutdown(format!("log writer is dead: {}", e.message))
+        FedError::shutdown(format!("committer is dead: {}", e.message))
     }
 
-    /// Enqueue an encoded statement. Returns the cell to block on for
-    /// durability, or `None` in async mode (acked at enqueue). Call with
-    /// the table write lock held; wait on the cell *after* releasing it.
-    pub fn submit(&self, txn: TxnId, bytes: Vec<u8>) -> FedResult<Option<CommitTicket>> {
-        let mut state = self.shared.state.lock();
+    /// Queue an encoded statement for the next batch. Call with the table
+    /// write lock held and [`GroupCommitter::wait`] after releasing it. An
+    /// error (a dead committer) queues nothing: undo the statement.
+    pub fn submit(&self, txn: TxnId, bytes: Vec<u8>) -> FedResult<()> {
+        let mut state = self.state.lock();
         if let Some(e) = &state.dead {
             return Err(Self::dead_error(e));
         }
-        if state.shutdown {
-            return Err(FedError::shutdown("log writer is shutting down"));
-        }
-        let waiter = if matches!(self.mode, CommitMode::Async { .. }) {
-            None
+        if state.pending.is_empty() {
+            state.pending = bytes;
         } else {
-            Some(Arc::new(WaitCell::default()))
-        };
-        state.queue.push_back(Submission {
-            payload: Payload::Statement { txn, bytes },
-            waiter: waiter.clone(),
-        });
-        drop(state);
-        self.shared.work.notify_all();
-        Ok(waiter.map(|cell| CommitTicket { cell }))
+            state.pending.extend_from_slice(&bytes);
+        }
+        state.pending_statements += 1;
+        state.last_submitted = txn;
+        Ok(())
     }
 
-    /// Durability barrier: returns once everything submitted before the
-    /// call is on disk (forces a sync even in async mode).
-    pub fn flush(&self) -> FedResult<()> {
-        let cell = Arc::new(WaitCell::default());
-        {
-            let mut state = self.shared.state.lock();
+    /// Block until the submitted statement `txn` is durable and `epoch`
+    /// covers it, leading batches while none is being written.
+    pub fn wait(&self, txn: TxnId, epoch: &AtomicU64) -> FedResult<()> {
+        let mut state = self.state.lock();
+        loop {
+            if epoch.load(Ordering::Acquire) >= txn {
+                return Ok(());
+            }
             if let Some(e) = &state.dead {
                 return Err(Self::dead_error(e));
             }
-            if state.shutdown {
-                return Err(FedError::shutdown("log writer is shutting down"));
+            if state.writing {
+                state.parked += 1;
+                state = self.batch_done.wait(state);
+                state.parked -= 1;
+            } else {
+                state = self.lead(state, epoch);
             }
-            state.queue.push_back(Submission {
-                payload: Payload::Flush,
-                waiter: Some(Arc::clone(&cell)),
-            });
         }
-        self.shared.work.notify_all();
-        cell.wait()
     }
 
-    /// Statements currently queued (not yet drained by the log writer).
-    pub fn pending(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .queue
-            .iter()
-            .filter(|s| matches!(s.payload, Payload::Statement { .. }))
-            .count()
+    /// Make every statement submitted so far durable, leading a batch if
+    /// needed.
+    pub fn flush(&self, epoch: &AtomicU64) -> FedResult<()> {
+        let last = self.state.lock().last_submitted;
+        self.wait(last, epoch)
+    }
+
+    /// Write the whole pending batch with one append and one sync, outside
+    /// the mutex, then publish it.
+    fn lead<'a>(
+        &'a self,
+        mut state: MutexGuard<'a, CommitterState>,
+        epoch: &AtomicU64,
+    ) -> MutexGuard<'a, CommitterState> {
+        let batch = std::mem::take(&mut state.pending);
+        let statements = std::mem::take(&mut state.pending_statements);
+        let last = state.last_submitted;
+        state.writing = true;
+        drop(state);
+        let result = self.sink.append(&batch).and_then(|()| self.sink.sync());
+        let mut state = self.state.lock();
+        state.writing = false;
+        match result {
+            Ok(()) => {
+                let stats = &mut state.stats;
+                stats.commits += statements;
+                stats.batches += 1;
+                stats.syncs += 1;
+                stats.max_batch = stats.max_batch.max(statements);
+                // Release pairs with the Acquire loads of the epoch in
+                // `wait` and in the readers that pin it.
+                epoch.fetch_max(last, Ordering::Release);
+            }
+            Err(e) => state.dead = Some(e),
+        }
+        if state.parked > 0 {
+            self.batch_done.notify_all();
+        }
+        state
+    }
+
+    /// Statements submitted but not yet taken by a leader.
+    pub fn pending(&self) -> u64 {
+        self.state.lock().pending_statements
     }
 
     pub fn stats(&self) -> CommitStats {
-        self.stats.snapshot()
-    }
-}
-
-impl Drop for GroupCommitter {
-    /// Clean shutdown drains the queue: every already-submitted statement
-    /// is synced (and its waiter released) before the thread exits — a
-    /// dropped database loses nothing it ever acked, and in async mode
-    /// nothing it ever accepted.
-    fn drop(&mut self) {
-        {
-            let mut state = self.shared.state.lock();
-            state.shutdown = true;
-        }
-        self.shared.work.notify_all();
-        self.shared.space.notify_all();
-        if let Some(handle) = self.handle.lock().take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Handle a group-mode committer returns from submit: block on it after
-/// releasing the table lock; `Ok` means the statement is on disk.
-#[derive(Debug)]
-pub struct CommitTicket {
-    cell: Arc<WaitCell>,
-}
-
-impl CommitTicket {
-    pub fn wait(&self) -> FedResult<()> {
-        self.cell.wait()
-    }
-}
-
-/// The log-writer thread body.
-struct LogWriter {
-    shared: Arc<CommitterShared>,
-    stats: Arc<StatsCells>,
-    sink: Arc<dyn LogSink>,
-    mode: CommitMode,
-    commit_epoch: Arc<AtomicU64>,
-    /// Adaptive group-commit linger: whether the Phase-2 straggler wait is
-    /// currently armed. Starts on; disarmed after `SOLO_DRAIN_DISARM`
-    /// consecutive single-submission drains (a lone writer gains nothing
-    /// from waiting, so the fixed linger would just tax its latency);
-    /// re-armed the moment a drain catches ≥2 submissions, i.e. the
-    /// arrival rate shows concurrent writers again.
-    linger_on: bool,
-    /// Consecutive drains that found exactly one submission.
-    solo_drains: u32,
-}
-
-/// Single-submission drains tolerated before the group linger disarms.
-const SOLO_DRAIN_DISARM: u32 = 2;
-
-/// Adapt the group-commit linger to the observed arrival rate, given how
-/// many submissions the drain just took. Back-to-back solo drains mean a
-/// single writer is paying the full wait for nothing — turn the linger
-/// off; any multi-submission drain means batching is earning its keep
-/// again — turn it back on.
-fn adapt_linger(linger_on: &mut bool, solo_drains: &mut u32, take: usize) {
-    if take >= 2 {
-        *solo_drains = 0;
-        *linger_on = true;
-    } else if take == 1 {
-        *solo_drains = solo_drains.saturating_add(1);
-        if *solo_drains >= SOLO_DRAIN_DISARM {
-            *linger_on = false;
-        }
-    }
-}
-
-impl LogWriter {
-    fn run(mut self) {
-        let mut unsynced = false;
-        loop {
-            let batch = match self.next_batch(&mut unsynced) {
-                Some(batch) => batch,
-                None => {
-                    // Shutdown with an empty queue: leave nothing buffered.
-                    if unsynced {
-                        let _ = self.sink.sync();
-                    }
-                    return;
-                }
-            };
-            self.process(batch, &mut unsynced);
-        }
-    }
-
-    /// Wait for work, then drain a batch. Group mode lingers up to
-    /// `max_wait_us` for stragglers once it has at least one submission and
-    /// caps the batch at `max_batch` — unless recent drains show a lone
-    /// writer, in which case the linger is skipped until concurrency
-    /// returns; async mode syncs on its cadence while idle. Returns `None`
-    /// on shutdown with an empty queue.
-    fn next_batch(&mut self, unsynced: &mut bool) -> Option<Vec<Submission>> {
-        let mut state = self.shared.state.lock();
-        // Phase 1: wait for at least one submission (or shutdown).
-        loop {
-            if !state.queue.is_empty() {
-                break;
-            }
-            if state.shutdown {
-                return None;
-            }
-            match self.mode {
-                CommitMode::Async { flush_interval_us } => {
-                    let (g, timed_out) = self
-                        .shared
-                        .work
-                        .wait_timeout(state, Duration::from_micros(flush_interval_us.max(1)));
-                    state = g;
-                    if timed_out && *unsynced {
-                        drop(state);
-                        if self.sink.sync().is_ok() {
-                            *unsynced = false;
-                            self.stats.syncs.fetch_add(1, Ordering::Relaxed);
-                        }
-                        state = self.shared.state.lock();
-                    }
-                }
-                _ => state = self.shared.work.wait(state),
-            }
-        }
-        // Phase 2 (group): linger briefly so concurrent writers that are a
-        // hair behind still make this sync.
-        let max_batch = if let CommitMode::Group {
-            max_wait_us,
-            max_batch,
-        } = self.mode
-        {
-            if max_wait_us > 0 && self.linger_on {
-                let deadline = Instant::now() + Duration::from_micros(max_wait_us);
-                while state.queue.len() < max_batch && !state.shutdown {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (g, timed_out) = self.shared.work.wait_timeout(state, deadline - now);
-                    state = g;
-                    if timed_out {
-                        break;
-                    }
-                }
-            }
-            max_batch.max(1)
-        } else {
-            usize::MAX
-        };
-        let take = state.queue.len().min(max_batch);
-        let batch: Vec<Submission> = state.queue.drain(..take).collect();
-        drop(state);
-        self.shared.space.notify_all();
-        adapt_linger(&mut self.linger_on, &mut self.solo_drains, take);
-        Some(batch)
-    }
-
-    fn process(&self, batch: Vec<Submission>, unsynced: &mut bool) {
-        // A dead committer fails everything immediately.
-        let dead = self.shared.state.lock().dead.clone();
-        if let Some(e) = dead {
-            let err = GroupCommitter::dead_error(&e);
-            for sub in &batch {
-                if let Some(w) = &sub.waiter {
-                    w.complete(Err(err.clone()));
-                }
-            }
-            return;
-        }
-
-        let mut bytes = Vec::new();
-        let mut statements = 0u64;
-        let mut last_txn = None;
-        let mut has_flush = false;
-        for sub in &batch {
-            match &sub.payload {
-                Payload::Statement { txn, bytes: b } => {
-                    bytes.extend_from_slice(b);
-                    statements += 1;
-                    last_txn = Some(*txn);
-                }
-                Payload::Flush => has_flush = true,
-            }
-        }
-
-        let result = self.write_batch(&bytes, has_flush, unsynced);
-        match result {
-            Ok(()) => {
-                if statements > 0 {
-                    self.stats.record_batch(statements);
-                    // Publish visibility only now that the bytes are as
-                    // durable as the mode promises, in enqueue order.
-                    if let Some(txn) = last_txn {
-                        if !matches!(self.mode, CommitMode::Async { .. }) {
-                            self.commit_epoch.fetch_max(txn, Ordering::Release);
-                        }
-                    }
-                }
-                for sub in &batch {
-                    if let Some(w) = &sub.waiter {
-                        w.complete(Ok(()));
-                    }
-                }
-            }
-            Err(e) => {
-                {
-                    let mut state = self.shared.state.lock();
-                    state.dead = Some(e.clone());
-                }
-                // Wake producers parked on back-pressure so they observe
-                // the death instead of hanging.
-                self.shared.space.notify_all();
-                let err = GroupCommitter::dead_error(&e);
-                for sub in &batch {
-                    if let Some(w) = &sub.waiter {
-                        w.complete(Err(err.clone()));
-                    }
-                }
-            }
-        }
-    }
-
-    /// One contiguous append for the whole batch, plus the mode's sync:
-    /// immediate for group mode, cadence-driven (or flush-forced) for async.
-    fn write_batch(&self, bytes: &[u8], has_flush: bool, unsynced: &mut bool) -> FedResult<()> {
-        if !bytes.is_empty() {
-            self.sink.append_nosync(bytes)?;
-            *unsynced = true;
-        }
-        let sync_now = match self.mode {
-            CommitMode::Async { .. } => has_flush,
-            _ => true,
-        };
-        if sync_now && *unsynced {
-            self.sink.sync()?;
-            *unsynced = false;
-            self.stats.syncs.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
+        self.state.lock().stats
     }
 }
 
@@ -1189,26 +851,22 @@ impl LogWriter {
 // ---------------------------------------------------------------------------
 
 /// The persistence pair a durable [`crate::Database`] writes through: a WAL
-/// for redo and a snapshot slot for checkpoints, plus the [`CommitMode`]
-/// governing how commits are acknowledged.
+/// for redo and a snapshot slot for checkpoints.
 #[derive(Debug)]
 pub struct Durability {
     pub wal: Wal,
     pub snapshots: Arc<dyn SnapshotStore>,
-    pub mode: CommitMode,
 }
 
 impl Durability {
     /// File-backed durability inside `dir` (created if missing):
-    /// `dir/wal.log` and `dir/snapshot.bin`. Commit mode defaults to
-    /// [`CommitMode::Sync`]; chain [`Durability::with_commit_mode`].
+    /// `dir/wal.log` and `dir/snapshot.bin`.
     pub fn at_path(dir: impl AsRef<Path>) -> FedResult<Durability> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir).map_err(|e| io_err("creating database dir", dir, e))?;
         Ok(Durability {
             wal: Wal::new(Arc::new(FileSink::open(dir.join("wal.log"))?)),
             snapshots: Arc::new(FileSnapshots::new(dir.join("snapshot.bin"))),
-            mode: CommitMode::Sync,
         })
     }
 
@@ -1219,14 +877,7 @@ impl Durability {
         Durability {
             wal: Wal::new(log),
             snapshots,
-            mode: CommitMode::Sync,
         }
-    }
-
-    /// Select how commits are acknowledged (see [`CommitMode`]).
-    pub fn with_commit_mode(mut self, mode: CommitMode) -> Durability {
-        self.mode = mode;
-        self
     }
 }
 
@@ -1234,6 +885,13 @@ impl Durability {
 mod tests {
     use super::*;
     use fedwf_types::DataType;
+
+    /// Append one committed statement the way a batch of one writes it.
+    fn append_statement(wal: &Wal, txn: TxnId, records: &[WalRecord]) {
+        wal.sink()
+            .append(&Wal::encode_statement(txn, records))
+            .unwrap();
+    }
 
     fn sample_records() -> Vec<WalRecord> {
         vec![
@@ -1304,7 +962,7 @@ mod tests {
     fn replay_returns_only_committed_statements() {
         let sink = MemorySink::new();
         let wal = Wal::new(sink.clone());
-        wal.append_statement(1, &sample_records()[..2]).unwrap();
+        append_statement(&wal, 1, &sample_records()[..2]);
         // An uncommitted run: records appended raw, no commit marker.
         let mut torn = vec![];
         Wal::frame(&mut torn, &sample_records()[3]);
@@ -1321,8 +979,8 @@ mod tests {
     fn replay_tolerates_torn_final_frame() {
         let sink = MemorySink::new();
         let wal = Wal::new(sink.clone());
-        wal.append_statement(1, &sample_records()[..1]).unwrap();
-        wal.append_statement(2, &sample_records()[1..3]).unwrap();
+        append_statement(&wal, 1, &sample_records()[..1]);
+        append_statement(&wal, 2, &sample_records()[1..3]);
         sink.tear_tail(5); // rip into statement 2's commit marker
         let replay = wal.replay().unwrap();
         assert_eq!(replay.statements.len(), 1, "statement 2 lost its marker");
@@ -1333,9 +991,9 @@ mod tests {
     fn replay_stops_at_corrupt_frame() {
         let sink = MemorySink::new();
         let wal = Wal::new(sink.clone());
-        wal.append_statement(1, &sample_records()[..1]).unwrap();
+        append_statement(&wal, 1, &sample_records()[..1]);
         let stmt1_len = sink.len();
-        wal.append_statement(2, &sample_records()[..1]).unwrap();
+        append_statement(&wal, 2, &sample_records()[..1]);
         sink.corrupt_byte(stmt1_len + 10);
         let replay = wal.replay().unwrap();
         assert_eq!(replay.statements.len(), 1);
@@ -1346,13 +1004,13 @@ mod tests {
     fn truncating_the_reported_tail_makes_the_log_clean() {
         let sink = MemorySink::new();
         let wal = Wal::new(sink.clone());
-        wal.append_statement(1, &sample_records()[..2]).unwrap();
-        wal.append_statement(2, &sample_records()[..1]).unwrap();
+        append_statement(&wal, 1, &sample_records()[..2]);
+        append_statement(&wal, 2, &sample_records()[..1]);
         sink.tear_tail(3);
         let replay = wal.replay().unwrap();
         wal.truncate_to(replay.committed_len).unwrap();
         // Appending after the truncation yields a fully clean log again.
-        wal.append_statement(2, &sample_records()[..1]).unwrap();
+        append_statement(&wal, 2, &sample_records()[..1]);
         let replay = wal.replay().unwrap();
         assert_eq!(replay.statements.len(), 2);
         assert!(!replay.discarded_tail);
@@ -1368,13 +1026,13 @@ mod tests {
 
     impl LogSink for FlakySink {
         fn append(&self, bytes: &[u8]) -> FedResult<()> {
-            self.append_nosync(bytes)
-        }
-        fn append_nosync(&self, bytes: &[u8]) -> FedResult<()> {
             if self.broken.load(Ordering::Relaxed) {
                 return Err(FedError::storage("disk on fire"));
             }
             self.inner.append(bytes)
+        }
+        fn sync(&self) -> FedResult<()> {
+            Ok(())
         }
         fn read_all(&self) -> FedResult<Vec<u8>> {
             self.inner.read_all()
@@ -1417,99 +1075,48 @@ mod tests {
     #[test]
     fn group_committer_publishes_epoch_after_durability_in_order() {
         let sink = MemorySink::new();
-        let epoch = Arc::new(AtomicU64::new(0));
-        let gc = GroupCommitter::start(
-            sink.clone() as Arc<dyn LogSink>,
-            CommitMode::group(),
-            Arc::clone(&epoch),
-        );
-        let mut tickets = vec![];
+        let epoch = AtomicU64::new(0);
+        let gc = GroupCommitter::new(sink.clone() as Arc<dyn LogSink>);
         for txn in 1..=8u64 {
-            let bytes = Wal::encode_statement(txn, &sample_records()[..1]);
-            tickets.push(gc.submit(txn, bytes).unwrap().expect("group mode waits"));
+            gc.submit(txn, Wal::encode_statement(txn, &sample_records()[..1]))
+                .unwrap();
         }
-        for t in &tickets {
-            t.wait().unwrap();
-        }
+        assert_eq!(gc.pending(), 8);
+        assert_eq!(epoch.load(Ordering::Acquire), 0, "nothing synced yet");
+        // The first waiter leads: one batch carries all eight statements.
+        gc.wait(1, &epoch).unwrap();
         assert_eq!(epoch.load(Ordering::Acquire), 8);
+        for txn in 2..=8u64 {
+            gc.wait(txn, &epoch).unwrap();
+        }
         let wal = Wal::new(sink as Arc<dyn LogSink>);
         let replay = wal.replay().unwrap();
         let txns: Vec<TxnId> = replay.statements.iter().map(|(t, _)| *t).collect();
         assert_eq!(txns, (1..=8).collect::<Vec<_>>(), "log order == txn order");
         let stats = gc.stats();
-        assert_eq!(stats.commits, 8);
-        assert!(stats.syncs >= 1 && stats.syncs <= stats.commits);
-    }
-
-    #[test]
-    fn linger_adapts_to_arrival_rate() {
-        let (mut on, mut solo) = (true, 0u32);
-        // Two consecutive solo drains disarm the straggler wait…
-        adapt_linger(&mut on, &mut solo, 1);
-        assert!(on, "one solo drain is not yet a pattern");
-        adapt_linger(&mut on, &mut solo, 1);
-        assert!(!on, "a lone writer must stop paying the linger");
-        adapt_linger(&mut on, &mut solo, 1);
-        assert!(!on);
-        // …and the first drain that catches a group re-arms it.
-        adapt_linger(&mut on, &mut solo, 2);
-        assert!(on, "concurrent arrivals re-arm the linger");
-        // Flush-only drains (take == 0 cannot happen; empty batches are
-        // guarded by Phase 1) leave the state alone.
-        adapt_linger(&mut on, &mut solo, 0);
-        assert!(on);
-    }
-
-    #[test]
-    fn lone_writer_group_commit_sheds_the_linger() {
-        let sink = MemorySink::new();
-        let epoch = Arc::new(AtomicU64::new(0));
-        let gc = GroupCommitter::start(
-            sink.clone() as Arc<dyn LogSink>,
-            CommitMode::Group {
-                max_wait_us: 200,
-                max_batch: 128,
-            },
-            Arc::clone(&epoch),
+        assert_eq!(
+            stats,
+            CommitStats {
+                commits: 8,
+                batches: 1,
+                syncs: 1,
+                max_batch: 8
+            }
         );
-        // A lone writer commits strictly back to back: every drain takes
-        // exactly one submission, so after two drains the 200 µs linger
-        // must disarm and later commits complete at handoff speed.
-        let mut latencies = vec![];
-        for txn in 1..=40u64 {
-            let start = Instant::now();
-            gc.submit(txn, Wal::encode_statement(txn, &sample_records()[..1]))
-                .unwrap()
-                .expect("group mode waits")
-                .wait()
-                .unwrap();
-            latencies.push(start.elapsed());
-        }
-        latencies.sort();
-        let median = latencies[latencies.len() / 2];
-        assert!(
-            median < Duration::from_micros(150),
-            "single-writer group commit still pays the full 200 µs linger: median {median:?}"
-        );
-        assert_eq!(gc.stats().commits, 40);
-        assert_eq!(epoch.load(Ordering::Acquire), 40);
+        // Nothing pending: a flush returns without writing.
+        gc.flush(&epoch).unwrap();
+        assert_eq!(gc.stats().batches, 1);
     }
 
     #[test]
     fn dead_committer_fails_current_and_later_commits() {
         let sink = Arc::new(FlakySink::default());
-        let epoch = Arc::new(AtomicU64::new(0));
-        let gc = GroupCommitter::start(
-            Arc::clone(&sink) as Arc<dyn LogSink>,
-            CommitMode::group(),
-            Arc::clone(&epoch),
-        );
+        let epoch = AtomicU64::new(0);
+        let gc = GroupCommitter::new(Arc::clone(&sink) as Arc<dyn LogSink>);
         sink.broken.store(true, Ordering::Relaxed);
-        let t = gc
-            .submit(1, Wal::encode_statement(1, &sample_records()[..1]))
-            .unwrap()
+        gc.submit(1, Wal::encode_statement(1, &sample_records()[..1]))
             .unwrap();
-        let err = t.wait().unwrap_err();
+        let err = gc.wait(1, &epoch).unwrap_err();
         assert!(err.is_shutdown(), "commit on a dying sink: {err}");
         assert_eq!(epoch.load(Ordering::Acquire), 0, "no visibility published");
         // Later submissions are rejected at the door.
@@ -1517,51 +1124,8 @@ mod tests {
             .submit(2, Wal::encode_statement(2, &sample_records()[..1]))
             .unwrap_err();
         assert!(err.is_shutdown());
-        assert!(gc.flush().unwrap_err().is_shutdown());
-    }
-
-    #[test]
-    fn async_committer_acks_immediately_and_flush_forces_durability() {
-        let sink = MemorySink::new();
-        let epoch = Arc::new(AtomicU64::new(0));
-        let gc = GroupCommitter::start(
-            sink.clone() as Arc<dyn LogSink>,
-            CommitMode::Async {
-                flush_interval_us: 60_000_000, // park the cadence; flush drives it
-            },
-            Arc::clone(&epoch),
-        );
-        for txn in 1..=4u64 {
-            let ticket = gc
-                .submit(txn, Wal::encode_statement(txn, &sample_records()[..1]))
-                .unwrap();
-            assert!(ticket.is_none(), "async mode acks at enqueue");
-        }
-        gc.flush().unwrap();
-        let wal = Wal::new(sink as Arc<dyn LogSink>);
-        assert_eq!(wal.replay().unwrap().statements.len(), 4);
-    }
-
-    #[test]
-    fn dropping_the_committer_drains_the_queue() {
-        let sink = MemorySink::new();
-        let epoch = Arc::new(AtomicU64::new(0));
-        let gc = GroupCommitter::start(
-            sink.clone() as Arc<dyn LogSink>,
-            CommitMode::asynchronous(),
-            Arc::clone(&epoch),
-        );
-        for txn in 1..=3u64 {
-            gc.submit(txn, Wal::encode_statement(txn, &sample_records()[..1]))
-                .unwrap();
-        }
-        drop(gc);
-        let wal = Wal::new(sink as Arc<dyn LogSink>);
-        assert_eq!(
-            wal.replay().unwrap().statements.len(),
-            3,
-            "clean shutdown loses nothing it accepted"
-        );
+        assert!(gc.flush(&epoch).unwrap_err().is_shutdown());
+        assert_eq!(gc.stats(), CommitStats::default());
     }
 
     #[test]
@@ -1569,7 +1133,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fedwf-wal-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let d = Durability::at_path(&dir).unwrap();
-        d.wal.append_statement(1, &sample_records()[..2]).unwrap();
+        append_statement(&d.wal, 1, &sample_records()[..2]);
         d.snapshots.store(b"snapshot-bytes").unwrap();
         let replay = d.wal.replay().unwrap();
         assert_eq!(replay.statements.len(), 1);

@@ -19,28 +19,14 @@ use fedwf_relstore::{
     SnapshotStore, Wal, WalRecord,
 };
 use fedwf_types::rng::Rng;
-use fedwf_types::{check, Column, CommitMode, DataType, Row, Schema, Value};
+use fedwf_types::{check, Column, DataType, Row, Schema, Value};
 
 const KEY_SPACE: i32 = 12;
-
-/// Commit mode the whole suite runs under: `FEDWF_COMMIT_MODE=sync` (the
-/// default) or `group`. CI runs the suite once per mode — every recovery
-/// invariant here must hold regardless of how commits are acknowledged.
-/// (`async` is excluded: its documented loss window breaks the "every
-/// committed statement survives" half of the invariant by design.)
-fn env_commit_mode() -> CommitMode {
-    match std::env::var("FEDWF_COMMIT_MODE").as_deref() {
-        Ok("group") => CommitMode::group(),
-        Ok("sync") | Err(_) => CommitMode::Sync,
-        Ok(other) => panic!("FEDWF_COMMIT_MODE must be sync or group, got {other:?}"),
-    }
-}
 
 fn open(log: &Arc<MemorySink>, snaps: &Arc<MemorySnapshots>) -> Database {
     Database::open_with(
         "crash",
-        Durability::in_memory(Arc::clone(log), Arc::clone(snaps))
-            .with_commit_mode(env_commit_mode()),
+        Durability::in_memory(Arc::clone(log), Arc::clone(snaps)),
     )
     .expect("recovery")
 }
@@ -357,10 +343,11 @@ fn pinned_readers_never_see_mixed_versions() {
 }
 
 /// Multi-writer schedules under group commit: N threads commit
-/// concurrently through the log-writer thread, the process "crashes" with
-/// a torn WAL tail (ripping into whatever batch was last being written),
-/// and recovery must yield a *prefix of the durability-ack order* — which
-/// equals log order, because statements are enqueued under the table lock.
+/// concurrently, taking turns leading the batches, the process "crashes"
+/// with a torn WAL tail (ripping into whatever batch was last being
+/// written), and recovery must yield a *prefix of the durability-ack
+/// order* — which equals log order, because statements are submitted under
+/// the table lock.
 /// Never a superset: no row (or index entry) appears that wasn't in the
 /// surviving prefix, and the slot allocation of the prefix is intact.
 #[test]
@@ -372,18 +359,7 @@ fn concurrent_group_commits_recover_to_an_ack_order_prefix() {
         let snaps = MemorySnapshots::new();
         let ddl_len;
         {
-            let db = Arc::new(
-                Database::open_with(
-                    "crash",
-                    Durability::in_memory(Arc::clone(&log), Arc::clone(&snaps)).with_commit_mode(
-                        CommitMode::Group {
-                            max_wait_us: 100,
-                            max_batch: 16,
-                        },
-                    ),
-                )
-                .unwrap(),
-            );
+            let db = Arc::new(open(&log, &snaps));
             db.create_table(
                 "T",
                 Arc::new(Schema::of(&[("k", DataType::Int), ("v", DataType::Int)])),
@@ -414,7 +390,7 @@ fn concurrent_group_commits_recover_to_an_ack_order_prefix() {
             let stats = db.commit_stats().unwrap();
             assert_eq!(stats.commits, (WRITERS * PER_WRITER) as u64 + 2);
             assert!(stats.syncs <= stats.commits);
-        } // clean drop: the queue drains, everything acked is on "disk"
+        } // crash: everything acked is already on "disk"
           // The ack order IS the log order; read it back before tearing.
         let full_order: Vec<(i32, i32)> = Wal::new(Arc::clone(&log) as Arc<dyn LogSink>)
             .replay()

@@ -46,9 +46,8 @@ pub enum ErrorLayer {
     /// Crash recovery: a write-ahead-log or checkpoint file could not be
     /// read, decoded, or replayed (beyond the tolerated torn tail).
     Recovery,
-    /// A commit was rejected because the log-writer (group-commit queue)
-    /// has shut down or died on a sink failure; the statement was *not*
-    /// made durable.
+    /// A commit was rejected because the group committer died on a sink
+    /// failure; the statement was *not* acknowledged as durable.
     Shutdown,
     /// A transport failure between a network client and the server:
     /// connect/read/write errors, a connection the server closed mid-call.
@@ -240,8 +239,8 @@ impl FedError {
         self.layer == ErrorLayer::Timeout
     }
 
-    /// True when a commit was rejected by a shut-down (or dead) log-writer
-    /// queue; the statement is guaranteed *not* durable.
+    /// True when a commit was rejected by a dead group committer; the
+    /// statement was *not* acknowledged as durable.
     pub fn is_shutdown(&self) -> bool {
         self.layer == ErrorLayer::Shutdown
     }

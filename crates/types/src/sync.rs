@@ -6,7 +6,6 @@
 
 use std::fmt;
 use std::sync::{self, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
-use std::time::Duration;
 
 /// A mutual-exclusion lock whose `lock()` never returns a `Result`.
 #[derive(Default)]
@@ -114,24 +113,6 @@ impl Condvar {
             .unwrap_or_else(|poison| poison.into_inner())
     }
 
-    /// [`Condvar::wait`] with a timeout; returns the guard and whether the
-    /// wait timed out.
-    pub fn wait_timeout<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        timeout: Duration,
-    ) -> (MutexGuard<'a, T>, bool) {
-        let (guard, result) = self
-            .inner
-            .wait_timeout(guard, timeout)
-            .unwrap_or_else(|poison| poison.into_inner());
-        (guard, result.timed_out())
-    }
-
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
     pub fn notify_all(&self) {
         self.inner.notify_all();
     }
@@ -185,10 +166,6 @@ mod tests {
             cv.notify_all();
         }
         t.join().unwrap();
-        // A timed wait on a never-notified condvar reports the timeout.
-        let (lock, cv) = &*shared;
-        let (_guard, timed_out) = cv.wait_timeout(lock.lock(), Duration::from_millis(1));
-        assert!(timed_out);
     }
 
     #[test]

@@ -24,73 +24,19 @@ pub fn version_visible(begin: TxnId, end: TxnId, epoch: TxnId) -> bool {
     begin <= epoch && epoch < end
 }
 
-/// How a durable database acknowledges committed statements — the knob that
-/// trades commit latency against `fdatasync` amortization (and, for
-/// [`CommitMode::Async`], against a bounded durability-loss window).
-///
-/// * `Sync` — the committing thread appends and syncs its own statement
-///   before the commit returns. One `fdatasync` per statement; the
-///   strongest latency-to-durability coupling and the fastest single-writer
-///   path (no thread hand-off).
-/// * `Group` — commits are enqueued to a dedicated log-writer thread that
-///   coalesces every waiter present at wakeup (up to `max_batch`, lingering
-///   up to `max_wait_us` for stragglers) into **one** contiguous append +
-///   **one** `fdatasync`, then releases all of them. Durability is as
-///   strong as `Sync`; concurrent writers share the sync.
-/// * `Async` — the commit is acknowledged as soon as it is queued; the
-///   log-writer appends it promptly but only syncs on a cadence of
-///   `flush_interval_us`. A crash can lose up to that window of *acked*
-///   statements (never a torn or reordered one — the log is still written
-///   in commit order, so recovery yields a commit-order prefix).
+/// Kept for the repository benchmark only, which still passes
+/// `CommitMode::group()` to `fedwf_core::LocalStoreConfig`. A durable store
+/// has one commit path — the committing threads take turns leading group
+/// commit (`fedwf_relstore::wal::GroupCommitter`) — so this value selects
+/// nothing. It goes with the benchmark's next change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommitMode {
-    /// fsync-per-statement, acknowledged by the committing thread itself.
-    Sync,
-    /// Group commit through the log-writer thread: one sync per batch.
-    Group {
-        /// How long the log writer lingers for more commits once it has at
-        /// least one, in microseconds. `0` = take only what is queued.
-        max_wait_us: u64,
-        /// Upper bound on statements coalesced into one sync.
-        max_batch: usize,
-    },
-    /// Acknowledge after enqueue; a background flusher syncs every
-    /// `flush_interval_us`. Bounded-loss window, see the enum docs.
-    Async {
-        /// Cadence of the background `fdatasync`, in microseconds.
-        flush_interval_us: u64,
-    },
-}
-
-impl Default for CommitMode {
-    /// `Sync`: the PR-6 behaviour, and the right default for a
-    /// single-writer embedded store.
-    fn default() -> CommitMode {
-        CommitMode::Sync
-    }
-}
+#[non_exhaustive]
+pub struct CommitMode;
 
 impl CommitMode {
-    /// Group commit with the default knobs: linger up to 200 µs, coalesce
-    /// up to 128 statements per sync.
+    /// The one value.
     pub fn group() -> CommitMode {
-        CommitMode::Group {
-            max_wait_us: 200,
-            max_batch: 128,
-        }
-    }
-
-    /// Async commit with the default 2 ms flush cadence.
-    pub fn asynchronous() -> CommitMode {
-        CommitMode::Async {
-            flush_interval_us: 2_000,
-        }
-    }
-
-    /// Whether commits are acknowledged by a log-writer thread (Group or
-    /// Async) rather than inline by the committing thread.
-    pub fn uses_log_writer(&self) -> bool {
-        !matches!(self, CommitMode::Sync)
+        CommitMode
     }
 }
 
@@ -112,21 +58,5 @@ mod tests {
     #[test]
     fn epoch_zero_sees_nothing_uncommitted() {
         assert!(!version_visible(1, TXN_INFINITY, TXN_EPOCH_ZERO));
-    }
-
-    #[test]
-    fn commit_mode_defaults() {
-        assert_eq!(CommitMode::default(), CommitMode::Sync);
-        assert!(!CommitMode::Sync.uses_log_writer());
-        assert!(CommitMode::group().uses_log_writer());
-        assert!(CommitMode::asynchronous().uses_log_writer());
-        let CommitMode::Group {
-            max_wait_us,
-            max_batch,
-        } = CommitMode::group()
-        else {
-            panic!("group() must be Group");
-        };
-        assert!(max_wait_us > 0 && max_batch > 1);
     }
 }

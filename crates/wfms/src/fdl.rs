@@ -222,7 +222,7 @@ fn condition_text(c: &Condition) -> String {
 /// validated through the same checks the builder applies.
 pub fn parse_fdl(text: &str) -> FedResult<ProcessModel> {
     let mut lines = Lines::new(text);
-    let model = parse_process(&mut lines)?;
+    let model = parse_process(&mut lines, 0)?;
     if let Some((n, line)) = lines.peek() {
         return Err(FedError::workflow(format!(
             "FDL line {n}: unexpected content after END: {line}"
@@ -275,7 +275,9 @@ fn split_keyword(line: &str) -> (String, &str) {
     }
 }
 
-fn parse_process(lines: &mut Lines) -> FedResult<ProcessModel> {
+/// Parse one `PROCESS … END` block; `loops` counts the `LOOP` bodies it
+/// sits in.
+fn parse_process(lines: &mut Lines, loops: usize) -> FedResult<ProcessModel> {
     let (n, line) = lines
         .next()
         .ok_or_else(|| FedError::workflow("FDL: empty input"))?;
@@ -346,7 +348,7 @@ fn parse_process(lines: &mut Lines) -> FedResult<ProcessModel> {
                 }));
             }
             "JOIN" => nodes.push(parse_join(n, rest, &nodes)?),
-            "LOOP" => nodes.push(parse_loop(lines, n, rest)?),
+            "LOOP" => nodes.push(parse_loop(lines, n, rest, loops + 1)?),
             "CONNECT" => {
                 let (spec, condition) = match rest.split_once(" WHEN ") {
                     Some((spec, cond)) => (spec, parse_condition(n, cond.trim(), 0)?),
@@ -504,7 +506,16 @@ fn parse_join(n: usize, rest: &str, existing: &[Node]) -> FedResult<Node> {
     }))
 }
 
-fn parse_loop(lines: &mut Lines, n: usize, rest: &str) -> FedResult<Node> {
+/// Parse a `LOOP` whose body is the `loops`-th nested one; past
+/// [`MAX_EXPR_DEPTH`] the loop is an error, so a hostile document cannot
+/// recurse without bound.
+fn parse_loop(lines: &mut Lines, n: usize, rest: &str, loops: usize) -> FedResult<Node> {
+    if loops > MAX_EXPR_DEPTH {
+        return Err(err_at(
+            n,
+            format!("LOOP bodies nested deeper than {MAX_EXPR_DEPTH} levels"),
+        ));
+    }
     let (id, vars_text) = rest
         .split_once(" VARS ")
         .ok_or_else(|| err_at(n, "expected LOOP <id> VARS <fields>"))?;
@@ -552,7 +563,7 @@ fn parse_loop(lines: &mut Lines, n: usize, rest: &str) -> FedResult<Node> {
                 )
             }
             "BODY" => {
-                let parsed = parse_process(lines)?;
+                let parsed = parse_process(lines, loops)?;
                 let (ln2, line2) = lines
                     .next()
                     .ok_or_else(|| err_at(ln, "BODY without ENDBODY"))?;
@@ -1048,5 +1059,81 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A process whose only node is a loop, whose body is a process whose
+    /// only node is a loop, and so on `depth` times; the innermost body
+    /// outputs a constant. Every loop runs its body once.
+    fn nested_loops(depth: usize) -> String {
+        let mut text = String::new();
+        for k in 0..depth {
+            if k > 0 {
+                text.push_str("INPUT i INT\n");
+            }
+            text.push_str(&format!(
+                "LOOP L{k} VARS i INT\nINIT i = CONST 1\nCOUNTER i STEP 1\nUNTIL i > 1\nMAXITER 1\nBODY\nPROCESS p{}\n",
+                k + 1
+            ));
+        }
+        let mut out = format!("PROCESS p0\n{text}");
+        if depth > 0 {
+            out.push_str("INPUT i INT\n");
+        }
+        out.push_str("CONST c = 7\nOUTPUT TABLE c\nEND\n");
+        for k in (0..depth).rev() {
+            out.push_str(&format!("ENDBODY\nOUTPUT TABLE L{k}\nEND\n"));
+        }
+        out
+    }
+
+    /// Run `f` on a thread with a 2 MiB stack, the size of a spawned
+    /// thread's default stack.
+    fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    #[test]
+    fn loops_nest_up_to_the_bound_and_run() {
+        on_small_stack(|| {
+            let text = nested_loops(MAX_EXPR_DEPTH);
+            let model = parse_fdl(&text).unwrap();
+            assert_eq!(parse_fdl(&export_fdl(&model)).unwrap(), model);
+            let engine = crate::Engine::new(fedwf_sim::CostModel::zero());
+            let mut meter = fedwf_sim::Meter::new();
+            let instance = engine
+                .run(
+                    &model,
+                    &model.input.instantiate(),
+                    &crate::EchoExecutor::new(),
+                    &mut meter,
+                )
+                .unwrap();
+            // The outermost loop ran its body once and counted i to 2.
+            assert_eq!(instance.output.value(0, "i"), Some(&Value::Int(2)));
+        });
+    }
+
+    #[test]
+    fn loops_nested_past_the_bound_are_workflow_errors() {
+        on_small_stack(|| {
+            for depth in [MAX_EXPR_DEPTH + 1, 100_000] {
+                let err = parse_fdl(&nested_loops(depth)).unwrap_err();
+                assert_eq!(err.layer, fedwf_types::ErrorLayer::Workflow, "{err}");
+                // The 65th LOOP line: `PROCESS p0`, then eight lines per
+                // level from `LOOP L0` to the next `LOOP`.
+                let line = 2 + 8 * MAX_EXPR_DEPTH;
+                assert!(
+                    err.message.contains(&format!(
+                        "FDL line {line}: LOOP bodies nested deeper than 64 levels"
+                    )),
+                    "{depth}: {err}"
+                );
+            }
+        });
     }
 }
