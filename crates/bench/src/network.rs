@@ -344,7 +344,10 @@ pub fn load_sql_mix_federation(server: &IntegrationServer) -> FedResult<()> {
 /// an index point lookup, an index range with a sort, an index join
 /// with grouping (`join_agg`), a lateral federated function over foreign
 /// rows (`fed_join`, three `GetSuppQual` workflows) and a statement with
-/// inlined literals (`adhoc`).
+/// inlined literals (`adhoc`). The host variables push into the scans
+/// like literals, so the charge runs are short: one `Produce result rows`
+/// per row, one `Evaluate predicates` per row `join_agg` groups, and no
+/// per-row filter charge over the foreign rows of `fed_join`.
 pub fn sql_mix_requests() -> Vec<(&'static str, Request)> {
     vec![
         (

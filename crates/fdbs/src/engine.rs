@@ -693,7 +693,11 @@ impl Fdbs {
             )));
         }
         match &plan.steps[0] {
-            FromStep::ScanLocal { pushdown, .. } => Ok(pushdown.clone()),
+            FromStep::ScanLocal {
+                pushdown,
+                param_pushdown: None,
+                ..
+            } => Ok(pushdown.clone()),
             _ => Err(FedError::unsupported(
                 "UPDATE/DELETE target must be a local table",
             )),

@@ -30,6 +30,7 @@
 //! so the hash join translates build columns into pruned positions before
 //! hashing.
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
@@ -144,13 +145,12 @@ fn naive_step(
     let cost = fdbs.cost();
     let proj = plan.step_projections.get(i).and_then(|p| p.as_deref());
     match &plan.steps[i] {
-        FromStep::ScanLocal {
-            table, pushdown, ..
-        } => {
+        FromStep::ScanLocal { table, .. } => {
+            let pushdown = plan.scan_predicate(i, params)?;
             let scanned = fdbs
                 .catalog()
                 .local()
-                .scan_project(table.as_str(), pushdown, proj)?;
+                .scan_project(table.as_str(), &pushdown, proj)?;
             meter.charge(
                 Component::Fdbs,
                 "Scan local table",
@@ -162,10 +162,10 @@ fn naive_step(
         FromStep::ScanForeign {
             server,
             remote_name,
-            pushdown,
             ..
         } => {
-            let scanned = server.scan_project(remote_name, pushdown, proj)?;
+            let pushdown = plan.scan_predicate(i, params)?;
+            let scanned = server.scan_project(remote_name, &pushdown, proj)?;
             meter.charge(
                 Component::Fdbs,
                 format!("Subquery to SQL source {}", server.name()),
@@ -794,7 +794,8 @@ pub(crate) enum Op<'p> {
 /// [`IndexProbe::matches`].
 pub(crate) struct IndexProbe<'p> {
     pub(crate) table: &'p Ident,
-    pushdown: &'p Predicate,
+    /// The step's storage predicate, bound for this execution.
+    pushdown: Cow<'p, Predicate>,
     projection: Option<&'p [usize]>,
     build_col: usize,
     pub(crate) probe: &'p BoundExpr,
@@ -806,7 +807,7 @@ pub(crate) struct IndexProbe<'p> {
 impl<'p> IndexProbe<'p> {
     pub(crate) fn new(
         table: &'p Ident,
-        pushdown: &'p Predicate,
+        pushdown: Cow<'p, Predicate>,
         projection: Option<&'p [usize]>,
         build_col: usize,
         probe: &'p BoundExpr,
@@ -840,7 +841,7 @@ impl<'p> IndexProbe<'p> {
             Entry::Vacant(e) => {
                 let t = fdbs.catalog().local().scan_project(
                     self.table.as_str(),
-                    &Predicate::eq(self.build_col, v).and(self.pushdown.clone()),
+                    &Predicate::eq(self.build_col, v).and(self.pushdown.as_ref().clone()),
                     self.projection,
                 )?;
                 self.scanned_total += t.row_count() as u64;

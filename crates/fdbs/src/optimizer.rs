@@ -15,7 +15,8 @@
 //!    limit cuts off is order-sensitive.
 //! 2. **Conjunct placement.** The same pushdown / equi-join-extraction /
 //!    residual-filter classification the syntactic binder always did
-//!    (`plan::place_bound_conjunct`), applied to the chosen order.
+//!    (`plan::place_bound_conjunct`), applied to the chosen order; host
+//!    variables push into the scans like literals.
 //! 3. **Cardinality estimation.** Selectivities from [`crate::stats`]
 //!    annotate every step with scan/join/output row estimates — in *both*
 //!    modes, so `EXPLAIN` and the `EXPLAIN ANALYZE` q-error report work
@@ -33,8 +34,8 @@ use std::sync::Arc;
 use crate::catalog::Catalog;
 use crate::expr::BoundExpr;
 use crate::plan::{
-    place_bound_conjunct, step_offsets, Access, AggColumn, FromStep, JoinKey, LogicalPlan, Plan,
-    StepEstimate,
+    flip_cmp, place_bound_conjunct, step_offsets, Access, AggColumn, FromStep, JoinKey,
+    LogicalPlan, Plan, StepEstimate,
 };
 use crate::stats::{
     self, TableStatistics, DEFAULT_EQ_SELECTIVITY, DEFAULT_NULL_FRACTION, DEFAULT_RANGE_SELECTIVITY,
@@ -269,11 +270,26 @@ impl Estimator {
         self.stats[i].as_deref().and_then(|s| s.ndv(local))
     }
 
-    /// Rows step `i` itself produces, after its storage pushdown.
+    /// Rows step `i` itself produces, after its storage pushdown (literal
+    /// and host-variable conjuncts alike).
     fn scan_rows(&self, i: usize, step: &FromStep) -> f64 {
         match step {
-            FromStep::ScanLocal { pushdown, .. } | FromStep::ScanForeign { pushdown, .. } => {
-                (self.base[i] * stats::predicate_selectivity(pushdown, self.stats[i].as_deref()))
+            FromStep::ScanLocal {
+                pushdown,
+                param_pushdown,
+                ..
+            }
+            | FromStep::ScanForeign {
+                pushdown,
+                param_pushdown,
+                ..
+            } => {
+                let bound = param_pushdown.as_ref().map_or(1.0, |e| {
+                    self.selectivity(&e.map_columns(&|c| c + self.offsets[i]))
+                });
+                (self.base[i]
+                    * stats::predicate_selectivity(pushdown, self.stats[i].as_deref())
+                    * bound)
                     .max(0.0)
             }
             FromStep::TableFunc { .. } => self.base[i],
@@ -382,6 +398,14 @@ impl Estimator {
             {
                 eq_pair_selectivity(self.ndv(*a), self.ndv(*b))
             }
+            // `column = host variable`: 1/NDV, what the join-key path this
+            // comparison once took estimated for a one-row probe side.
+            (BoundExpr::Column { index, .. }, BoundExpr::Param { .. })
+            | (BoundExpr::Param { .. }, BoundExpr::Column { index, .. })
+                if op == BinaryOp::Eq =>
+            {
+                eq_pair_selectivity(self.ndv(*index), None)
+            }
             _ => match op {
                 BinaryOp::Eq => DEFAULT_EQ_SELECTIVITY,
                 BinaryOp::NotEq => 1.0 - DEFAULT_EQ_SELECTIVITY,
@@ -421,16 +445,6 @@ fn to_cmp_op(op: BinaryOp) -> Option<CmpOp> {
         BinaryOp::GtEq => CmpOp::GtEq,
         _ => return None,
     })
-}
-
-fn flip_cmp(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::LtEq => CmpOp::GtEq,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::GtEq => CmpOp::LtEq,
-        other => other,
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -9,11 +9,15 @@
 //! "join with selection" whose cost distinguishes the UDTF architecture's
 //! independent case from its sequential case.
 
+use std::borrow::Cow;
+use std::cell::Cell;
 use std::sync::Arc;
 
 use fedwf_relstore::{CmpOp, Predicate};
 use fedwf_sql::{BinaryOp, Expr, FromItem, SelectItem, SelectStmt, UnaryOp};
-use fedwf_types::{Column, DataType, FedError, FedResult, Ident, QualifiedName, Schema, SchemaRef};
+use fedwf_types::{
+    Column, DataType, FedError, FedResult, Ident, QualifiedName, Schema, SchemaRef, Value,
+};
 
 use crate::catalog::{Catalog, TableOrigin};
 use crate::expr::{BoundExpr, ScalarFn};
@@ -29,6 +33,10 @@ pub enum FromStep {
         alias: Ident,
         schema: SchemaRef,
         pushdown: Predicate,
+        /// Pushed conjuncts that compare columns with host variables, ANDed
+        /// in statement order, in the table's own column numbering. Each
+        /// execution binds them with its values (`Plan::scan_predicate`).
+        param_pushdown: Option<BoundExpr>,
     },
     /// Scan of a foreign table; the predicate is pushed to the server as a
     /// subquery.
@@ -41,6 +49,9 @@ pub enum FromStep {
         alias: Ident,
         schema: SchemaRef,
         pushdown: Predicate,
+        /// As for [`FromStep::ScanLocal`]: bound per execution and shipped
+        /// to the server with `pushdown`.
+        param_pushdown: Option<BoundExpr>,
     },
     /// Lateral table-function call.
     TableFunc {
@@ -198,9 +209,9 @@ pub struct Plan {
     /// is pruned, every bound expression of the plan (filters, probe/residual
     /// expressions, projections, aggregate inputs, scalar sort keys, lateral
     /// function arguments) is rewritten into the pruned concatenated layout;
-    /// only [`JoinKey::build`] and the storage pushdown predicates keep the
-    /// original table-local numbering, because storage and index probes
-    /// evaluate them *before* projecting.
+    /// only [`JoinKey::build`] and the storage pushdown predicates (literal
+    /// and host-variable) keep the original table-local numbering, because
+    /// storage and index probes evaluate them *before* projecting.
     pub step_projections: Vec<Option<Vec<usize>>>,
     /// Per-step access-path choice. Executors read entries defensively
     /// (`.get(i)`), so a hand-built plan with an empty vector behaves as
@@ -226,6 +237,73 @@ pub struct Plan {
 }
 
 impl Plan {
+    /// The storage predicate scan step `i` runs under in one execution: its
+    /// `pushdown`, ANDed with its host-variable conjuncts bound to this
+    /// execution's `params`. Borrowed when the step has none, so a
+    /// literal-only scan copies nothing; a bound value lives in the returned
+    /// predicate only, never in the plan, which every execution of the
+    /// statement shares through the plan cache.
+    ///
+    /// A NaN host variable is an execution error here, before any row is
+    /// read: storage compares NaN as unknown and would silently match
+    /// nothing, where the expression evaluator raises "cannot compare" on
+    /// the first non-NULL value it compares with NaN (DESIGN §13 lists the
+    /// statements that therefore fail where the evaluator returned rows).
+    pub(crate) fn scan_predicate(
+        &self,
+        i: usize,
+        params: &[Value],
+    ) -> FedResult<Cow<'_, Predicate>> {
+        let (FromStep::ScanLocal {
+            pushdown,
+            param_pushdown,
+            ..
+        }
+        | FromStep::ScanForeign {
+            pushdown,
+            param_pushdown,
+            ..
+        }) = &self.steps[i]
+        else {
+            return Err(FedError::execution(format!(
+                "FROM item {} is not a table scan",
+                i + 1
+            )));
+        };
+        let Some(conjuncts) = param_pushdown else {
+            return Ok(Cow::Borrowed(pushdown));
+        };
+        let nan = Cell::new(None);
+        let operand = |_: DataType, e: &BoundExpr| match e {
+            BoundExpr::Literal(v) => Some(v.clone()),
+            BoundExpr::Param { index, .. } => {
+                let value = params.get(*index)?;
+                if matches!(value, Value::Double(d) if d.is_nan()) {
+                    nan.set(Some(*index));
+                }
+                Some(value.clone())
+            }
+            _ => None,
+        };
+        let bound = to_storage_predicate(conjuncts, 0, &operand);
+        if let Some(index) = nan.get() {
+            return Err(FedError::execution(format!(
+                "cannot compare NaN: host variable {} is NaN",
+                self.params[index].0
+            )));
+        }
+        let bound = bound.ok_or_else(|| {
+            FedError::execution(format!(
+                "the host-variable predicate of FROM item {} does not bind",
+                i + 1
+            ))
+        })?;
+        Ok(Cow::Owned(match pushdown {
+            Predicate::True => bound,
+            literal => literal.clone().and(bound),
+        }))
+    }
+
     /// Push projections into the FROM steps: compute, per step, the set of
     /// columns the rest of the plan actually reads — output projection,
     /// aggregate keys and arguments, scalar ORDER BY inputs (sorting happens
@@ -452,12 +530,11 @@ impl Plan {
                     table,
                     alias,
                     pushdown,
-                    ..
+                    param_pushdown,
+                    schema,
                 } => {
                     out.push_str(&format!("{indent}ScanLocal {table} AS {alias}"));
-                    if *pushdown != Predicate::True {
-                        out.push_str(&format!(" [pushdown: {pushdown:?}]"));
-                    }
+                    out.push_str(&self.pushdown_note(pushdown, param_pushdown.as_ref(), schema));
                     out.push_str(&project_note);
                     out.push_str(access_note);
                     out.push_str(&est_note(i, |e| e.scan_rows));
@@ -468,15 +545,15 @@ impl Plan {
                     remote_name,
                     alias,
                     pushdown,
+                    param_pushdown,
+                    schema,
                     ..
                 } => {
                     out.push_str(&format!(
                         "{indent}ScanForeign {}/{remote_name} AS {alias}",
                         server.name()
                     ));
-                    if *pushdown != Predicate::True {
-                        out.push_str(&format!(" [pushdown: {pushdown:?}]"));
-                    }
+                    out.push_str(&self.pushdown_note(pushdown, param_pushdown.as_ref(), schema));
                     out.push_str(&project_note);
                     out.push_str(access_note);
                     out.push_str(&est_note(i, |e| e.scan_rows));
@@ -506,6 +583,54 @@ impl Plan {
             }
         }
         out
+    }
+
+    /// A scan's ` [pushdown: …]` EXPLAIN note, empty when nothing is
+    /// pushed: the literal storage predicate as today, then ` AND ` and the
+    /// host-variable conjuncts as SQL text, with columns by name and each
+    /// host variable as `:name`.
+    fn pushdown_note(
+        &self,
+        pushdown: &Predicate,
+        param_pushdown: Option<&BoundExpr>,
+        schema: &Schema,
+    ) -> String {
+        let literal = (*pushdown != Predicate::True).then(|| format!("{pushdown:?}"));
+        let bound = param_pushdown.map(|e| pushed_sql(e, schema, &self.params).to_string());
+        match (literal, bound) {
+            (None, None) => String::new(),
+            (Some(l), None) => format!(" [pushdown: {l}]"),
+            (None, Some(b)) => format!(" [pushdown: {b}]"),
+            (Some(l), Some(b)) => format!(" [pushdown: {l} AND {b}]"),
+        }
+    }
+}
+
+/// A pushed host-variable conjunct as SQL, for EXPLAIN: columns by name in
+/// the step's schema, parameter slots as `:name`.
+fn pushed_sql(e: &BoundExpr, schema: &Schema, params: &[(Ident, DataType)]) -> Expr {
+    let sql = |e: &BoundExpr| Box::new(pushed_sql(e, schema, params));
+    match e {
+        BoundExpr::Column { index, .. } => {
+            Expr::Column(QualifiedName::bare(schema.columns()[*index].name.clone()))
+        }
+        BoundExpr::Param { index, .. } => Expr::bare(&format!(":{}", params[*index].0)),
+        BoundExpr::Literal(v) => Expr::Literal(v.clone()),
+        BoundExpr::Binary { left, op, right } => Expr::Binary {
+            left: sql(left),
+            op: *op,
+            right: sql(right),
+        },
+        BoundExpr::Not(inner) => Expr::Unary {
+            op: UnaryOp::Not,
+            expr: sql(inner),
+        },
+        BoundExpr::IsNull { input, negated } => Expr::IsNull {
+            expr: sql(input),
+            negated: *negated,
+        },
+        // The converter pushes no other shape.
+        other => Expr::bare(&format!("{other:?}")),
     }
 }
 
@@ -907,6 +1032,7 @@ impl<'a> PlanBuilder<'a> {
                         alias,
                         schema,
                         pushdown: Predicate::True,
+                        param_pushdown: None,
                     },
                     TableOrigin::Foreign {
                         server,
@@ -918,6 +1044,7 @@ impl<'a> PlanBuilder<'a> {
                         alias,
                         schema,
                         pushdown: Predicate::True,
+                        param_pushdown: None,
                     },
                 })
             }
@@ -1064,6 +1191,19 @@ pub(crate) fn step_offsets(steps: &[FromStep]) -> Vec<usize> {
 /// conjunct's column indexes refer to ([`step_offsets`] of `steps`) — the
 /// optimizer calls this after permuting the steps and remapping the
 /// conjunct into the permuted layout.
+///
+/// A pushable conjunct compares columns with literals and host variables
+/// only. Literal-only conjuncts go into the step's `pushdown`; a conjunct
+/// with a host variable goes into its `param_pushdown`, bound per
+/// execution, and only when each of its comparisons, with a host variable
+/// or a literal, passes the join-key type gate ([`comparable`]): storage
+/// compares incomparable values as unknown where the evaluator, which
+/// evaluates such a conjunct as a filter, raises an error. Once a step
+/// holds a host-variable conjunct, its later pushable conjuncts follow it
+/// into `param_pushdown` (a literal-only one that fails the gate stays in
+/// `pushdown`, as before): the bound predicate then lists the step's
+/// conjuncts in statement order, as the inlined-literal form does, so the
+/// store picks the same index (the first equality).
 pub(crate) fn place_bound_conjunct(
     bound: BoundExpr,
     steps: &mut [FromStep],
@@ -1088,13 +1228,19 @@ pub(crate) fn place_bound_conjunct(
     let (t_offset, t_len) = (offsets[target], steps[target].schema().len());
     let local_only = cols.iter().all(|&c| c >= t_offset && c < t_offset + t_len);
     if local_only {
-        if let Some(pred) = to_storage_predicate(&bound, t_offset) {
-            match &mut steps[target] {
-                FromStep::ScanLocal { pushdown, .. } | FromStep::ScanForeign { pushdown, .. } => {
-                    *pushdown = std::mem::replace(pushdown, Predicate::True).and(pred);
-                    return;
-                }
-                FromStep::TableFunc { .. } => {}
+        if let FromStep::ScanLocal {
+            pushdown,
+            param_pushdown,
+            ..
+        }
+        | FromStep::ScanForeign {
+            pushdown,
+            param_pushdown,
+            ..
+        } = &mut steps[target]
+        {
+            if push_into_scan(&bound, t_offset, pushdown, param_pushdown) {
+                return;
             }
         }
     }
@@ -1117,14 +1263,8 @@ pub(crate) fn place_bound_conjunct(
             // Static type gate: the hash path compares by key equality
             // and can never raise `sql_cmp`'s "cannot compare" error, so
             // only extract when bind-time types guarantee comparability.
-            let comparable = match (
-                steps[target].schema().columns()[build].data_type,
-                probe.data_type(),
-            ) {
-                (b, Some(p)) => b == p || (b.is_numeric() && p.is_numeric()),
-                (_, None) => false,
-            };
-            if comparable {
+            let build_type = steps[target].schema().columns()[build].data_type;
+            if probe.data_type().is_some_and(|p| comparable(build_type, p)) {
                 match &mut step_join_keys[target] {
                     Some(jk) => {
                         jk.build.push(build);
@@ -1156,6 +1296,63 @@ pub(crate) fn place_bound_conjunct(
         },
         None => bound,
     });
+}
+
+/// Push `bound`, over the columns of one scan step starting at `offset`,
+/// into that step's `pushdown` or `param_pushdown` by the rules of
+/// [`place_bound_conjunct`]; `false` when its shape or types keep it out
+/// of storage.
+fn push_into_scan(
+    bound: &BoundExpr,
+    offset: usize,
+    pushdown: &mut Predicate,
+    param_pushdown: &mut Option<BoundExpr>,
+) -> bool {
+    let literal = to_storage_predicate(bound, offset, &|_, e| match e {
+        BoundExpr::Literal(v) => Some(v.clone()),
+        _ => None,
+    });
+    if param_pushdown.is_some() || literal.is_none() {
+        // The shape and type check of a conjunct bound per execution: every
+        // operand, literal or host variable, must pass the gate, so a
+        // conjunct that would raise "cannot compare" in the evaluator stays
+        // there. The stand-in NULL is never used, only whether it converts.
+        let binds = to_storage_predicate(bound, offset, &|column, e| match e {
+            BoundExpr::Literal(v) if v.data_type().is_none_or(|t| comparable(column, t)) => {
+                Some(v.clone())
+            }
+            BoundExpr::Param { data_type, .. } if comparable(column, *data_type) => {
+                Some(Value::Null)
+            }
+            _ => None,
+        });
+        if binds.is_some() {
+            let local = bound.map_columns(&|c| c - offset);
+            *param_pushdown = Some(match param_pushdown.take() {
+                Some(earlier) => BoundExpr::Binary {
+                    left: Box::new(earlier),
+                    op: BinaryOp::And,
+                    right: Box::new(local),
+                },
+                None => local,
+            });
+            return true;
+        }
+    }
+    // A literal-only conjunct is pushed as a literal, as it always was.
+    let Some(pred) = literal else {
+        return false;
+    };
+    *pushdown = std::mem::replace(pushdown, Predicate::True).and(pred);
+    true
+}
+
+/// Whether values of two types compare without a "cannot compare" error
+/// under `sql_cmp`: equal types, or both numeric. The static gate for the
+/// paths that compare without the evaluator: hash-join keys, and the
+/// conjuncts with host variables pushed into storage.
+fn comparable(a: DataType, b: DataType) -> bool {
+    a == b || (a.is_numeric() && b.is_numeric())
 }
 
 /// Constant folding: collapse literal-only subtrees.
@@ -1228,17 +1425,22 @@ fn split_equi_join(expr: &BoundExpr, t_offset: usize, t_len: usize) -> Option<(u
 }
 
 /// Convert a bound predicate over one table's columns into a storage
-/// predicate, shifting indexes by `offset`. Returns `None` for shapes the
-/// storage layer cannot evaluate (params, arithmetic, cross-column).
-fn to_storage_predicate(expr: &BoundExpr, offset: usize) -> Option<Predicate> {
+/// predicate, shifting column indexes down by `offset`. `operand` resolves
+/// the non-column side of each comparison, given the compared column's
+/// type: at bind time it resolves literals only, at execution literals and
+/// the statement's values ([`Plan::scan_predicate`]). Returns `None` for
+/// shapes the storage layer cannot evaluate (arithmetic, cross-column
+/// comparisons, operands the resolver leaves unresolved).
+pub(crate) fn to_storage_predicate(
+    expr: &BoundExpr,
+    offset: usize,
+    operand: &dyn Fn(DataType, &BoundExpr) -> Option<Value>,
+) -> Option<Predicate> {
+    let convert = |e: &BoundExpr| to_storage_predicate(e, offset, operand);
     match expr {
         BoundExpr::Binary { left, op, right } => match op {
-            BinaryOp::And => {
-                Some(to_storage_predicate(left, offset)?.and(to_storage_predicate(right, offset)?))
-            }
-            BinaryOp::Or => {
-                Some(to_storage_predicate(left, offset)?.or(to_storage_predicate(right, offset)?))
-            }
+            BinaryOp::And => Some(convert(left)?.and(convert(right)?)),
+            BinaryOp::Or => Some(convert(left)?.or(convert(right)?)),
             BinaryOp::Eq
             | BinaryOp::NotEq
             | BinaryOp::Lt
@@ -1254,26 +1456,21 @@ fn to_storage_predicate(expr: &BoundExpr, offset: usize) -> Option<Predicate> {
                     BinaryOp::GtEq => CmpOp::GtEq,
                     _ => unreachable!(),
                 };
-                match (&**left, &**right) {
-                    (BoundExpr::Column { index, .. }, BoundExpr::Literal(v)) => {
-                        Some(Predicate::cmp(index - offset, cmp_op, v.clone()))
+                let (index, data_type, other, cmp_op) = match (&**left, &**right) {
+                    (BoundExpr::Column { index, data_type }, other) => {
+                        (index, data_type, other, cmp_op)
                     }
-                    (BoundExpr::Literal(v), BoundExpr::Column { index, .. }) => {
-                        let flipped = match cmp_op {
-                            CmpOp::Lt => CmpOp::Gt,
-                            CmpOp::LtEq => CmpOp::GtEq,
-                            CmpOp::Gt => CmpOp::Lt,
-                            CmpOp::GtEq => CmpOp::LtEq,
-                            other => other,
-                        };
-                        Some(Predicate::cmp(index - offset, flipped, v.clone()))
+                    (other, BoundExpr::Column { index, data_type }) => {
+                        (index, data_type, other, flip_cmp(cmp_op))
                     }
-                    _ => None,
-                }
+                    _ => return None,
+                };
+                let value = operand(*data_type, other)?;
+                Some(Predicate::cmp(index - offset, cmp_op, value))
             }
             _ => None,
         },
-        BoundExpr::Not(e) => Some(to_storage_predicate(e, offset)?.negate()),
+        BoundExpr::Not(e) => Some(convert(e)?.negate()),
         BoundExpr::IsNull { input, negated } => match &**input {
             BoundExpr::Column { index, .. } => Some(if *negated {
                 Predicate::IsNotNull(index - offset)
@@ -1283,6 +1480,17 @@ fn to_storage_predicate(expr: &BoundExpr, offset: usize) -> Option<Predicate> {
             _ => None,
         },
         _ => None,
+    }
+}
+
+/// The operator that keeps a comparison's meaning when its operands swap.
+pub(crate) fn flip_cmp(op: CmpOp) -> CmpOp {
+    match op {
+        CmpOp::Lt => CmpOp::Gt,
+        CmpOp::LtEq => CmpOp::GtEq,
+        CmpOp::Gt => CmpOp::Lt,
+        CmpOp::GtEq => CmpOp::LtEq,
+        other => other,
     }
 }
 
@@ -1493,23 +1701,81 @@ mod tests {
     }
 
     #[test]
-    fn param_predicate_not_pushed_to_storage() {
+    fn param_predicate_is_pushed_to_storage() {
         let cat = catalog();
         let stmt = select("SELECT S.Name FROM Suppliers AS S WHERE S.SupplierNo = N");
         let plan = PlanBuilder::new(&cat)
-            .with_host_params(vec![(Ident::new("N"), DataType::Int)])
+            .with_host_params(vec![(Ident::new("N"), DataType::BigInt)])
             .bind(&stmt)
             .unwrap();
-        let FromStep::ScanLocal { pushdown, .. } = &plan.steps[0] else {
+        let FromStep::ScanLocal {
+            pushdown,
+            param_pushdown,
+            ..
+        } = &plan.steps[0]
+        else {
             panic!()
         };
+        // The literal part stays empty; the host-variable conjunct rides
+        // beside it in table numbering, unbound.
         assert_eq!(*pushdown, Predicate::True);
-        // The parameter equality is extracted as a (degenerate, step-0)
-        // join key, which the executor can serve with an index probe.
-        assert!(plan.step_filters[0].is_none());
+        assert!(matches!(
+            param_pushdown,
+            Some(BoundExpr::Binary { left, op: BinaryOp::Eq, right })
+                if matches!(**left, BoundExpr::Column { index: 0, .. })
+                    && matches!(**right, BoundExpr::Param { index: 0, .. })
+        ));
+        assert!(plan.step_join_keys[0].is_none(), "no join key");
+        assert!(plan.step_filters[0].is_none(), "no residual filter");
+        // Each execution binds its own value; the plan keeps none.
+        let bound = plan.scan_predicate(0, &[Value::BigInt(7)]).unwrap();
+        assert_eq!(*bound, Predicate::eq(0, Value::BigInt(7)));
+        assert!(plan.explain().contains("[pushdown: SupplierNo = :N]"));
+        // A NaN host variable is an execution error before any scan.
+        let stmt = select("SELECT S.Name FROM Suppliers AS S WHERE S.SupplierNo < D");
+        let plan = PlanBuilder::new(&cat)
+            .with_host_params(vec![(Ident::new("D"), DataType::Double)])
+            .bind(&stmt)
+            .unwrap();
+        let err = plan
+            .scan_predicate(0, &[Value::Double(f64::NAN)])
+            .unwrap_err();
+        assert_eq!(err.layer, fedwf_types::ErrorLayer::Execution);
+        assert!(err.to_string().contains("NaN"), "{err}");
+    }
+
+    #[test]
+    fn non_pushable_param_expression_stays_a_join_key() {
+        let cat = catalog();
+        let host = || vec![(Ident::new("N"), DataType::Int)];
+        // Arithmetic on the host variable: storage cannot evaluate it, so
+        // the equality is a step-0 join key as before.
+        let stmt = select("SELECT S.Name FROM Suppliers AS S WHERE S.SupplierNo = N + 1");
+        let plan = PlanBuilder::new(&cat)
+            .with_host_params(host())
+            .bind(&stmt)
+            .unwrap();
+        let FromStep::ScanLocal { param_pushdown, .. } = &plan.steps[0] else {
+            panic!()
+        };
+        assert!(param_pushdown.is_none());
         let jk = plan.step_join_keys[0].as_ref().expect("param join key");
         assert_eq!(jk.build, vec![0]);
-        assert!(matches!(jk.probe[0], BoundExpr::Param { index: 0, .. }));
+        assert!(matches!(jk.probe[0], BoundExpr::Binary { .. }));
+        // An INT host variable against a VARCHAR column fails the type
+        // gate: it stays a residual filter, which raises the evaluator's
+        // "cannot compare" error.
+        let stmt = select("SELECT S.Name FROM Suppliers AS S WHERE S.Name = N");
+        let plan = PlanBuilder::new(&cat)
+            .with_host_params(host())
+            .bind(&stmt)
+            .unwrap();
+        let FromStep::ScanLocal { param_pushdown, .. } = &plan.steps[0] else {
+            panic!()
+        };
+        assert!(param_pushdown.is_none());
+        assert!(plan.step_join_keys[0].is_none());
+        assert!(plan.step_filters[0].is_some());
     }
 
     #[test]

@@ -3,7 +3,11 @@
 //! This is [`crate::exec::ExecMode::Streaming`], the one production
 //! executor. The source pulls column vectors straight out of relstore's
 //! version chains (bounded chunks, snapshot epoch pinned at the first
-//! pull), residual filters evaluate predicates into selection vectors
+//! pull; a point lookup comes back as its one row). Every scan, the
+//! source's, a build side's, an index probe's or a foreign one, runs under
+//! its step's storage predicate bound for this execution, host variables
+//! included ([`Plan::scan_predicate`]).
+//! Residual filters evaluate predicates into selection vectors
 //! ([`crate::vexpr`]), hash-join and index probes hash join keys over
 //! column slices, and the sinks aggregate/project over typed vectors.
 //! Rows materialize only where they must: at pipeline breakers (build
@@ -33,10 +37,11 @@
 //! slot order), and the same multiset of non-FDBS charges with the UDTF
 //! memo off.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
-use fedwf_relstore::{Predicate, RowId};
+use fedwf_relstore::{Predicate, RowId, ScanChunk};
 use fedwf_sim::{Component, CostModel, Meter, SpanName, TraceNode};
 use fedwf_types::{ColumnBatch, FedResult, Ident, ResultExt, Row, Table, TxnId, Value, ValueKey};
 
@@ -107,14 +112,17 @@ pub(crate) fn tally_batch(meter: &mut Meter, batch: &ColumnBatch) {
     meter.tally_materialized(batch.len() as u64, batch.approx_bytes() as u64);
 }
 
-/// Where batches come from: a bounded columnar cursor over the leading
-/// local scan when it has no join key, or the single seed row otherwise
-/// (operators then cover every step including the first).
+/// Where batches come from: a bounded cursor over the leading local scan
+/// when it has no join key, or the single seed row otherwise (operators
+/// then cover every step including the first). The cursor streams column
+/// chunks; a pull that can match at most one row (a point lookup) comes
+/// back as that row, which the row kernels take as it is.
 enum VSource<'p> {
     Rows(Option<Vec<Row>>),
     Chunked {
         table: &'p Ident,
-        pushdown: &'p Predicate,
+        /// The step's storage predicate, bound for this execution.
+        pushdown: Cow<'p, Predicate>,
         projection: Option<&'p [usize]>,
         next: Option<RowId>,
         started: bool,
@@ -144,7 +152,7 @@ impl VSource<'_> {
                 let local = fdbs.catalog().local();
                 let pinned = *epoch.get_or_insert_with(|| local.snapshot_epoch());
                 let start = next.unwrap_or(0);
-                let (batch, cont) = local.scan_chunk_columnar(
+                let (chunk, cont) = local.scan_chunk_columnar(
                     table.as_str(),
                     pushdown,
                     *projection,
@@ -154,8 +162,11 @@ impl VSource<'_> {
                 )?;
                 *started = true;
                 *next = cont;
-                *matched += batch.len() as u64;
-                Ok(Some(VBatch::Cols(batch, None)))
+                *matched += chunk.len() as u64;
+                Ok(Some(match chunk {
+                    ScanChunk::Rows(rows) => VBatch::Rows(rows.into_rows()),
+                    ScanChunk::Cols(batch) => VBatch::Cols(batch, None),
+                }))
             }
         }
     }
@@ -178,6 +189,8 @@ impl VSource<'_> {
 /// the storage / SQL-MED boundary as column batches (tallied in column
 /// bytes) and become rows only because they *are* pipeline-breaker state;
 /// an independent UDTF is invoked once here, even over an empty prefix.
+/// Every scan runs under the step's predicate bound for this execution
+/// ([`Plan::scan_predicate`]).
 fn prepare_step_op<'p>(
     fdbs: &Fdbs,
     plan: &'p Plan,
@@ -190,12 +203,8 @@ fn prepare_step_op<'p>(
     let jk = plan.step_join_keys[i].as_ref();
     let proj = plan.step_projections.get(i).and_then(|p| p.as_deref());
     let right = match &plan.steps[i] {
-        FromStep::ScanLocal {
-            table,
-            pushdown,
-            schema,
-            ..
-        } => {
+        FromStep::ScanLocal { table, schema, .. } => {
+            let pushdown = plan.scan_predicate(i, params)?;
             if let Some(jk) = jk {
                 let access = plan.step_access.get(i).copied().unwrap_or_default();
                 if use_index_probe(fdbs, table, schema, jk, access)? {
@@ -211,7 +220,7 @@ fn prepare_step_op<'p>(
             let batch =
                 fdbs.catalog()
                     .local()
-                    .scan_project_columnar(table.as_str(), pushdown, proj)?;
+                    .scan_project_columnar(table.as_str(), &pushdown, proj)?;
             meter.charge(
                 Component::Fdbs,
                 "Scan local table",
@@ -223,12 +232,12 @@ fn prepare_step_op<'p>(
         FromStep::ScanForeign {
             server,
             remote_name,
-            pushdown,
             ..
         } => {
             // The SQL/MED boundary ships columns: one typed batch comes
             // back from the wrapper, not boxed rows.
-            let batch = server.scan_project_columnar(remote_name, pushdown, proj)?;
+            let pushdown = plan.scan_predicate(i, params)?;
+            let batch = server.scan_project_columnar(remote_name, &pushdown, proj)?;
             meter.charge(
                 Component::Fdbs,
                 format!("Subquery to SQL source {}", server.name()),
@@ -693,17 +702,16 @@ pub(crate) fn execute_vectorized(
     let chunk_step0 = matches!(plan.steps.first(), Some(FromStep::ScanLocal { .. }))
         && plan.step_join_keys.first().is_some_and(|jk| jk.is_none());
     let (mut source, start) = if chunk_step0 {
-        let Some(FromStep::ScanLocal {
-            table, pushdown, ..
-        }) = plan.steps.first()
-        else {
+        let Some(FromStep::ScanLocal { table, .. }) = plan.steps.first() else {
             unreachable!("checked above");
         };
         let projection = plan.step_projections.first().and_then(|p| p.as_deref());
         (
             VSource::Chunked {
                 table,
-                pushdown,
+                pushdown: plan.scan_predicate(0, params).map_err(|e| {
+                    e.with_context(format!("evaluating FROM item 1 ({:?})", plan.steps[0]))
+                })?,
                 projection,
                 next: None,
                 started: false,
@@ -727,7 +735,7 @@ pub(crate) fn execute_vectorized(
     }
     for (i, step) in plan.steps.iter().enumerate().skip(start) {
         let op = prepare_step_op(fdbs, plan, i, params, meter, udtf_memo)
-            .context(format!("evaluating FROM item {} ({step:?})", i + 1))?;
+            .map_err(|e| e.with_context(format!("evaluating FROM item {} ({step:?})", i + 1)))?;
         ops.push(op);
         if let Some(filter) = &plan.step_filters[i] {
             ops.push(Op::Filter { filter });

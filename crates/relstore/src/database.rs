@@ -30,7 +30,9 @@ use fedwf_types::{
 
 use crate::index::IndexKind;
 use crate::predicate::Predicate;
-use crate::table::{ChangeKind, ColumnSink, RowId, ScanSink, StoredTable, TableStats, UndoLog};
+use crate::table::{
+    ChangeKind, ChunkSink, ColumnSink, RowId, ScanChunk, ScanSink, StoredTable, TableStats, UndoLog,
+};
 use crate::wal::{self, CommitStats, Durability, GroupCommitter, Wal, WalRecord};
 
 /// Magic prefix of a checkpoint snapshot (versioned).
@@ -393,7 +395,8 @@ impl Database {
     /// resume from, or `None` when the table is exhausted. The read lock is
     /// taken per chunk, so a streaming consumer never pins the table across
     /// pulls; every chunk reads the same snapshot, even when writers commit
-    /// between pulls.
+    /// between pulls. A chunk is column vectors, or one row when the pull
+    /// can match at most one ([`ScanChunk`]).
     pub fn scan_chunk_columnar(
         &self,
         table: &str,
@@ -402,8 +405,8 @@ impl Database {
         start_slot: RowId,
         max_rows: usize,
         epoch: TxnId,
-    ) -> FedResult<(ColumnBatch, Option<RowId>)> {
-        let (sink, next) = self.scan_into::<ColumnSink>(
+    ) -> FedResult<(ScanChunk, Option<RowId>)> {
+        let (sink, next) = self.scan_into::<ChunkSink>(
             table,
             predicate,
             projection,
@@ -818,6 +821,62 @@ mod tests {
         let t = db.scan_all("Components").unwrap();
         assert_eq!(t.row_count(), 1);
         assert!(db.has_table("components")); // case-insensitive
+    }
+
+    /// A DOUBLE key does not probe an integer column's index: 2^53 and
+    /// 2^53 + 1 both equal 2^53 as f64, which the index's exact integer
+    /// order cannot answer in one lookup, so the scan walks and matches
+    /// both, as `sql_cmp` does. An integer key keeps the index.
+    #[test]
+    fn double_key_walks_an_integer_index() {
+        let db = Database::new("wide");
+        db.create_table("W", Arc::new(Schema::of(&[("B", DataType::BigInt)])))
+            .unwrap();
+        db.create_index("W", "w_b", "B", IndexKind::NonUnique)
+            .unwrap();
+        let two_pow_53: i64 = 1 << 53;
+        for b in [two_pow_53, two_pow_53 + 1, 7] {
+            db.insert("W", Row::new(vec![Value::BigInt(b)])).unwrap();
+        }
+        let by_double = Predicate::eq(0, Value::Double(two_pow_53 as f64));
+        assert!(!db.index_serves("W", &by_double).unwrap());
+        assert_eq!(
+            db.scan_project("W", &by_double, None).unwrap().row_count(),
+            2
+        );
+        let by_integer = Predicate::eq(0, Value::BigInt(two_pow_53));
+        assert!(db.index_serves("W", &by_integer).unwrap());
+        assert_eq!(
+            db.scan_project("W", &by_integer, None).unwrap().row_count(),
+            1
+        );
+    }
+
+    /// The chunk cursor answers a pull that can match at most one row, a
+    /// unique-index lookup, with that row, and streams larger pulls in
+    /// column vectors.
+    #[test]
+    fn scan_chunk_answers_a_one_row_pull_in_a_row() {
+        let db = db();
+        for i in 0..10 {
+            db.insert("Components", Row::new(vec![Value::Int(i), Value::str("x")]))
+                .unwrap();
+        }
+        let epoch = db.snapshot_epoch();
+        let (point, next) = db
+            .scan_chunk_columnar("Components", &Predicate::eq(0, 7), None, 0, 4, epoch)
+            .unwrap();
+        assert!(matches!(point, ScanChunk::Rows(_)), "{point:?}");
+        assert_eq!(
+            point.to_rows(),
+            [Row::new(vec![Value::Int(7), Value::str("x")])]
+        );
+        assert_eq!(next, None);
+        let (walk, next) = db
+            .scan_chunk_columnar("Components", &Predicate::True, None, 0, 4, epoch)
+            .unwrap();
+        assert!(matches!(walk, ScanChunk::Cols(_)), "{walk:?}");
+        assert_eq!((walk.len(), next), (4, Some(4)));
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod wal;
 pub use database::Database;
 pub use index::{Index, IndexKind};
 pub use predicate::{CmpOp, Predicate};
-pub use table::{RowId, StoredTable, TableStats, UndoLog};
+pub use table::{RowId, ScanChunk, StoredTable, TableStats, UndoLog};
 pub use wal::{
     CommitStats, Durability, FileSink, FileSnapshots, GroupCommitter, LogSink, MemorySink,
     MemorySnapshots, OsFs, Replay, SimFs, SnapshotFs, SnapshotStore, Wal, WalRecord,

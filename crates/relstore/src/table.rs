@@ -18,8 +18,8 @@ use std::ops::Range;
 
 use fedwf_types::txn::version_visible;
 use fedwf_types::{
-    ColumnBatch, ColumnBuilder, FedError, FedResult, Ident, Row, SchemaRef, Table, TxnId, Value,
-    TXN_EPOCH_ZERO, TXN_INFINITY,
+    ColumnBatch, ColumnBuilder, DataType, FedError, FedResult, Ident, Row, SchemaRef, Table, TxnId,
+    Value, TXN_EPOCH_ZERO, TXN_INFINITY,
 };
 
 use crate::index::{Index, IndexKind};
@@ -110,6 +110,77 @@ impl ColumnSink {
                 .map(|b| std::sync::Arc::new(b.finish()))
                 .collect(),
         )
+    }
+}
+
+/// One pull of the chunk cursor ([`crate::Database::scan_chunk_columnar`]):
+/// a row when the pull can match at most one (a unique-index point lookup,
+/// a walk's last slot), column vectors otherwise. One row costs a refcount
+/// bump where a batch builds one vector per column; from a few rows on,
+/// the columnar kernels that take a batch are as fast or faster.
+#[derive(Debug, Clone)]
+pub enum ScanChunk {
+    Rows(Table),
+    Cols(ColumnBatch),
+}
+
+impl ScanChunk {
+    pub fn len(&self) -> usize {
+        match self {
+            ScanChunk::Rows(t) => t.row_count(),
+            ScanChunk::Cols(b) => b.len(),
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    pub fn to_rows(&self) -> Vec<Row> {
+        match self {
+            ScanChunk::Rows(t) => t.rows().to_vec(),
+            ScanChunk::Cols(b) => b.to_rows(),
+        }
+    }
+}
+
+/// The chunk cursor's sink: a [`ScanChunk`] of the form the pull's bound on
+/// candidate rows picks.
+pub(crate) enum ChunkSink {
+    Rows(Table),
+    Cols(ColumnSink),
+}
+
+impl ScanSink for ChunkSink {
+    fn open(schema: SchemaRef, max_rows: usize) -> ChunkSink {
+        if max_rows <= 1 {
+            ChunkSink::Rows(Table::open(schema, max_rows))
+        } else {
+            ChunkSink::Cols(ColumnSink::open(schema, max_rows))
+        }
+    }
+
+    fn emit(&mut self, row: &Row, projection: Option<&[usize]>) {
+        match self {
+            ChunkSink::Rows(t) => t.emit(row, projection),
+            ChunkSink::Cols(c) => c.emit(row, projection),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            ChunkSink::Rows(t) => ScanSink::len(t),
+            ChunkSink::Cols(c) => c.len(),
+        }
+    }
+}
+
+impl ChunkSink {
+    pub(crate) fn finish(self) -> ScanChunk {
+        match self {
+            ChunkSink::Rows(t) => ScanChunk::Rows(t),
+            ChunkSink::Cols(c) => ScanChunk::Cols(c.finish()),
+        }
     }
 }
 
@@ -685,6 +756,12 @@ impl StoredTable {
     /// Index usable for this predicate at this epoch: the indexes cover
     /// live versions only, so a pinned epoch must be no older than the last
     /// mutation for the probe to be complete.
+    ///
+    /// A DOUBLE key never probes an integer column: the index orders
+    /// integers exactly but a DOUBLE as f64, which is not transitive across
+    /// the two (2^53 and 2^53 + 1 both equal 2^53 as f64), so the lookup
+    /// would find one of the keys the scan's `sql_cmp` matches. An integer
+    /// key against a DOUBLE column compares as f64 throughout and may probe.
     fn pick_index_at<'a>(
         &'a self,
         predicate: &'a Predicate,
@@ -695,6 +772,11 @@ impl StoredTable {
         }
         let (column, key) = predicate.equality_binding()?;
         let index = self.indexes.iter().find(|i| i.column == column)?;
+        if matches!(key, Value::Double(_))
+            && self.schema.columns()[column].data_type != DataType::Double
+        {
+            return None;
+        }
         Some((index, key))
     }
 

@@ -321,7 +321,7 @@ fn pinned_readers_never_see_mixed_versions() {
                         let (batch, next) = db
                             .scan_chunk_columnar("T", &Predicate::True, None, start, 5, epoch)
                             .unwrap();
-                        values.extend((0..batch.len()).map(|i| batch.value_at(1, i)));
+                        values.extend(batch.to_rows().into_iter().map(|r| r.values()[1].clone()));
                         cursor = next;
                     }
                     assert_eq!(values.len(), ROWS as usize);

@@ -8,7 +8,8 @@
 //! generated join/filter/DISTINCT/aggregate queries (including 3-way joins
 //! over skewed-NDV columns) straight into an [`fedwf::fdbs::Fdbs`]; Part B
 //! replays the paper's Fig. 5 workload on all four integration
-//! architectures under both executors.
+//! architectures under both executors; Part C holds host variables against
+//! the same statements with their values inlined.
 
 use std::sync::Arc;
 
@@ -18,11 +19,11 @@ use fedwf::core::{
 use fedwf::fdbs::{
     ChargeItem, ChargeSpec, ExecMode, ExecOptions, Fdbs, PlannerMode, RelstoreServer, Udtf,
 };
-use fedwf::relstore::Database;
+use fedwf::relstore::{Database, IndexKind};
 use fedwf::sim::{Charge, Component, CostModel, Meter};
 use fedwf::types::check;
 use fedwf::types::rng::Rng;
-use fedwf::types::{DataType, Ident, Row, Schema, Table, Value};
+use fedwf::types::{DataType, ErrorLayer, Ident, Row, Schema, Table, Value};
 use fedwf_bench::args_for;
 
 // ---------------------------------------------------------------------------
@@ -648,4 +649,530 @@ fn memoized_executor_preserves_results_on_all_architectures() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Part C: host variables against their inlined literals
+// ---------------------------------------------------------------------------
+
+/// Columns of the host-variable tables, by name and type.
+const HV_COLUMNS: [(&str, DataType); 4] = [
+    ("I", DataType::Int),
+    ("B", DataType::BigInt),
+    ("D", DataType::Double),
+    ("S", DataType::Varchar),
+];
+
+/// A value of type `ty`: the i32 and i64 bounds and their neighbours,
+/// 2^53 and 2^53 + 1 (one f64 apart from nothing: both round to 2^53),
+/// small values that collide, and strings with a quote and an empty one.
+fn hv_value(rng: &mut Rng, ty: DataType) -> Value {
+    match ty {
+        DataType::Int => Value::Int(*rng.pick(&[
+            i32::MIN,
+            i32::MIN + 1,
+            -7,
+            0,
+            1,
+            3,
+            7,
+            i32::MAX - 1,
+            i32::MAX,
+        ])),
+        DataType::BigInt => Value::BigInt(*rng.pick(&[
+            i64::MIN,
+            i64::MIN + 1,
+            i64::from(i32::MIN) - 1,
+            -7,
+            0,
+            3,
+            7,
+            i64::from(i32::MAX) + 1,
+            TWO_POW_53,
+            TWO_POW_53 + 1,
+            i64::MAX - 1,
+            i64::MAX,
+        ])),
+        DataType::Double => Value::Double(*rng.pick(&[
+            -1e300,
+            I64_MIN_F64,
+            -1.5,
+            -0.0,
+            0.0,
+            3.0,
+            7.0,
+            7.5,
+            2147483647.0,
+            TWO_POW_53 as f64,
+            9.2e18,
+            I64_MAX_F64,
+            1e300,
+        ])),
+        _ => Value::str(*rng.pick(&["", "a", "abc", "it's", "z"])),
+    }
+}
+
+/// 2^53: the last integer every larger one of which some f64 misses.
+const TWO_POW_53: i64 = 1 << 53;
+/// `i64::MIN` and `i64::MAX` as f64 (-2^63 and 2^63): each equals, as f64,
+/// the bound and its neighbour.
+const I64_MIN_F64: f64 = -9_223_372_036_854_775_808.0;
+const I64_MAX_F64: f64 = 9_223_372_036_854_775_808.0;
+
+/// A SQL literal whose folded value is exactly `v`, type included: the
+/// parser types integer literals by size, so the text is cast to the
+/// value's type (and `i64::MIN`, whose magnitude no literal holds, is
+/// computed).
+fn typed_literal(v: &Value) -> String {
+    match v {
+        Value::Int(i) => format!("CAST({i} AS INT)"),
+        Value::BigInt(i64::MIN) => "CAST(-9223372036854775807 - 1 AS BIGINT)".to_string(),
+        Value::BigInt(i) => format!("CAST({i} AS BIGINT)"),
+        Value::Double(d) => format!("CAST({d:?} AS DOUBLE)"),
+        Value::Varchar(s) => format!("'{}'", s.replace('\'', "''")),
+        other => panic!("no literal form for {other:?}"),
+    }
+}
+
+/// Local `H` (indexed on I and B, on S when `index_s`) and foreign `F`
+/// (indexed on I and B at the source) over the same `rows` of
+/// [`HV_COLUMNS`].
+fn hv_federation_of(rows: &[Row], index_s: bool, analyze: bool) -> Fdbs {
+    let fdbs = Fdbs::new(CostModel::default());
+    let schema = Arc::new(Schema::of(&HV_COLUMNS));
+    let local = fdbs.catalog().local();
+    local.create_table("H", schema.clone()).unwrap();
+    local
+        .create_index("H", "h_i", "I", IndexKind::NonUnique)
+        .unwrap();
+    local
+        .create_index("H", "h_b", "B", IndexKind::NonUnique)
+        .unwrap();
+    if index_s {
+        local
+            .create_index("H", "h_s", "S", IndexKind::NonUnique)
+            .unwrap();
+    }
+    let remote = Database::new("remote");
+    remote.create_table("HR", schema).unwrap();
+    remote
+        .create_index("HR", "hr_i", "I", IndexKind::NonUnique)
+        .unwrap();
+    remote
+        .create_index("HR", "hr_b", "B", IndexKind::NonUnique)
+        .unwrap();
+    for row in rows {
+        local.insert("H", row.clone()).unwrap();
+        remote.insert("HR", row.clone()).unwrap();
+    }
+    fdbs.catalog()
+        .register_foreign_table(
+            "F",
+            Arc::new(RelstoreServer::new("erp", Arc::new(remote))),
+            "HR",
+        )
+        .unwrap();
+    if analyze {
+        fdbs.analyze().unwrap();
+    }
+    fdbs
+}
+
+/// [`hv_federation_of`] over up to 40 generated rows, with NULLs in every
+/// column.
+fn hv_federation(rng: &mut Rng) -> Fdbs {
+    let rows: Vec<Row> = (0..rng.range_usize(0, 40))
+        .map(|_| {
+            Row::new(
+                HV_COLUMNS
+                    .iter()
+                    .map(|&(_, ty)| {
+                        if rng.gen_bool(0.2) {
+                            Value::Null
+                        } else {
+                            hv_value(rng, ty)
+                        }
+                    })
+                    .collect(),
+            )
+        })
+        .collect();
+    let (index_s, analyze) = (rng.gen_bool(0.5), rng.gen_bool(0.5));
+    hv_federation_of(&rows, index_s, analyze)
+}
+
+/// One WHERE predicate in three forms: with host variables, with their
+/// values inlined as literals, and with host variables but every column
+/// wrapped in an identity the storage layer cannot evaluate (`T.B + 0`,
+/// `LOWER(T.S)`: the strings are lower case), so the expression evaluator
+/// decides it.
+struct HvForms {
+    host: String,
+    literal: String,
+    evaluated: String,
+}
+
+impl HvForms {
+    fn same(text: String, evaluated: String) -> HvForms {
+        HvForms {
+            host: text.clone(),
+            literal: text,
+            evaluated,
+        }
+    }
+
+    fn map(self, f: impl Fn(&str) -> String) -> HvForms {
+        HvForms {
+            host: f(&self.host),
+            literal: f(&self.literal),
+            evaluated: f(&self.evaluated),
+        }
+    }
+
+    fn join(a: HvForms, op: &str, b: HvForms) -> HvForms {
+        HvForms {
+            host: format!("({}) {op} ({})", a.host, b.host),
+            literal: format!("({}) {op} ({})", a.literal, b.literal),
+            evaluated: format!("({}) {op} ({})", a.evaluated, b.evaluated),
+        }
+    }
+}
+
+/// `T.<column>` wrapped in an identity storage cannot evaluate.
+fn evaluated_column(column: &str, ty: DataType) -> String {
+    match ty {
+        DataType::Varchar => format!("LOWER(T.{column})"),
+        _ => format!("(T.{column} + 0)"),
+    }
+}
+
+/// `column op value` in its three forms ([`HvForms`]), `value` bound as a
+/// host variable of `params` unless `inline`, in either orientation.
+fn hv_comparison(
+    column: &str,
+    ty: DataType,
+    op: &str,
+    value: Value,
+    inline: bool,
+    flip: bool,
+    params: &mut Vec<(String, Value)>,
+) -> HvForms {
+    let literal = typed_literal(&value);
+    let host = if inline {
+        literal.clone()
+    } else {
+        params.push((format!("p{}", params.len()), value));
+        params.last().unwrap().0.clone()
+    };
+    let evaluated = evaluated_column(column, ty);
+    let side = |column: &str, other: &str| {
+        if flip {
+            format!("{other} {op} {column}")
+        } else {
+            format!("{column} {op} {other}")
+        }
+    };
+    HvForms {
+        host: side(&format!("T.{column}"), &host),
+        literal: side(&format!("T.{column}"), &literal),
+        evaluated: side(&evaluated, &host),
+    }
+}
+
+/// A generated predicate ([`HvForms`]) and the host variables it binds.
+/// Comparisons take both orientations, a host variable of the column's
+/// type or a wider one, and now and then a literal in every form or an
+/// `IS [NOT] NULL`, so host-variable and literal conjuncts mix on one scan.
+fn hv_predicate(rng: &mut Rng, depth: usize, params: &mut Vec<(String, Value)>) -> HvForms {
+    match if depth == 0 { 0 } else { rng.range_usize(0, 6) } {
+        0..=2 => {
+            let (column, ty) = *rng.pick(&HV_COLUMNS);
+            if rng.gen_bool(0.1) {
+                let test = format!("IS {}NULL", if rng.gen_bool(0.5) { "NOT " } else { "" });
+                return HvForms::same(
+                    format!("T.{column} {test}"),
+                    format!("{} {test}", evaluated_column(column, ty)),
+                );
+            }
+            let hv_type = match ty {
+                DataType::Int => *rng.pick(&[DataType::Int, DataType::BigInt, DataType::Double]),
+                DataType::BigInt => *rng.pick(&[DataType::BigInt, DataType::Double]),
+                other => other,
+            };
+            let value = hv_value(rng, hv_type);
+            // Equalities lead: the first one of a conjunction picks the
+            // index, so their order across the forms must agree.
+            let op = *rng.pick(&["=", "=", "=", "<>", "<", "<=", ">", ">="]);
+            let (inline, flip) = (rng.gen_bool(0.35), rng.gen_bool(0.5));
+            hv_comparison(column, ty, op, value, inline, flip, params)
+        }
+        3 => hv_predicate(rng, depth - 1, params).map(|p| format!("NOT ({p})")),
+        k => {
+            let a = hv_predicate(rng, depth - 1, params);
+            let b = hv_predicate(rng, depth - 1, params);
+            HvForms::join(a, if k == 4 { "AND" } else { "OR" }, b)
+        }
+    }
+}
+
+/// The warm result and charge log of `sql` with `params`: the first
+/// execution compiles, the second runs the cached plan.
+fn warm(fdbs: &Fdbs, sql: &str, params: &[(&str, Value)]) -> (Table, Vec<Charge>) {
+    fdbs.execute_with_params(sql, params, &mut Meter::new())
+        .unwrap_or_else(|e| panic!("{sql}: {e}"));
+    let mut meter = Meter::new();
+    let table = fdbs
+        .execute_with_params(sql, params, &mut meter)
+        .unwrap_or_else(|e| panic!("{sql}: {e}"));
+    (table, meter.charges().to_vec())
+}
+
+/// Run `SELECT columns FROM table AS T WHERE <conjuncts>` in its three
+/// forms and assert that the host-variable form returns the literal form's
+/// rows and warm charge log, the oracle's rows and the evaluated form's
+/// rows.
+fn assert_forms_agree(
+    fdbs: &Fdbs,
+    table: &str,
+    columns: &str,
+    conjuncts: &[HvForms],
+    params: &[(String, Value)],
+) {
+    let form = |pick: fn(&HvForms) -> &String| {
+        let predicate: Vec<&str> = conjuncts.iter().map(|c| pick(c).as_str()).collect();
+        format!(
+            "SELECT {columns} FROM {table} AS T WHERE {}",
+            predicate.join(" AND ")
+        )
+    };
+    let host_sql = form(|c| &c.host);
+    let literal_sql = form(|c| &c.literal);
+    let evaluated_sql = form(|c| &c.evaluated);
+    let bound: Vec<(&str, Value)> = params
+        .iter()
+        .map(|(n, v)| (n.as_str(), v.clone()))
+        .collect();
+
+    fdbs.set_options(ExecOptions::default());
+    let (host_rows, host_log) = warm(fdbs, &host_sql, &bound);
+    let (literal_rows, literal_log) = warm(fdbs, &literal_sql, &[]);
+    assert_eq!(host_rows, literal_rows, "rows: {host_sql} / {literal_sql}");
+    assert_eq!(
+        host_log, literal_log,
+        "charge log: {host_sql} / {literal_sql}"
+    );
+    let (evaluated_rows, _) = warm(fdbs, &evaluated_sql, &bound);
+    assert_eq!(
+        row_multiset(&evaluated_rows),
+        row_multiset(&host_rows),
+        "evaluator rows: {evaluated_sql} / {host_sql} {params:?}"
+    );
+
+    fdbs.set_options(oracle());
+    let (naive_rows, _) = warm(fdbs, &host_sql, &bound);
+    assert_eq!(
+        row_multiset(&naive_rows),
+        row_multiset(&host_rows),
+        "oracle rows: {host_sql} {params:?}"
+    );
+    fdbs.set_options(ExecOptions::default());
+}
+
+/// A host-variable comparison plans, executes and costs like the same
+/// comparison with the value inlined: over an indexed local table and a
+/// foreign table, the rows equal the literal form's, the oracle's and
+/// those of the expression evaluator, and the warm charge log equals the
+/// literal form's.
+#[test]
+fn host_variables_behave_like_inlined_literals() {
+    // An indexed BIGINT column against DOUBLE host variables where f64
+    // equality is not transitive: 2^53 and 2^53 + 1 both equal 2^53 as
+    // f64, and each i64 bound equals its neighbour.
+    let wide = [
+        TWO_POW_53,
+        TWO_POW_53 + 1,
+        i64::MIN,
+        i64::MIN + 1,
+        i64::MAX - 1,
+        i64::MAX,
+    ];
+    let rows: Vec<Row> = wide
+        .iter()
+        .enumerate()
+        .map(|(i, &b)| {
+            Row::new(vec![
+                Value::Int(i as i32),
+                Value::BigInt(b),
+                Value::Null,
+                Value::str("a"),
+            ])
+        })
+        .collect();
+    let fdbs = hv_federation_of(&rows, false, true);
+    for d in [TWO_POW_53 as f64, I64_MIN_F64, I64_MAX_F64] {
+        for op in ["=", "<>", "<", "<=", ">", ">="] {
+            for (table, flip) in [("H", false), ("H", true), ("F", false), ("F", true)] {
+                let mut params = Vec::new();
+                let b = hv_comparison(
+                    "B",
+                    DataType::BigInt,
+                    op,
+                    Value::Double(d),
+                    false,
+                    flip,
+                    &mut params,
+                );
+                assert_forms_agree(&fdbs, table, "T.I, T.B", &[b], &params);
+            }
+        }
+    }
+
+    check::cases(48, |rng| {
+        let fdbs = hv_federation(rng);
+        for _ in 0..rng.range_usize(2, 6) {
+            let mut params = Vec::new();
+            let conjuncts: Vec<HvForms> = (0..rng.range_usize(1, 5))
+                .map(|_| {
+                    let depth = rng.range_usize(0, 3);
+                    hv_predicate(rng, depth, &mut params)
+                })
+                .collect();
+            let table = if rng.gen_bool(0.7) { "H" } else { "F" };
+            let columns = *rng.pick(&["T.I, T.B, T.D, T.S", "T.S, T.I", "T.D"]);
+            assert_forms_agree(&fdbs, table, columns, &conjuncts, &params);
+        }
+    });
+}
+
+/// What a host variable keeps from the parent design, and the one place
+/// it does not. A host variable that cannot be compared with its column,
+/// or a literal that cannot in a conjunct with a host variable, is still
+/// the evaluator's `[execution]` "cannot compare" error (storage would
+/// compare it as unknown). A NaN host variable in a pushed comparison is
+/// an `[execution]` error raised before the scan, also where the evaluator
+/// never compared it with a non-NULL value and returned rows (DESIGN §13).
+#[test]
+fn incomparable_and_nan_host_variables_are_execution_errors() {
+    let fdbs = hv_federation(&mut Rng::seed_from_u64(7));
+    let mut meter = Meter::new();
+    fdbs.execute("INSERT INTO H VALUES (1, 2, 3.0, 'x')", &mut meter)
+        .unwrap();
+    let cases = [
+        (
+            "SELECT T.I FROM H AS T WHERE T.I = p",
+            Value::str("1"),
+            "cannot compare",
+        ),
+        (
+            "SELECT T.I FROM F AS T WHERE T.I < p",
+            Value::str("1"),
+            "cannot compare",
+        ),
+        (
+            "SELECT T.I FROM H AS T WHERE T.I = p OR T.S = 5",
+            Value::Int(99),
+            "cannot compare",
+        ),
+        (
+            "SELECT T.I FROM H AS T WHERE T.D < p",
+            Value::Double(f64::NAN),
+            "NaN",
+        ),
+        (
+            "SELECT T.I FROM H AS T WHERE p = T.I",
+            Value::Double(f64::NAN),
+            "NaN",
+        ),
+        (
+            "SELECT T.I FROM F AS T WHERE T.B >= p",
+            Value::Double(f64::NAN),
+            "NaN",
+        ),
+    ];
+    for (sql, value, needle) in cases {
+        let err = fdbs
+            .execute_with_params(sql, &[("p", value)], &mut meter)
+            .unwrap_err();
+        assert_eq!(err.layer, ErrorLayer::Execution, "{sql}: {err}");
+        assert!(err.to_string().contains(needle), "{sql}: {err}");
+    }
+
+    // The NaN divergence: every row is decided by `T.I = 1` or compares a
+    // NULL `T.D`, so the evaluator never compares NaN with a value and
+    // returned row 1; the pushed comparison errs before the scan.
+    let rows = [
+        Row::new(vec![
+            Value::Int(1),
+            Value::Null,
+            Value::Double(5.0),
+            Value::str("a"),
+        ]),
+        Row::new(vec![
+            Value::Int(2),
+            Value::Null,
+            Value::Null,
+            Value::str("b"),
+        ]),
+    ];
+    let fdbs = hv_federation_of(&rows, false, false);
+    let nan = [("p", Value::Double(f64::NAN))];
+    let evaluated = fdbs
+        .execute_with_params(
+            "SELECT T.I FROM H AS T WHERE (T.I + 0) = 1 OR (T.D + 0) < p",
+            &nan,
+            &mut meter,
+        )
+        .unwrap();
+    assert_eq!(evaluated.rows(), [Row::new(vec![Value::Int(1)])]);
+    let err = fdbs
+        .execute_with_params(
+            "SELECT T.I FROM H AS T WHERE T.I = 1 OR T.D < p",
+            &nan,
+            &mut meter,
+        )
+        .unwrap_err();
+    assert_eq!(err.layer, ErrorLayer::Execution, "{err}");
+    assert!(err.to_string().contains("NaN"), "{err}");
+}
+
+/// The benchmark's parameterized `sql_mix` shapes book, warm, exactly the
+/// charge log of their literal forms.
+#[test]
+fn sql_mix_host_variables_cost_like_their_literals() {
+    let server = IntegrationServer::with_architecture(ArchitectureKind::Wfms).unwrap();
+    server.boot();
+    server.deploy(&paper_functions::get_supp_qual()).unwrap();
+    fedwf_bench::network::load_sql_mix_federation(&server).unwrap();
+    let warm_outcome = |request: &Request| {
+        server.execute(request).unwrap();
+        server.execute(request).unwrap()
+    };
+    let mut shapes = 0;
+    for (shape, request) in fedwf_bench::network::sql_mix_requests() {
+        let named = request.params_ref().named();
+        if named.is_empty() {
+            continue;
+        }
+        let fedwf::core::Target::Sql(sql) = request.target() else {
+            panic!("{shape} is not SQL");
+        };
+        let literal_sql = sql
+            .split(' ')
+            .map(|token| match named.iter().find(|(n, _)| n == token) {
+                Some((_, v)) => typed_literal(v),
+                None => token.to_string(),
+            })
+            .collect::<Vec<_>>()
+            .join(" ");
+        let host = warm_outcome(&request);
+        let literal = warm_outcome(&Request::sql(literal_sql.clone()));
+        assert_eq!(host.table, literal.table, "{shape}: {literal_sql}");
+        assert_eq!(
+            host.meter.charges(),
+            literal.meter.charges(),
+            "{shape}: {literal_sql}"
+        );
+        shapes += 1;
+    }
+    assert_eq!(shapes, 4, "point, range, join_agg and fed_join");
 }

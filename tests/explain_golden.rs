@@ -15,6 +15,7 @@
 //! closing `q-error median: <q>` line. These tests pin the exact text on a
 //! deterministic federation so any grammar drift is a conscious decision.
 
+use fedwf::core::{paper_functions, ArchitectureKind, IntegrationServer, Request};
 use fedwf::fdbs::{ExecOptions, Fdbs, PlannerMode};
 use fedwf::sim::{CostModel, Meter};
 use fedwf::types::Value;
@@ -119,6 +120,70 @@ fn golden_pushdown_projection_and_limit_notes() {
          Project [P]\n\
          \x20 ScanLocal Big AS H [pushdown: And(True, Compare { column: 0, op: Lt, value: Int(20) })] [project: P] est=20",
         "the single-table EXPLAIN grammar drifted — update DESIGN.md §13 if intentional"
+    );
+}
+
+/// Host variables push into the scans like literals: the `[pushdown: …]`
+/// note prints the part bound per execution as SQL, each host variable by
+/// name. Literal conjuncts before a step's first host-variable conjunct stay
+/// in the storage predicate; later ones follow it into the bound part, in
+/// statement order. The `sql_mix` federation of the benchmark.
+#[test]
+fn golden_host_variable_pushdown_notes() {
+    let server = IntegrationServer::with_architecture(ArchitectureKind::Wfms).unwrap();
+    server.boot();
+    server.deploy(&paper_functions::get_supp_qual()).unwrap();
+    fedwf_bench::network::load_sql_mix_federation(&server).unwrap();
+    let golden = |sql: &str, params: &[(&str, i32)], want: &str| {
+        let request = params
+            .iter()
+            .fold(Request::sql(sql), |r, (name, v)| r.bind(*name, *v));
+        let t = server.execute(&request).unwrap().table;
+        let got = (0..t.row_count())
+            .map(|i| match t.value(i, "plan") {
+                Some(Value::Varchar(s)) => s.to_string(),
+                other => panic!("plan row {i} is not text: {other:?}"),
+            })
+            .collect::<Vec<_>>()
+            .join("\n");
+        assert_eq!(
+            got, want,
+            "the host-variable EXPLAIN grammar drifted — update DESIGN.md §13 if intentional"
+        );
+    };
+    golden(
+        "EXPLAIN SELECT O.* FROM Orders AS O WHERE O.Id = pk",
+        &[("pk", 1234)],
+        "Project [Id, CustNo, Day, Qty, Price, Note]\n\
+         \x20 ScanLocal Orders AS O [pushdown: Id = :pk] est=1",
+    );
+    golden(
+        "EXPLAIN SELECT O.Id, O.Qty, O.Price FROM Orders AS O \
+         WHERE O.CustNo = pc AND O.Day >= plo AND O.Day < phi ORDER BY O.Id",
+        &[("pc", 7), ("plo", 10), ("phi", 60)],
+        "Sort [Column { index: 0, data_type: Int } ASC]\n\
+         Project [Id, Qty, Price]\n\
+         \x20 ScanLocal Orders AS O [pushdown: CustNo = :pc AND Day >= :plo AND Day < :phi] \
+         [project: Id, Qty, Price] est=4",
+    );
+    golden(
+        "EXPLAIN SELECT S.SupplierNo, T.Qual \
+         FROM ErpSuppliers AS S, TABLE (GetSuppQual(S.Name)) AS T \
+         WHERE S.SupplierNo >= plo AND S.SupplierNo < phi ORDER BY S.SupplierNo",
+        &[("plo", 1), ("phi", 4)],
+        "Sort [Column { index: 0, data_type: Int } ASC]\n\
+         Project [SupplierNo, Qual]\n\
+         \x20 TableFunction GetSuppQual(1 arg) AS T [lateral] est=22\n\
+         \x20   ScanForeign erp/Suppliers AS S \
+         [pushdown: SupplierNo >= :plo AND SupplierNo < :phi] [project: SupplierNo, Name] est=22",
+    );
+    golden(
+        "EXPLAIN SELECT O.Id FROM Orders AS O \
+         WHERE O.Qty > 50 AND O.Day = pd AND O.Note IS NOT NULL",
+        &[("pd", 42)],
+        "Project [Id]\n\
+         \x20 ScanLocal Orders AS O [pushdown: And(True, Compare { column: 3, op: Gt, value: Int(50) }) \
+         AND Day = :pd AND Note IS NOT NULL] [project: Id] est=15",
     );
 }
 

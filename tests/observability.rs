@@ -356,6 +356,10 @@ fn materialization_counters_fire_at_pipeline_breakers() {
 /// at once, yields exactly what a solo execution yields — table, virtual
 /// clock, charge log, materialization counters, span tree and metrics
 /// delta. Many workflow instances navigate on many threads here at once.
+/// Each parameterized `sql_mix` shape runs under four bindings through its
+/// one cached plan, so a host-variable value bound into the shared plan
+/// instead of into the execution would show up in another binding's
+/// outcome.
 #[test]
 fn concurrent_metrics_deltas_equal_solo_deltas() {
     const THREADS: usize = 8;
@@ -385,7 +389,7 @@ fn concurrent_metrics_deltas_equal_solo_deltas() {
             fedwf_bench::network::sql_mix_requests()
                 .into_iter()
                 .filter(|(shape, _)| sql_sees_functions || *shape != "fed_join")
-                .map(|(_, r)| r),
+                .flat_map(|(_, r)| four_bindings(r)),
         );
         let requests: Vec<Request> = requests
             .into_iter()
@@ -435,6 +439,31 @@ fn concurrent_metrics_deltas_equal_solo_deltas() {
             t.join().expect("client thread");
         }
     }
+}
+
+/// A parameterized SQL request under four distinct bindings, each host
+/// variable shifted by 0 to 3 (all still inside the `sql_mix` federation's
+/// keys and days); a request that binds nothing stays as it is.
+fn four_bindings(request: Request) -> Vec<Request> {
+    let named = request.params_ref().named();
+    let fedwf::core::Target::Sql(sql) = request.target() else {
+        return vec![request];
+    };
+    if named.is_empty() {
+        return vec![request];
+    }
+    (0..4)
+        .map(|shift| {
+            named
+                .iter()
+                .fold(Request::sql(sql.clone()), |r, (name, v)| {
+                    let Value::Int(v) = v else {
+                        panic!("sql_mix binds INT host variables, got {v:?}");
+                    };
+                    r.bind(name.clone(), v + shift)
+                })
+        })
+        .collect()
 }
 
 /// Everything an [`fedwf::core::Outcome`] carries, comparable as a whole.

@@ -162,9 +162,12 @@ fn sql_surface_is_transport_invariant() {
 }
 
 /// The repository benchmark's `sql_mix` shapes over a real socket. Their
-/// charge logs travel as runs: the index join books dozens of identical
-/// `Evaluate predicates` charges back to back, and the lateral
-/// federated function over foreign rows (`fed_join`) books hundreds.
+/// charge logs travel as runs: the index join (`join_agg`) books dozens of
+/// identical `Evaluate predicates` charges back to back, and `range` one
+/// `Produce result rows` charge per row. The lateral federated function
+/// over foreign rows (`fed_join`) books each workflow's charges three
+/// times over; its host variables reach the foreign scan, so no filter
+/// books a charge per foreign row.
 #[test]
 fn sql_mix_shapes_are_transport_invariant() {
     let rig = rig(ArchitectureKind::Wfms, FrontConfig::default());
