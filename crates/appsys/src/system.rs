@@ -1,6 +1,7 @@
 //! Application systems and the registry over all of them.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use fedwf_relstore::Database;
@@ -29,7 +30,10 @@ pub struct ApplicationSystem {
     db: Database,
     functions: RwLock<BTreeMap<Ident, LocalFunction>>,
     revoked: RwLock<BTreeMap<Ident, ()>>,
-    faults: RwLock<BTreeMap<Ident, u32>>,
+    /// Armed faults left per function. A call consumes one with a single
+    /// atomic step under the shared lock, so concurrent callers consume
+    /// exactly the armed count and calls never serialize on it.
+    faults: RwLock<BTreeMap<Ident, AtomicU32>>,
     /// Interned `local {name}` span names.
     local_spans: SpanNameCache<String>,
 }
@@ -66,7 +70,9 @@ impl ApplicationSystem {
     /// Make the next `n` calls of `function` fail with a transient error
     /// (after which calls succeed again) — deterministic fault injection.
     pub fn inject_faults(&self, function: &str, n: u32) {
-        self.faults.write().insert(Ident::new(function), n);
+        self.faults
+            .write()
+            .insert(Ident::new(function), AtomicU32::new(n));
     }
 
     pub fn name(&self) -> &str {
@@ -118,20 +124,22 @@ impl ApplicationSystem {
                 self.name
             )));
         }
-        {
-            let mut faults = self.faults.write();
-            if let Some(remaining) = faults.get_mut(&ident) {
-                if *remaining > 0 {
-                    *remaining -= 1;
-                    return Err(FedError::app_system(format!(
-                        "system {}: transient fault injected into {name}",
-                        self.name
-                    )));
-                }
-                faults.remove(&ident);
+        if let Some(remaining) = self.faults.read().get(&ident) {
+            // The count publishes no other data: Relaxed suffices.
+            let consumed = remaining
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+                .is_ok();
+            if consumed {
+                return Err(FedError::app_system(format!(
+                    "system {}: transient fault injected into {name}",
+                    self.name
+                )));
             }
         }
-        let f = self.functions.read().get(&ident).cloned().ok_or_else(|| {
+        // The shared guard spans the call: only setup registers functions,
+        // and a body reaches the database, never this system.
+        let functions = self.functions.read();
+        let f = functions.get(&ident).ok_or_else(|| {
             FedError::app_system(format!("system {} has no function {name}", self.name))
         })?;
         f.invoke(&self.db, args)
@@ -224,9 +232,10 @@ impl AppSystemRegistry {
 
     /// Find the (unique) system exporting `function_name`.
     pub fn resolve_function(&self, function_name: &str) -> FedResult<&Arc<ApplicationSystem>> {
+        let ident = Ident::new(function_name);
         let mut found = None;
         for system in self.systems.values() {
-            if system.signature(function_name).is_some() {
+            if system.functions.read().contains_key(&ident) {
                 if found.is_some() {
                     return Err(FedError::app_system(format!(
                         "function {function_name} is exported by more than one system"
@@ -366,6 +375,33 @@ mod tests {
         assert!(sys.call("GetAnswer", &[]).is_err());
         // The third call succeeds again.
         assert!(sys.call("GetAnswer", &[]).is_ok());
+        assert!(sys.call("GetAnswer", &[]).is_ok());
+    }
+
+    /// Armed faults are consumed exactly once each by concurrent callers.
+    #[test]
+    fn armed_faults_fail_exactly_that_many_concurrent_calls() {
+        const ARMED: u32 = 37;
+        let sys = one_system();
+        sys.inject_faults("GetAnswer", ARMED);
+        let start = std::sync::Barrier::new(4);
+        let failed: usize = std::thread::scope(|scope| {
+            let callers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        (0..50)
+                            .filter(|_| sys.call("GetAnswer", &[]).is_err())
+                            .count()
+                    })
+                })
+                .collect();
+            callers
+                .into_iter()
+                .map(|c| c.join().expect("caller panicked"))
+                .sum()
+        });
+        assert_eq!(failed, ARMED as usize);
         assert!(sys.call("GetAnswer", &[]).is_ok());
     }
 

@@ -24,7 +24,7 @@ fn bench_ablation(c: &mut Criterion) {
         ] {
             let server = make_server_with_cost(kind, cost.clone());
             server.deploy(&spec).expect("deploy");
-            let args = args_for(&server, &spec);
+            let args = args_for(server.scenario(), &spec);
             call_fn(&server, "GetNoSuppComp", &args).expect("warm-up");
             group.bench_function(format!("{label}/{arch_label}"), |b| {
                 b.iter(|| {

@@ -19,7 +19,7 @@ fn bench_fig5(c: &mut Criterion) {
                 continue;
             }
             server.deploy(&spec).expect("deploy");
-            let args = args_for(&server, &spec);
+            let args = args_for(server.scenario(), &spec);
             // Warm every cache before sampling.
             call_fn(&server, spec.name.as_str(), &args).expect("warm-up");
             let label = match kind {

@@ -17,7 +17,7 @@ fn bench_fig6(c: &mut Criterion) {
     ] {
         let server = make_server(kind);
         server.deploy(&spec).expect("deploy");
-        let args = args_for(&server, &spec);
+        let args = args_for(server.scenario(), &spec);
         call_fn(&server, "GetNoSuppComp", &args).expect("warm-up");
         group.bench_function(format!("call_and_breakdown/{label}"), |b| {
             b.iter(|| {

@@ -11,7 +11,8 @@
 //! bound on the added latency; `--quick` only reports (CI boxes are too
 //! noisy to gate on wall clock).
 
-use fedwf_bench::network::{drain_under_load, ladder, NetworkSummary};
+use fedwf_bench::network::{drain_under_load, ladder};
+use fedwf_bench::throughput::ThroughputSummary;
 
 fn main() {
     let quick =
@@ -24,11 +25,11 @@ fn main() {
         if quick { "  [--quick]" } else { "" }
     );
 
-    println!("{}", NetworkSummary::render_header());
+    println!("{}", ThroughputSummary::render_transport_header());
     let comparisons = ladder(calls_per_client);
     for comparison in &comparisons {
-        println!("{}", comparison.in_process.render_row());
-        println!("{}", comparison.network.render_row());
+        println!("{}", comparison.in_process.render_transport_row());
+        println!("{}", comparison.network.render_transport_row());
         println!(
             "{:>22} mean overhead {:+} us/call, QPS ratio {:.2}x\n",
             "→",

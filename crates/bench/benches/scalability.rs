@@ -26,7 +26,7 @@ fn bench_scalability(c: &mut Criterion) {
             paper_functions::get_sub_comp_discounts(),
         ] {
             server.deploy(&spec).expect("deploy");
-            let args = args_for(&server, &spec);
+            let args = args_for(server.scenario(), &spec);
             call_fn(&server, spec.name.as_str(), &args).expect("warm-up");
             group.throughput(Throughput::Elements(components as u64));
             group.bench_with_input(

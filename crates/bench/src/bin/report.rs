@@ -244,7 +244,7 @@ fn main() {
         let server = exp::make_server(ArchitectureKind::Wfms);
         let spec = paper_functions::get_no_supp_comp();
         server.deploy(&spec).expect("deploy GetNoSuppComp");
-        let args = exp::args_for(&server, &spec);
+        let args = exp::args_for(server.scenario(), &spec);
         exp::call_fn(&server, spec.name.as_str(), &args).expect("warm-up");
         let outcome = server
             .execute(

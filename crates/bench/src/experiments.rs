@@ -1,5 +1,6 @@
 //! The experiments of Section 3 and Section 4, one function per artifact.
 
+use fedwf_appsys::Scenario;
 use fedwf_core::{
     paper_functions, ArchitectureKind, ComplexityCase, IntegrationConfig, IntegrationServer,
     MappingSpec, Outcome, Request,
@@ -24,9 +25,8 @@ pub fn make_server_with_cost(kind: ArchitectureKind, cost: CostModel) -> Integra
     server
 }
 
-/// The call arguments for each paper function.
-pub fn args_for(server: &IntegrationServer, spec: &MappingSpec) -> Vec<Value> {
-    let s = server.scenario();
+/// The call arguments for each paper function over scenario `s`.
+pub fn args_for(s: &Scenario, spec: &MappingSpec) -> Vec<Value> {
     match spec.name.normalized() {
         "gibkompnr" => vec![Value::str(s.well_known_component_name())],
         "getnumbersupp1234" => vec![Value::Int(s.well_known_component_no())],
@@ -149,7 +149,7 @@ pub fn fig5_elapsed() -> Vec<Fig5Row> {
     let mut rows = Vec::new();
     for (spec, case) in paper_functions::fig5_workload() {
         wfms.deploy(&spec).expect("WfMS deploys everything");
-        let args = args_for(&wfms, &spec);
+        let args = args_for(wfms.scenario(), &spec);
         let wfms_us = Some(
             warm_call(&wfms, spec.name.as_str(), &args)
                 .expect("wfms call")
@@ -158,7 +158,7 @@ pub fn fig5_elapsed() -> Vec<Fig5Row> {
         let mut udtf_us = None;
         if udtf.architecture().supports(&spec) {
             udtf.deploy(&spec).expect("supported spec deploys");
-            let args = args_for(&udtf, &spec);
+            let args = args_for(udtf.scenario(), &spec);
             udtf_us = Some(
                 warm_call(&udtf, spec.name.as_str(), &args)
                     .expect("udtf call")
@@ -216,12 +216,12 @@ pub fn fig6_breakdowns() -> (Breakdown, Breakdown) {
 
     let wfms = make_server(ArchitectureKind::Wfms);
     wfms.deploy(&spec).unwrap();
-    let args = args_for(&wfms, &spec);
+    let args = args_for(wfms.scenario(), &spec);
     let wf_outcome = warm_call(&wfms, "GetNoSuppComp", &args).unwrap();
 
     let udtf = make_server(ArchitectureKind::SqlUdtf);
     udtf.deploy(&spec).unwrap();
-    let args = args_for(&udtf, &spec);
+    let args = args_for(udtf.scenario(), &spec);
     let udtf_outcome = warm_call(&udtf, "GetNoSuppComp", &args).unwrap();
 
     (
@@ -253,7 +253,7 @@ pub fn warmup_tiers(kind: ArchitectureKind) -> Vec<WarmupRow> {
             continue;
         }
         server.deploy(&spec).unwrap();
-        let args = args_for(&server, &spec);
+        let args = args_for(server.scenario(), &spec);
         // Cold: nothing booted, caches empty.
         let cold_us = call_fn(&server, spec.name.as_str(), &args)
             .unwrap()
@@ -312,10 +312,6 @@ pub struct LoopScalingPoint {
 /// Elapsed time of `AllCompNames(n)` on the WfMS architecture for each `n`.
 pub fn loop_scaling(ns: &[usize]) -> Vec<LoopScalingPoint> {
     let server = make_server(ArchitectureKind::Wfms);
-    // The paper's loop cost is per invocation: keep the dependent-UDTF
-    // memo off so repeated identical calls are never collapsed.
-    let f = server.fdbs();
-    f.set_options(f.options().udtf_memo(false));
     server.deploy(&paper_functions::all_comp_names()).unwrap();
     ns.iter()
         .map(|&n| {
@@ -379,18 +375,12 @@ pub fn controller_ablation() -> AblationResult {
     let spec = paper_functions::get_no_supp_comp();
     let measure = |cost: CostModel| -> (u64, u64) {
         let wf = make_server_with_cost(ArchitectureKind::Wfms, cost.clone());
-        // Ablation compares per-invocation controller shares; the
-        // dependent-UDTF memo would skew them, so it stays off.
-        let f = wf.fdbs();
-        f.set_options(f.options().udtf_memo(false));
         wf.deploy(&spec).unwrap();
-        let args = args_for(&wf, &spec);
+        let args = args_for(wf.scenario(), &spec);
         let w = warm_call(&wf, "GetNoSuppComp", &args).unwrap().elapsed_us();
         let ud = make_server_with_cost(ArchitectureKind::SqlUdtf, cost);
-        let f = ud.fdbs();
-        f.set_options(f.options().udtf_memo(false));
         ud.deploy(&spec).unwrap();
-        let args = args_for(&ud, &spec);
+        let args = args_for(ud.scenario(), &spec);
         let u = warm_call(&ud, "GetNoSuppComp", &args).unwrap().elapsed_us();
         (u, w)
     };
@@ -464,7 +454,7 @@ pub fn architecture_spectrum() -> Vec<SpectrumRow> {
         .map(|&kind| {
             let server = make_server(kind);
             server.deploy(&paper_functions::buy_supp_comp()).unwrap();
-            let args = args_for(&server, &paper_functions::buy_supp_comp());
+            let args = args_for(server.scenario(), &paper_functions::buy_supp_comp());
             let outcome = warm_call(&server, "BuySuppComp", &args).unwrap();
             SpectrumRow {
                 architecture: kind,
@@ -573,7 +563,7 @@ pub fn scalability(component_counts: &[usize]) -> Vec<ScalabilityRow> {
                 paper_functions::get_sub_comp_discounts(),
             ] {
                 server.deploy(&spec).unwrap();
-                let args = args_for(&server, &spec);
+                let args = args_for(server.scenario(), &spec);
                 us.push(
                     warm_call(&server, spec.name.as_str(), &args)
                         .unwrap()

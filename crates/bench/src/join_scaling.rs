@@ -7,9 +7,10 @@
 //! scaled equi-join (selectivity 1/n), DISTINCT and GROUP BY over
 //! low-cardinality data, and a dependent table function invoked with
 //! heavily repeated argument tuples (the memoization case, production with
-//! the memo off vs on). The cost model is zeroed so virtual charges do not
-//! distort wall time; both legs still produce identical results, which
-//! each workload asserts.
+//! the memo off vs on). Each leg runs on its own engine, built with that
+//! leg's options over the same data and warmed before it is timed. The
+//! cost model is zeroed so virtual charges do not distort wall time; both
+//! legs still produce identical results, which each workload asserts.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -57,15 +58,27 @@ impl JoinScalingRow {
     }
 }
 
-fn time_query(fdbs: &Fdbs, sql: &str, mode: ExecMode, udtf_memo: bool) -> (u128, Table) {
-    // E13 compares executors on the same join order, so the planner is
-    // pinned to the syntactic reference (E18 measures the planner).
-    fdbs.set_options(
-        ExecOptions::default()
-            .mode(mode)
-            .udtf_memo(udtf_memo)
-            .planner(PlannerMode::Syntactic),
-    );
+/// The production executor with the dependent-UDTF memo on or off. E13
+/// compares executors on the same join order, so both legs pin the
+/// planner to the syntactic reference (E18 measures the planner).
+fn production(udtf_memo: bool) -> ExecOptions {
+    ExecOptions::default()
+        .udtf_memo(udtf_memo)
+        .planner(PlannerMode::Syntactic)
+}
+
+/// The naive reference oracle.
+fn oracle() -> ExecOptions {
+    ExecOptions::default()
+        .mode(ExecMode::Naive)
+        .udtf_memo(false)
+        .planner(PlannerMode::Syntactic)
+}
+
+/// Run `sql` once to warm the engine's plan cache, then time it.
+fn time_query(fdbs: &Fdbs, sql: &str) -> (u128, Table) {
+    fdbs.execute(sql, &mut Meter::new())
+        .expect("E13 warm-up failed");
     let mut meter = Meter::new();
     let start = Instant::now();
     let table = fdbs.execute(sql, &mut meter).expect("E13 query failed");
@@ -94,24 +107,9 @@ fn assert_same(a: &Table, b: &Table, workload: &str) {
 /// the n×n cross product; production hash-joins (or, with `indexed`,
 /// probes a unique index on the build side per distinct key).
 pub fn equi_join(n: usize, indexed: bool) -> JoinScalingRow {
-    let fdbs = Fdbs::new(CostModel::zero());
-    let mut meter = Meter::new();
-    fdbs.execute("CREATE TABLE L (K INT NOT NULL)", &mut meter)
-        .unwrap();
-    fdbs.execute("CREATE TABLE R (K INT NOT NULL)", &mut meter)
-        .unwrap();
-    if indexed {
-        fdbs.execute("CREATE UNIQUE INDEX r_k ON R (K)", &mut meter)
-            .unwrap();
-    }
-    insert_batched(&fdbs, "L", (0..n).map(|i| format!("({i})")));
-    insert_batched(&fdbs, "R", (0..n).map(|i| format!("({i})")));
-
     let sql = "SELECT COUNT(*) AS matches FROM L AS A, R AS B WHERE B.K = A.K";
-    // Warm the plan cache so both timed legs run parse/bind-free.
-    let _ = time_query(&fdbs, sql, ExecMode::Streaming, true);
-    let (optimized_us, fast) = time_query(&fdbs, sql, ExecMode::Streaming, true);
-    let (baseline_us, slow) = time_query(&fdbs, sql, ExecMode::Naive, false);
+    let (optimized_us, fast) = time_query(&equi_join_tables(n, indexed, production(true)), sql);
+    let (baseline_us, slow) = time_query(&equi_join_tables(n, indexed, oracle()), sql);
     assert_same(&fast, &slow, "equi-join");
     assert_eq!(fast.value(0, "matches"), Some(&Value::BigInt(n as i64)));
     JoinScalingRow {
@@ -127,8 +125,25 @@ pub fn equi_join(n: usize, indexed: bool) -> JoinScalingRow {
     }
 }
 
-fn low_cardinality_table(n: usize, distinct: usize) -> Fdbs {
-    let fdbs = Fdbs::new(CostModel::zero());
+/// L and R with keys 0..n each, R's uniquely indexed when `indexed`.
+fn equi_join_tables(n: usize, indexed: bool, options: ExecOptions) -> Fdbs {
+    let fdbs = Fdbs::new(CostModel::zero()).with_options(options);
+    let mut meter = Meter::new();
+    fdbs.execute("CREATE TABLE L (K INT NOT NULL)", &mut meter)
+        .unwrap();
+    fdbs.execute("CREATE TABLE R (K INT NOT NULL)", &mut meter)
+        .unwrap();
+    if indexed {
+        fdbs.execute("CREATE UNIQUE INDEX r_k ON R (K)", &mut meter)
+            .unwrap();
+    }
+    insert_batched(&fdbs, "L", (0..n).map(|i| format!("({i})")));
+    insert_batched(&fdbs, "R", (0..n).map(|i| format!("({i})")));
+    fdbs
+}
+
+fn low_cardinality_table(n: usize, distinct: usize, options: ExecOptions) -> Fdbs {
+    let fdbs = Fdbs::new(CostModel::zero()).with_options(options);
     let mut meter = Meter::new();
     fdbs.execute("CREATE TABLE T (K INT NOT NULL)", &mut meter)
         .unwrap();
@@ -142,11 +157,10 @@ fn low_cardinality_table(n: usize, distinct: usize) -> Fdbs {
 /// far), so high cardinality is the hard case.
 pub fn distinct_scaling(n: usize) -> JoinScalingRow {
     let distinct = (n / 2).max(1);
-    let fdbs = low_cardinality_table(n, distinct);
     let sql = "SELECT DISTINCT K FROM T";
-    let _ = time_query(&fdbs, sql, ExecMode::Streaming, true);
-    let (optimized_us, fast) = time_query(&fdbs, sql, ExecMode::Streaming, true);
-    let (baseline_us, slow) = time_query(&fdbs, sql, ExecMode::Naive, false);
+    let (optimized_us, fast) =
+        time_query(&low_cardinality_table(n, distinct, production(true)), sql);
+    let (baseline_us, slow) = time_query(&low_cardinality_table(n, distinct, oracle()), sql);
     assert_same(&fast, &slow, "DISTINCT");
     assert_eq!(fast.row_count(), distinct);
     JoinScalingRow {
@@ -161,11 +175,10 @@ pub fn distinct_scaling(n: usize) -> JoinScalingRow {
 /// `SELECT K, COUNT(*) FROM T GROUP BY K`: linear group lookup vs hashed.
 pub fn group_by_scaling(n: usize) -> JoinScalingRow {
     let distinct = (n / 2).max(1);
-    let fdbs = low_cardinality_table(n, distinct);
     let sql = "SELECT K, COUNT(*) AS c FROM T GROUP BY K";
-    let _ = time_query(&fdbs, sql, ExecMode::Streaming, true);
-    let (optimized_us, fast) = time_query(&fdbs, sql, ExecMode::Streaming, true);
-    let (baseline_us, slow) = time_query(&fdbs, sql, ExecMode::Naive, false);
+    let (optimized_us, fast) =
+        time_query(&low_cardinality_table(n, distinct, production(true)), sql);
+    let (baseline_us, slow) = time_query(&low_cardinality_table(n, distinct, oracle()), sql);
     assert_same(&fast, &slow, "GROUP BY");
     assert_eq!(fast.row_count(), distinct);
     JoinScalingRow {
@@ -182,44 +195,47 @@ pub fn group_by_scaling(n: usize) -> JoinScalingRow {
 /// tuples. Both legs run the production executor: baseline = memo off
 /// (one invocation per row, the paper's dependent (1:n) cost); optimized
 /// = memo on (one invocation per distinct tuple). Returns the row plus the
-/// two observed invocation counts.
+/// two observed invocation counts of the timed runs.
 pub fn dependent_memo(n: usize, distinct_args: usize, work: u64) -> (JoinScalingRow, usize, usize) {
-    let fdbs = Fdbs::new(CostModel::zero());
-    let mut meter = Meter::new();
-    fdbs.execute("CREATE TABLE T (K INT NOT NULL)", &mut meter)
-        .unwrap();
-    insert_batched(
-        &fdbs,
-        "T",
-        (0..n).map(|i| format!("({})", i % distinct_args)),
-    );
-    let invocations = Arc::new(AtomicUsize::new(0));
-    let counter = invocations.clone();
-    fdbs.register_udtf(Udtf::native(
-        "Heavy",
-        vec![(Ident::new("K"), DataType::Int)],
-        Arc::new(Schema::of(&[("M", DataType::BigInt)])),
-        move |args, _m| {
-            counter.fetch_add(1, Ordering::Relaxed);
-            let k = args[0].as_i64().unwrap_or(0);
-            // Busy work standing in for a real federated call.
-            let mut acc = k;
-            for i in 0..work {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i as i64);
-            }
-            Ok(Table::scalar("M", Value::BigInt(acc)))
-        },
-    ))
-    .unwrap();
-
     let sql = "SELECT COUNT(*) AS c FROM T AS A, TABLE (Heavy(A.K)) AS H";
-    // Warm the plan cache (memo on — cheap), then zero the counter.
-    let _ = time_query(&fdbs, sql, ExecMode::Streaming, true);
-    invocations.store(0, Ordering::Relaxed);
-    let (baseline_us, slow) = time_query(&fdbs, sql, ExecMode::Streaming, false);
-    let off_invocations = invocations.swap(0, Ordering::Relaxed);
-    let (optimized_us, fast) = time_query(&fdbs, sql, ExecMode::Streaming, true);
-    let on_invocations = invocations.load(Ordering::Relaxed);
+    let invocations = Arc::new(AtomicUsize::new(0));
+    // One engine per leg, warmed before its timed run.
+    let timed = |udtf_memo: bool| {
+        let fdbs = Fdbs::new(CostModel::zero()).with_options(production(udtf_memo));
+        let mut meter = Meter::new();
+        fdbs.execute("CREATE TABLE T (K INT NOT NULL)", &mut meter)
+            .unwrap();
+        insert_batched(
+            &fdbs,
+            "T",
+            (0..n).map(|i| format!("({})", i % distinct_args)),
+        );
+        let counter = invocations.clone();
+        fdbs.register_udtf(Udtf::native(
+            "Heavy",
+            vec![(Ident::new("K"), DataType::Int)],
+            Arc::new(Schema::of(&[("M", DataType::BigInt)])),
+            move |args, _m| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                let k = args[0].as_i64().unwrap_or(0);
+                // Busy work standing in for a real federated call.
+                let mut acc = k;
+                for i in 0..work {
+                    acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i as i64);
+                }
+                Ok(Table::scalar("M", Value::BigInt(acc)))
+            },
+        ))
+        .unwrap();
+        fdbs.execute(sql, &mut meter).expect("E13 warm-up failed");
+        invocations.store(0, Ordering::Relaxed);
+        let start = Instant::now();
+        let table = fdbs.execute(sql, &mut meter).expect("E13 query failed");
+        let elapsed_us = start.elapsed().as_micros();
+        (elapsed_us, table, invocations.swap(0, Ordering::Relaxed))
+    };
+    let (baseline_us, slow, off_invocations) = timed(false);
+    let (optimized_us, fast, on_invocations) = timed(true);
     assert_same(&fast, &slow, "dependent memo");
     let row = JoinScalingRow {
         workload: format!("dependent UDTF memo ({distinct_args} distinct)"),

@@ -25,60 +25,18 @@ use fedwf_core::{
 use fedwf_fdbs::RelstoreServer;
 use fedwf_net::{NetServer, TcpClient};
 use fedwf_relstore::{Database, IndexKind, Predicate};
-use fedwf_sim::{LatencyHistogram, WallClock};
 use fedwf_types::rng::Rng;
 use fedwf_types::sync::Mutex;
 use fedwf_types::{DataType, FedError, FedResult, Row, Schema, Value};
 
 use crate::experiments::args_for;
-
-/// One closed-loop run through one transport.
-#[derive(Debug, Clone)]
-pub struct NetworkSummary {
-    /// `"in-process"` or `"loopback-tcp"`.
-    pub transport: &'static str,
-    /// Concurrent client threads (over TCP: concurrent connections —
-    /// the client pool grows to one connection per thread).
-    pub clients: usize,
-    pub elapsed: Duration,
-    pub qps: f64,
-    pub p50_us: u64,
-    pub p95_us: u64,
-    pub p99_us: u64,
-    pub mean_us: u64,
-    pub ok: usize,
-    /// Non-OK calls; a healthy uncontended run has none.
-    pub failed: usize,
-}
-
-impl NetworkSummary {
-    pub fn render_row(&self) -> String {
-        format!(
-            "{:<14} {:>7} {:>9.0} {:>9} {:>9} {:>9} {:>6} {:>6}",
-            self.transport,
-            self.clients,
-            self.qps,
-            self.p50_us,
-            self.p95_us,
-            self.p99_us,
-            self.ok,
-            self.failed
-        )
-    }
-
-    pub fn render_header() -> String {
-        format!(
-            "{:<14} {:>7} {:>9} {:>9} {:>9} {:>9} {:>6} {:>6}",
-            "transport", "clients", "qps", "p50(us)", "p95(us)", "p99(us)", "ok", "failed"
-        )
-    }
-}
+use crate::throughput::{run_closed_loop, ThroughputSummary};
 
 /// Both arms at one client count, measured against one shared server.
 #[derive(Debug, Clone)]
 pub struct NetworkComparison {
-    pub in_process: NetworkSummary,
-    pub network: NetworkSummary,
+    pub in_process: ThroughputSummary,
+    pub network: ThroughputSummary,
 }
 
 impl NetworkComparison {
@@ -90,60 +48,6 @@ impl NetworkComparison {
     /// Loopback QPS as a fraction of in-process QPS.
     pub fn qps_ratio(&self) -> f64 {
         self.network.qps / self.in_process.qps.max(f64::MIN_POSITIVE)
-    }
-}
-
-/// Drive `clients` closed-loop threads through any [`Submit`] and
-/// aggregate wall latency. The workload is the warm `GetSuppQual` call —
-/// identical to the E13 throughput harness, so rows line up.
-pub fn run_closed_loop(
-    submit: &(impl Submit + Sync),
-    transport: &'static str,
-    clients: usize,
-    calls_per_client: usize,
-    args: &[Value],
-) -> NetworkSummary {
-    let merged = Mutex::new(LatencyHistogram::new());
-    let counts = Mutex::new((0usize, 0usize)); // ok, failed
-    let clock = WallClock::start();
-    std::thread::scope(|scope| {
-        for _ in 0..clients {
-            let merged = &merged;
-            let counts = &counts;
-            scope.spawn(move || {
-                let mut hist = LatencyHistogram::new();
-                let (mut ok, mut failed) = (0, 0);
-                for _ in 0..calls_per_client {
-                    let call_clock = WallClock::start();
-                    match submit.submit(Request::function("GetSuppQual").params(args)) {
-                        Ok(_) => {
-                            hist.record_us(call_clock.elapsed_us());
-                            ok += 1;
-                        }
-                        Err(_) => failed += 1,
-                    }
-                }
-                merged.lock().merge(&hist);
-                let mut c = counts.lock();
-                c.0 += ok;
-                c.1 += failed;
-            });
-        }
-    });
-    let elapsed = clock.elapsed();
-    let mut hist = merged.into_inner();
-    let (ok, failed) = counts.into_inner();
-    NetworkSummary {
-        transport,
-        clients,
-        elapsed,
-        qps: hist.qps(elapsed),
-        p50_us: hist.p50_us(),
-        p95_us: hist.p95_us(),
-        p99_us: hist.p99_us(),
-        mean_us: hist.mean_us(),
-        ok,
-        failed,
     }
 }
 
@@ -176,7 +80,7 @@ pub fn network_rig(max_clients: usize) -> NetworkRig {
     ));
     let net = NetServer::start("127.0.0.1:0", Arc::clone(&front)).expect("bind loopback");
     let client = TcpClient::connect(net.local_addr()).expect("dial loopback");
-    let args = args_for(&server, &paper_functions::get_supp_qual());
+    let args = args_for(server.scenario(), &paper_functions::get_supp_qual());
     // Warm everything before any clock starts: server caches via the
     // front, then one wire call so frame buffers and the first pooled
     // connection are established.

@@ -56,10 +56,12 @@ impl PlannerRow {
 }
 
 /// Big (n rows, key + unique index), Wide (n/2 rows), Tiny (5 rows whose
-/// keys hit Big and Wide) — statistics collected, so the cost-based
-/// planner sees the real cardinalities.
-fn federation(n: usize) -> Fdbs {
-    let fdbs = Fdbs::new(CostModel::zero());
+/// keys hit Big and Wide) on an engine planning with `planner` —
+/// statistics collected, so the cost-based planner sees the real
+/// cardinalities. Everything but the planner stays at the streaming
+/// defaults: this experiment is the plan, not the executor.
+fn federation(n: usize, planner: PlannerMode) -> Fdbs {
+    let fdbs = Fdbs::new(CostModel::zero()).with_options(ExecOptions::default().planner(planner));
     let mut meter = Meter::new();
     fdbs.execute("CREATE TABLE Big (A INT NOT NULL)", &mut meter)
         .unwrap();
@@ -90,10 +92,10 @@ fn insert_batched(fdbs: &Fdbs, table: &str, rows: impl Iterator<Item = String>) 
 const THREE_WAY: &str = "SELECT COUNT(*) AS matches FROM Big AS H, Wide AS W, Tiny AS T \
                          WHERE H.A = T.A AND W.B = T.B";
 
-fn time_query(fdbs: &Fdbs, sql: &str, planner: PlannerMode) -> (u128, Table) {
-    // Everything but the planner stays at the streaming defaults — this
-    // experiment is the plan, not the executor.
-    fdbs.set_options(ExecOptions::default().planner(planner));
+/// Run `sql` once to warm the engine's plan cache, then time it.
+fn time_query(fdbs: &Fdbs, sql: &str) -> (u128, Table) {
+    fdbs.execute(sql, &mut Meter::new())
+        .expect("E18 warm-up failed");
     let mut meter = Meter::new();
     let start = Instant::now();
     let table = fdbs.execute(sql, &mut meter).expect("E18 query failed");
@@ -102,12 +104,8 @@ fn time_query(fdbs: &Fdbs, sql: &str, planner: PlannerMode) -> (u128, Table) {
 
 /// The headline face-off at `Big` size `n`.
 pub fn three_way_join(n: usize) -> PlannerRow {
-    let fdbs = federation(n);
-    // Warm both plan-cache entries (the options value is the cache key).
-    let _ = time_query(&fdbs, THREE_WAY, PlannerMode::CostBased);
-    let _ = time_query(&fdbs, THREE_WAY, PlannerMode::Syntactic);
-    let (cost_based_us, fast) = time_query(&fdbs, THREE_WAY, PlannerMode::CostBased);
-    let (syntactic_us, slow) = time_query(&fdbs, THREE_WAY, PlannerMode::Syntactic);
+    let (cost_based_us, fast) = time_query(&federation(n, PlannerMode::CostBased), THREE_WAY);
+    let (syntactic_us, slow) = time_query(&federation(n, PlannerMode::Syntactic), THREE_WAY);
     assert_eq!(
         fast.value(0, "matches"),
         slow.value(0, "matches"),
@@ -126,8 +124,7 @@ pub fn three_way_join(n: usize) -> PlannerRow {
 /// Median q-error of the cost-based plan's estimates on the 3-way join,
 /// from the `EXPLAIN ANALYZE` report (statistics are fresh).
 pub fn median_q_error(n: usize) -> f64 {
-    let fdbs = federation(n);
-    fdbs.set_options(ExecOptions::default().planner(PlannerMode::CostBased));
+    let fdbs = federation(n, PlannerMode::CostBased);
     let mut meter = Meter::new();
     let t = fdbs
         .execute(&format!("EXPLAIN ANALYZE {THREE_WAY}"), &mut meter)

@@ -11,6 +11,9 @@
 //! * **naive** — the reference oracle, bound unpruned;
 //! * **streaming+pruned** — the production configuration.
 //!
+//! Each leg runs on its own engine, built with that leg's options over the
+//! same data and warmed before it is timed.
+//!
 //! The cost model is zeroed so virtual charges do not distort wall time;
 //! both legs must produce identical results, and the meter's
 //! `rows_materialized` / `bytes_materialized` observability counters are
@@ -94,10 +97,11 @@ fn insert_batched(fdbs: &Fdbs, table: &str, rows: impl Iterator<Item = String>) 
     }
 }
 
-/// Build the E14 federation: wide W(K, P0..P23, V) with `n` rows and
-/// narrow J(K, T) with `n / 10` rows (every key matching ten W rows).
-pub fn wide_federation(n: usize) -> Fdbs {
-    let fdbs = Fdbs::new(CostModel::zero());
+/// Build the E14 federation on an engine under `options`: wide
+/// W(K, P0..P23, V) with `n` rows and narrow J(K, T) with `n / 10` rows
+/// (every key matching ten W rows).
+pub fn wide_federation(n: usize, options: ExecOptions) -> Fdbs {
+    let fdbs = Fdbs::new(CostModel::zero()).with_options(options);
     let mut meter = Meter::new();
     let payload: Vec<String> = (0..WIDE_PAYLOAD_COLS)
         .map(|i| format!("P{i} VARCHAR"))
@@ -128,11 +132,12 @@ pub fn wide_federation(n: usize) -> Fdbs {
     fdbs
 }
 
-fn run_leg(fdbs: &Fdbs, sql: &str, mode: ExecMode, name: &'static str) -> (ScanProjectLeg, Table) {
+fn run_leg(n: usize, sql: &str, mode: ExecMode, name: &'static str) -> (ScanProjectLeg, Table) {
     // E14 compares executors, so both legs run the same syntactic join
     // order — the planner is held fixed here and measured by its own
     // experiment (E18). The oracle binds unpruned, streaming pruned.
-    fdbs.set_options(
+    let fdbs = wide_federation(
+        n,
         ExecOptions::default()
             .mode(mode)
             .planner(PlannerMode::Syntactic),
@@ -171,14 +176,13 @@ fn row_multiset(t: &Table) -> Vec<String> {
     rows
 }
 
-/// Run both legs of one workload and check the invariants: identical row
-/// multisets, live materialization counters on the oracle leg, and
-/// strictly fewer bytes materialized on the streaming-pruned leg.
-pub fn run_workload(fdbs: &Fdbs, workload: &str, n: usize, sql: &str) -> ScanProjectRow {
-    let (naive, t_naive) = run_leg(fdbs, sql, ExecMode::Naive, "naive");
-    let (streaming, t_stream) = run_leg(fdbs, sql, ExecMode::Streaming, "streaming+pruned");
-    // Restore the default configuration for any later use of the engine.
-    fdbs.set_options(ExecOptions::default());
+/// Run both legs of one workload over an `n`-row federation and check the
+/// invariants: identical row multisets, live materialization counters on
+/// the oracle leg, and strictly fewer bytes materialized on the
+/// streaming-pruned leg.
+pub fn run_workload(workload: &str, n: usize, sql: &str) -> ScanProjectRow {
+    let (naive, t_naive) = run_leg(n, sql, ExecMode::Naive, "naive");
+    let (streaming, t_stream) = run_leg(n, sql, ExecMode::Streaming, "streaming+pruned");
 
     assert_eq!(
         row_multiset(&t_naive),
@@ -210,9 +214,7 @@ pub fn run_workload(fdbs: &Fdbs, workload: &str, n: usize, sql: &str) -> ScanPro
 
 /// Wide scan + filter: three of twenty-six columns referenced.
 pub fn wide_scan(n: usize) -> ScanProjectRow {
-    let fdbs = wide_federation(n);
     run_workload(
-        &fdbs,
         "wide scan+filter (3/26 cols)",
         n,
         "SELECT W.V, W.P0 FROM W WHERE W.V > 48",
@@ -222,9 +224,7 @@ pub fn wide_scan(n: usize) -> ScanProjectRow {
 /// Wide table joined to the narrow dimension: the composed intermediate is
 /// 28 columns wide unpruned, 4 pruned.
 pub fn wide_join(n: usize) -> ScanProjectRow {
-    let fdbs = wide_federation(n);
     run_workload(
-        &fdbs,
         "wide join (4/28 cols)",
         n,
         "SELECT W.V, B.T FROM W, J AS B WHERE B.K = W.K AND W.V > 10",
@@ -233,9 +233,7 @@ pub fn wide_join(n: usize) -> ScanProjectRow {
 
 /// Wide aggregate: GROUP BY over the join, reading only keys and one value.
 pub fn wide_aggregate(n: usize) -> ScanProjectRow {
-    let fdbs = wide_federation(n);
     run_workload(
-        &fdbs,
         "wide join + GROUP BY",
         n,
         "SELECT B.T, COUNT(*) AS c, SUM(W.V) AS s FROM W, J AS B WHERE B.K = W.K GROUP BY B.T",
@@ -245,9 +243,7 @@ pub fn wide_aggregate(n: usize) -> ScanProjectRow {
 /// Selective filter: ~6% of rows survive, one INT column referenced —
 /// the selection-vector filter with almost no output cost.
 pub fn selective_filter(n: usize) -> ScanProjectRow {
-    let fdbs = wide_federation(n);
     run_workload(
-        &fdbs,
         "selective filter (V > 90)",
         n,
         "SELECT W.V FROM W WHERE W.V > 90",
@@ -257,9 +253,7 @@ pub fn selective_filter(n: usize) -> ScanProjectRow {
 /// Grouped aggregate over the chunked scan: 97 groups, COUNT + SUM — the
 /// vectorized aggregate sink.
 pub fn grouped_aggregate(n: usize) -> ScanProjectRow {
-    let fdbs = wide_federation(n);
     run_workload(
-        &fdbs,
         "scan + GROUP BY COUNT/SUM",
         n,
         "SELECT W.V, COUNT(*) AS c, SUM(W.K) AS s FROM W GROUP BY W.V",
@@ -316,7 +310,7 @@ impl ParsePathRow {
 /// Micro-benchmark the warm-statement fast path on a federation small
 /// enough that compilation, not execution, dominates the cold leg.
 pub fn parse_path(iters: usize) -> ParsePathRow {
-    let fdbs = wide_federation(50);
+    let fdbs = wide_federation(50, ExecOptions::default());
     let sql = "SELECT W.V, B.T FROM W, J AS B WHERE B.K = W.K AND W.V > 10";
     let mut meter = Meter::new();
     // Warm everything once.

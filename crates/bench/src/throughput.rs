@@ -13,9 +13,11 @@ use std::time::Duration;
 use fedwf_core::paper_functions;
 use fedwf_core::{
     ArchitectureKind, FrontConfig, IntegrationConfig, IntegrationServer, Request, ServerFront,
+    Submit,
 };
 use fedwf_sim::{LatencyHistogram, WallClock};
 use fedwf_types::sync::Mutex;
+use fedwf_types::Value;
 
 use crate::experiments::args_for;
 
@@ -67,10 +69,15 @@ impl ThroughputConfig {
     }
 }
 
-/// The outcome of one throughput run.
+/// The outcome of one closed-loop run: E12's throughput rows and E19's
+/// per-transport rows.
 #[derive(Debug, Clone)]
 pub struct ThroughputSummary {
-    pub architecture: ArchitectureKind,
+    /// What the row measures: the architecture name (E12) or the
+    /// transport, `"in-process"` or `"loopback-tcp"` (E19).
+    pub label: &'static str,
+    /// Concurrent client threads (over TCP: concurrent connections — the
+    /// client pool grows to one connection per thread).
     pub clients: usize,
     /// Wall time of the whole run.
     pub elapsed: Duration,
@@ -95,7 +102,7 @@ impl ThroughputSummary {
     pub fn render_row(&self) -> String {
         format!(
             "{:<28} {:>7} {:>9.0} {:>9} {:>9} {:>9} {:>6} {:>5} {:>7}",
-            self.architecture.name(),
+            self.label,
             self.clients,
             self.qps,
             self.p50_us,
@@ -122,61 +129,57 @@ impl ThroughputSummary {
             "timeout"
         )
     }
+
+    /// E19's row: `transport clients qps p50 p95 p99 ok failed`, where
+    /// `failed` counts every call that did not return a table.
+    pub fn render_transport_row(&self) -> String {
+        format!(
+            "{:<14} {:>7} {:>9.0} {:>9} {:>9} {:>9} {:>6} {:>6}",
+            self.label,
+            self.clients,
+            self.qps,
+            self.p50_us,
+            self.p95_us,
+            self.p99_us,
+            self.ok,
+            self.shed + self.timed_out + self.failed
+        )
+    }
+
+    /// Header matching [`ThroughputSummary::render_transport_row`].
+    pub fn render_transport_header() -> String {
+        format!(
+            "{:<14} {:>7} {:>9} {:>9} {:>9} {:>9} {:>6} {:>6}",
+            "transport", "clients", "qps", "p50(us)", "p95(us)", "p99(us)", "ok", "failed"
+        )
+    }
 }
 
-/// Build a booted server for the run. `GetSuppQual` is the workload: a
-/// read-only, linearly dependent two-call function — the paper's running
-/// example of a "simple" composition.
-fn throughput_server(cfg: &ThroughputConfig) -> Arc<IntegrationServer> {
-    let config = IntegrationConfig {
-        result_cache: cfg.result_cache,
-        ..IntegrationConfig::default().with_architecture(cfg.architecture)
-    };
-    let server = Arc::new(IntegrationServer::new(config).expect("default scenario always builds"));
-    server.boot();
-    server
-        .deploy(&paper_functions::get_supp_qual())
-        .expect("GetSuppQual deploys on every architecture");
-    server
-}
-
-/// Run one closed-loop throughput measurement and aggregate the result.
-///
-/// Each client thread issues `calls_per_client` calls back to back through
-/// the shared front; per-call wall latency lands in a per-client histogram
-/// and the histograms are merged afterwards. One warm-up call happens
-/// before the clock starts, so boots and cold caches are excluded — this
-/// measures the steady state the lock refactor targets.
-pub fn run_throughput(cfg: &ThroughputConfig) -> ThroughputSummary {
-    let server = throughput_server(cfg);
-    let args = args_for(&server, &paper_functions::get_supp_qual());
-    let front = ServerFront::start(
-        Arc::clone(&server),
-        FrontConfig::default()
-            .with_workers(cfg.workers)
-            .with_queue_depth(cfg.queue_depth)
-            .with_default_deadline(cfg.deadline),
-    );
-    // Warm up: boots, plan cache, template cache (and result cache if on).
-    front
-        .execute(Request::function("GetSuppQual").params(args.as_slice()))
-        .expect("warm-up call succeeds");
-
+/// Drive `clients` closed-loop threads through any [`Submit`], each
+/// issuing `calls_per_client` warm `GetSuppQual(args)` calls back to back
+/// (one outstanding call per client). Per-call wall latency of the
+/// successful calls lands in a per-client histogram, merged afterwards;
+/// the other calls are counted by kind.
+pub fn run_closed_loop(
+    submit: &(impl Submit + Sync),
+    label: &'static str,
+    clients: usize,
+    calls_per_client: usize,
+    args: &[Value],
+) -> ThroughputSummary {
     let merged = Mutex::new(LatencyHistogram::new());
     let counts = Mutex::new((0usize, 0usize, 0usize, 0usize)); // ok, shed, timeout, failed
     let clock = WallClock::start();
     std::thread::scope(|scope| {
-        for _ in 0..cfg.clients {
-            let front = &front;
-            let args = &args;
+        for _ in 0..clients {
             let merged = &merged;
             let counts = &counts;
             scope.spawn(move || {
                 let mut hist = LatencyHistogram::new();
                 let (mut ok, mut shed, mut timeout, mut failed) = (0, 0, 0, 0);
-                for _ in 0..cfg.calls_per_client {
+                for _ in 0..calls_per_client {
                     let call_clock = WallClock::start();
-                    match front.execute(Request::function("GetSuppQual").params(args.as_slice())) {
+                    match submit.submit(Request::function("GetSuppQual").params(args)) {
                         Ok(_) => {
                             hist.record_us(call_clock.elapsed_us());
                             ok += 1;
@@ -199,8 +202,8 @@ pub fn run_throughput(cfg: &ThroughputConfig) -> ThroughputSummary {
     let mut hist = merged.into_inner();
     let (ok, shed, timed_out, failed) = counts.into_inner();
     ThroughputSummary {
-        architecture: cfg.architecture,
-        clients: cfg.clients,
+        label,
+        clients,
         elapsed,
         qps: hist.qps(elapsed),
         p50_us: hist.p50_us(),
@@ -212,6 +215,49 @@ pub fn run_throughput(cfg: &ThroughputConfig) -> ThroughputSummary {
         timed_out,
         failed,
     }
+}
+
+/// Build a booted server for the run. `GetSuppQual` is the workload: a
+/// read-only, linearly dependent two-call function — the paper's running
+/// example of a "simple" composition.
+fn throughput_server(cfg: &ThroughputConfig) -> Arc<IntegrationServer> {
+    let config = IntegrationConfig {
+        result_cache: cfg.result_cache,
+        ..IntegrationConfig::default().with_architecture(cfg.architecture)
+    };
+    let server = Arc::new(IntegrationServer::new(config).expect("default scenario always builds"));
+    server.boot();
+    server
+        .deploy(&paper_functions::get_supp_qual())
+        .expect("GetSuppQual deploys on every architecture");
+    server
+}
+
+/// Run one closed-loop throughput measurement through a [`ServerFront`]
+/// ([`run_closed_loop`]). One warm-up call happens before the clock
+/// starts, so boots and cold caches are excluded — this measures the
+/// steady state the lock refactor targets.
+pub fn run_throughput(cfg: &ThroughputConfig) -> ThroughputSummary {
+    let server = throughput_server(cfg);
+    let args = args_for(server.scenario(), &paper_functions::get_supp_qual());
+    let front = ServerFront::start(
+        Arc::clone(&server),
+        FrontConfig::default()
+            .with_workers(cfg.workers)
+            .with_queue_depth(cfg.queue_depth)
+            .with_default_deadline(cfg.deadline),
+    );
+    // Warm up: boots, plan cache, template cache (and result cache if on).
+    front
+        .execute(Request::function("GetSuppQual").params(args.as_slice()))
+        .expect("warm-up call succeeds");
+    run_closed_loop(
+        &front,
+        cfg.architecture.name(),
+        cfg.clients,
+        cfg.calls_per_client,
+        &args,
+    )
 }
 
 /// The standard client-count ladder of the harness.

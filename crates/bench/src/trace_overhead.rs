@@ -88,7 +88,7 @@ fn workload(kind: ArchitectureKind) -> (IntegrationServer, Vec<(String, Vec<Valu
             continue;
         }
         server.deploy(&spec).expect("supported spec deploys");
-        let args = args_for(&server, &spec);
+        let args = args_for(server.scenario(), &spec);
         calls.push((spec.name.as_str().to_string(), args));
     }
     // Warm everything: boots, plan cache, template cache.

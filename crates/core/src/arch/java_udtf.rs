@@ -293,7 +293,6 @@ impl Architecture for JavaUdtfArchitecture {
             returns: returns.clone(),
             kind: UdtfKind::Native(Arc::new(body)),
             charges: self.fdbs.iudtf_charge_spec(),
-            fanout: 1.0,
         };
         self.fdbs.register_udtf(udtf)?;
         Ok(make_deployed(

@@ -4,7 +4,6 @@ use std::sync::Arc;
 
 use fedwf_sim::{Component, CostModel, Meter, SpanNameCache};
 use fedwf_sql::{parse_statement, parse_statements, Expr, SelectStmt, Statement};
-use fedwf_types::sync::RwLock;
 use fedwf_types::{implicit_cast, DataType, FedError, FedResult, Ident, Row, Schema, Table, Value};
 
 use crate::catalog::Catalog;
@@ -18,24 +17,25 @@ use crate::udtf::{ChargeItem, ChargeSpec, Udtf, UdtfKind};
 /// in slot order, and the derived plan-cache key.
 type BoundHostParams = (Vec<(Ident, DataType)>, Vec<Value>, String);
 
-/// The complete execution configuration of an engine, set atomically as one
-/// value. Built with chainable setters from [`ExecOptions::default`]:
+/// The execution configuration of an engine, fixed when the engine is
+/// built. Built with chainable setters from [`ExecOptions::default`], the
+/// production configuration:
 ///
 /// ```
-/// use fedwf_fdbs::{ExecMode, ExecOptions, PlannerMode};
+/// use fedwf_fdbs::{ExecMode, ExecOptions, Fdbs, PlannerMode};
+/// use fedwf_sim::CostModel;
 /// let oracle = ExecOptions::default()
 ///     .mode(ExecMode::Naive)
 ///     .udtf_memo(false)
 ///     .planner(PlannerMode::Syntactic);
-/// assert_ne!(oracle.cache_tag(), ExecOptions::default().cache_tag());
+/// let reference = Fdbs::new(CostModel::zero()).with_options(oracle);
+/// assert_eq!(reference.options(), oracle);
+/// assert_ne!(oracle, ExecOptions::default());
 /// ```
 ///
-/// Every statement reads the engine's options once and uses that value to
-/// key the plan cache, to bind and to execute, so a concurrent
-/// [`Fdbs::set_options`] never splits one statement across two
-/// configurations. [`ExecOptions::cache_tag`] is the single configuration
-/// component of the plan-cache key, so a plan bound under one
-/// configuration is never served to a statement running under another.
+/// One engine has one configuration, so a cached plan always runs under
+/// the options it was bound for; tests and benches that compare
+/// configurations build one engine per configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
     /// Which executor runs plans: the streaming pipeline (default) or the
@@ -43,7 +43,7 @@ pub struct ExecOptions {
     /// pruning; oracle plans are bound unpruned.
     pub mode: ExecMode,
     /// Memoize dependent UDTF invocations within one step by argument
-    /// tuple. Off for experiments that need per-prefix-row cost semantics.
+    /// tuple. Off for comparisons that need per-prefix-row cost semantics.
     /// The oracle never memoizes.
     pub udtf_memo: bool,
     /// Which planner turns bound statements into physical plans: cost-based
@@ -79,22 +79,6 @@ impl ExecOptions {
         self.planner = planner;
         self
     }
-
-    /// The plan-cache key component encoding this configuration.
-    pub fn cache_tag(&self) -> String {
-        format!(
-            "m{}u{}q{}",
-            match self.mode {
-                ExecMode::Streaming => 's',
-                ExecMode::Naive => 'n',
-            },
-            self.udtf_memo as u8,
-            match self.planner {
-                PlannerMode::Syntactic => 's',
-                PlannerMode::CostBased => 'c',
-            },
-        )
-    }
 }
 
 /// The federated database system engine.
@@ -103,8 +87,8 @@ pub struct Fdbs {
     cost: CostModel,
     /// Compiled plans under CLOCK eviction (`plan_cache.rs`).
     plan_cache: PlanCache,
-    /// The engine's execution configuration; see [`ExecOptions`].
-    options: RwLock<ExecOptions>,
+    /// The engine's execution configuration, fixed at construction.
+    options: ExecOptions,
     /// Interned `udtf {name}` / `fdbs.fn {name}` span names.
     udtf_spans: SpanNameCache<Ident>,
     fn_spans: SpanNameCache<Ident>,
@@ -129,10 +113,18 @@ impl Fdbs {
             catalog: Catalog::with_local(local),
             cost,
             plan_cache: PlanCache::new(),
-            options: RwLock::new(ExecOptions::default()),
+            options: ExecOptions::default(),
             udtf_spans: SpanNameCache::new(),
             fn_spans: SpanNameCache::new(),
         }
+    }
+
+    /// The same engine under `options` — how a test or bench builds a
+    /// reference engine (the oracle, memo off, the syntactic planner)
+    /// before sharing it.
+    pub fn with_options(mut self, options: ExecOptions) -> Fdbs {
+        self.options = options;
+        self
     }
 
     /// The interned `udtf {name}` span name for a function (pub(crate):
@@ -150,18 +142,9 @@ impl Fdbs {
         &self.cost
     }
 
-    /// The engine's current execution configuration. Each statement reads
-    /// it once, when it starts.
+    /// The engine's execution configuration.
     pub fn options(&self) -> ExecOptions {
-        *self.options.read()
-    }
-
-    /// Replace the execution configuration wholesale. Statements already
-    /// running finish under the value they started with; cached plans are
-    /// keyed on [`ExecOptions::cache_tag`], so reconfiguring never serves
-    /// a plan bound under a different configuration.
-    pub fn set_options(&self, options: ExecOptions) {
-        *self.options.write() = options;
+        self.options
     }
 
     /// ANALYZE: collect statistics (row count, per-column NDV, min/max,
@@ -251,23 +234,24 @@ impl Fdbs {
         // stores keys based on the raw statement text, so a hit here can
         // only be a SELECT plan; DDL clears the whole cache, so a hit is
         // never stale. A NULL host variable falls through to the slow path
-        // (its type cannot participate in the cache key).
-        let opts = self.options();
-        if let Ok((_, values, cache_key)) = self.host_params_and_key(sql, params, opts) {
-            if let Some(plan) = self.plan_cache.get(&cache_key) {
-                return execute_plan(self, &plan, &values, meter, opts);
+        // (its type cannot participate in the cache key), which reports it
+        // after any parse error. A cold SELECT reuses the key computed here.
+        let bound = self.host_params_and_key(sql, params);
+        if let Ok((_, values, cache_key)) = &bound {
+            if let Some(plan) = self.plan_cache.get(cache_key) {
+                return execute_plan(self, &plan, values, meter);
             }
         }
         let stmt = parse_statement(sql)?;
         match stmt {
             Statement::Select(select) => {
-                let (plan, values) = self.plan_select(sql, &select, params, meter, opts)?;
-                execute_plan(self, &plan, &values, meter, opts)
+                let (plan, values) = self.plan_select(&select, bound?, meter)?;
+                execute_plan(self, &plan, &values, meter)
             }
             Statement::Explain(inner) => match *inner {
                 Statement::Select(select) => {
-                    let (plan, _values) =
-                        self.plan_select(&select.to_string(), &select, params, meter, opts)?;
+                    let bound = self.host_params_and_key(&select.to_string(), params)?;
+                    let (plan, _values) = self.plan_select(&select, bound, meter)?;
                     let schema = Arc::new(Schema::of(&[("plan", DataType::Varchar)]));
                     let mut t = Table::new(schema);
                     for line in plan.explain().lines() {
@@ -280,7 +264,7 @@ impl Fdbs {
                 ))),
             },
             Statement::ExplainAnalyze(inner) => match *inner {
-                Statement::Select(select) => self.explain_analyze(&select, params, meter, opts),
+                Statement::Select(select) => self.explain_analyze(&select, params, meter),
                 other => Err(FedError::plan(format!(
                     "EXPLAIN ANALYZE supports SELECT statements only, got {other}"
                 ))),
@@ -299,14 +283,14 @@ impl Fdbs {
         select: &SelectStmt,
         params: &[(&str, Value)],
         meter: &mut Meter,
-        opts: ExecOptions,
     ) -> FedResult<Table> {
-        let (plan, values) = self.plan_select(&select.to_string(), select, params, meter, opts)?;
+        let bound = self.host_params_and_key(&select.to_string(), params)?;
+        let (plan, values) = self.plan_select(select, bound, meter)?;
         let mut child = meter.fork();
         child.set_tracing(true);
         child.set_wall_sampling(true);
         child.span_start(Component::Fdbs, "fdbs.execute");
-        let result = execute_plan(self, &plan, &values, &mut child, opts);
+        let result = execute_plan(self, &plan, &values, &mut child);
         if let Ok(table) = &result {
             child.span_counter("rows_out", table.row_count() as u64);
         }
@@ -371,10 +355,9 @@ impl Fdbs {
         for stmt in &stmts {
             last = match stmt {
                 Statement::Select(select) => {
-                    let opts = self.options();
-                    let key = format!("script:{select}");
-                    let (plan, values) = self.plan_select(&key, select, &[], meter, opts)?;
-                    execute_plan(self, &plan, &values, meter, opts)?
+                    let bound = self.host_params_and_key(&format!("script:{select}"), &[])?;
+                    let (plan, values) = self.plan_select(select, bound, meter)?;
+                    execute_plan(self, &plan, &values, meter)?
                 }
                 explain @ (Statement::Explain(_) | Statement::ExplainAnalyze(_)) => {
                     self.execute_with_params(&explain.to_string(), &[], meter)?
@@ -393,14 +376,12 @@ impl Fdbs {
     }
 
     /// Bind the host variables and derive the plan-cache key for a SELECT:
-    /// the raw statement text, the host-variable signature, and the
-    /// [`ExecOptions::cache_tag`] of the statement's options (a plan bound
-    /// under one configuration must never run under another).
+    /// the raw statement text and the host-variable signature. The key
+    /// holds no configuration: one engine has one.
     fn host_params_and_key(
         &self,
         cache_key_base: &str,
         params: &[(&str, Value)],
-        opts: ExecOptions,
     ) -> FedResult<BoundHostParams> {
         let mut param_defs: Vec<(Ident, DataType)> = Vec::with_capacity(params.len());
         let mut values: Vec<Value> = Vec::with_capacity(params.len());
@@ -414,29 +395,25 @@ impl Fdbs {
             values.push(value.clone());
         }
         let cache_key = format!(
-            "{cache_key_base}|{}|{}",
+            "{cache_key_base}|{}",
             param_defs
                 .iter()
                 .map(|(n, t)| format!("{n}:{t}"))
                 .collect::<Vec<_>>()
-                .join(","),
-            opts.cache_tag()
+                .join(",")
         );
         Ok((param_defs, values, cache_key))
     }
 
-    /// Plan (with cache) a SELECT under `opts`. Returns the plan and
-    /// parameter values in slot order.
+    /// Plan (with cache) a SELECT whose host variables
+    /// [`Fdbs::host_params_and_key`] bound. Returns the plan and parameter
+    /// values in slot order.
     fn plan_select(
         &self,
-        cache_key_base: &str,
         select: &SelectStmt,
-        params: &[(&str, Value)],
+        (param_defs, values, cache_key): BoundHostParams,
         meter: &mut Meter,
-        opts: ExecOptions,
     ) -> FedResult<(Arc<Plan>, Vec<Value>)> {
-        let (param_defs, values, cache_key) =
-            self.host_params_and_key(cache_key_base, params, opts)?;
         if let Some(plan) = self.plan_cache.get(&cache_key) {
             return Ok((plan, values));
         }
@@ -444,16 +421,16 @@ impl Fdbs {
         let logical = PlanBuilder::new(&self.catalog)
             .with_host_params(param_defs)
             .bind_logical(select)?;
-        let plan = self.physical_plan(logical, opts)?;
+        let plan = self.physical_plan(logical)?;
         self.plan_cache.insert(cache_key, plan.clone());
         Ok((plan, values))
     }
 
-    /// Optimize a bound statement under `opts`: streaming plans are pruned
-    /// to the columns they reference, oracle plans keep every column.
-    fn physical_plan(&self, logical: LogicalPlan, opts: ExecOptions) -> FedResult<Arc<Plan>> {
-        let plan = optimize(&self.catalog, logical, opts.planner)?;
-        Ok(Arc::new(match opts.mode {
+    /// Optimize a bound statement: streaming plans are pruned to the
+    /// columns they reference, oracle plans keep every column.
+    fn physical_plan(&self, logical: LogicalPlan) -> FedResult<Arc<Plan>> {
+        let plan = optimize(&self.catalog, logical, self.options.planner)?;
+        Ok(Arc::new(match self.options.mode {
             ExecMode::Streaming => plan.prune_projections(),
             ExecMode::Naive => plan,
         }))
@@ -486,8 +463,7 @@ impl Fdbs {
         args: &[Value],
         meter: &mut Meter,
     ) -> FedResult<Table> {
-        let opts = self.options();
-        let cache_key = format!("fn:{}|{}", udtf.name.normalized(), opts.cache_tag());
+        let cache_key = format!("fn:{}", udtf.name.normalized());
         let plan = {
             match self.plan_cache.get(&cache_key) {
                 Some(p) => p,
@@ -496,13 +472,13 @@ impl Fdbs {
                     let logical = PlanBuilder::new(&self.catalog)
                         .with_function_context(udtf.name.clone(), udtf.params.clone())
                         .bind_logical(body)?;
-                    let plan = self.physical_plan(logical, opts)?;
+                    let plan = self.physical_plan(logical)?;
                     self.plan_cache.insert(cache_key, plan.clone());
                     plan
                 }
             }
         };
-        execute_plan(self, &plan, args, meter, opts)
+        execute_plan(self, &plan, args, meter)
     }
 
     /// DDL / DML dispatch.
@@ -591,7 +567,6 @@ impl Fdbs {
                     returns,
                     kind: UdtfKind::Sql(Box::new(cf.body.clone())),
                     charges: self.iudtf_charge_spec(),
-                    fanout: 1.0,
                 };
                 self.catalog.register_udtf(udtf)?;
                 Ok(done())
@@ -655,9 +630,9 @@ impl Fdbs {
             }
             Statement::DropFunction { name } => {
                 self.catalog.drop_udtf(name)?;
-                // Invalidate the cached body plans (one per options tag).
-                let prefix = format!("fn:{}|", name.normalized());
-                self.plan_cache.retain(|k| !k.starts_with(&prefix));
+                // Invalidate the cached body plan.
+                let key = format!("fn:{}", name.normalized());
+                self.plan_cache.retain(|k| k != key);
                 Ok(done())
             }
         }
@@ -1021,35 +996,6 @@ mod tests {
         assert_eq!(f.cached_plan_count(), 0, "DROP FUNCTION");
         f.clear_plan_cache();
         assert!(!cached(&f));
-    }
-
-    /// The oracle binds unpruned, streaming binds pruned: the two plans of
-    /// one statement live under distinct cache keys, and neither is served
-    /// to the other mode.
-    #[test]
-    fn the_mode_keys_the_plan_cache() {
-        let f = fdbs();
-        let sql = "SELECT Name FROM Suppliers";
-        let run = |opts: ExecOptions| {
-            f.set_options(opts);
-            let mut m = Meter::new();
-            let t = f.execute(sql, &mut m).unwrap();
-            (t, compiles(&m))
-        };
-        let streaming = ExecOptions::default();
-        let oracle = streaming.mode(ExecMode::Naive);
-        let (a, compiled) = run(streaming);
-        assert_eq!((f.cached_plan_count(), compiled), (1, 1));
-        let (b, compiled) = run(oracle);
-        assert_eq!(
-            (f.cached_plan_count(), compiled),
-            (2, 1),
-            "distinct key per mode"
-        );
-        assert_eq!(a, b);
-        assert_eq!(run(streaming).1, 0);
-        assert_eq!(run(oracle).1, 0);
-        f.set_options(ExecOptions::default());
     }
 
     #[test]

@@ -41,9 +41,9 @@ use fedwf_types::{
     ValueKey,
 };
 
-use crate::engine::{ExecOptions, Fdbs};
+use crate::engine::Fdbs;
 use crate::expr::BoundExpr;
-use crate::plan::{Access, AggColumn, AggFn, AggregatePlan, FromStep, JoinKey, Plan};
+use crate::plan::{AggColumn, AggFn, AggregatePlan, FromStep, Plan};
 use crate::udtf::{Udtf, UdtfKind};
 
 /// Which executor runs a plan.
@@ -63,16 +63,14 @@ pub enum ExecMode {
 /// cache-friendly, large enough to amortize per-batch dispatch.
 pub(crate) const STREAM_BATCH_ROWS: usize = 1024;
 
-/// Execute a bound plan against the engine's catalog, booking executor
-/// costs to `meter`. `params` supplies the plan's parameter slots in order.
-/// `options` is the configuration the plan was bound under: the caller
-/// resolves it once per statement, so bind and execute always agree.
-pub fn execute_plan(
+/// Execute a plan the engine bound against its catalog, under the engine's
+/// options, booking executor costs to `meter`. `params` supplies the plan's
+/// parameter slots in order.
+pub(crate) fn execute_plan(
     fdbs: &Fdbs,
     plan: &Plan,
     params: &[Value],
     meter: &mut Meter,
-    options: ExecOptions,
 ) -> FedResult<Table> {
     if params.len() != plan.params.len() {
         return Err(FedError::execution(format!(
@@ -81,10 +79,8 @@ pub fn execute_plan(
             params.len()
         )));
     }
-    match options.mode {
-        ExecMode::Streaming => {
-            crate::vexec::execute_vectorized(fdbs, plan, params, meter, options.udtf_memo)
-        }
+    match fdbs.options().mode {
+        ExecMode::Streaming => crate::vexec::execute_vectorized(fdbs, plan, params, meter),
         ExecMode::Naive => execute_naive(fdbs, plan, params, meter),
     }
 }
@@ -305,33 +301,6 @@ pub(crate) fn scalar_tail(
     }
 
     Ok(out)
-}
-
-/// Whether a joined local scan is served by index point lookups. The
-/// planner's [`Access::Hash`] forces the hash join; [`Access::IndexProbe`]
-/// and [`Access::Auto`] re-check at run time (an index may have been
-/// dropped since planning), so a stale choice degrades to the hash join
-/// instead of failing. Indexable means a single integer-typed join key
-/// backed by an index: DOUBLE keys take the hash join, since NaN would
-/// change the oracle's error semantics under the storage layer's silent
-/// 3VL comparison.
-pub(crate) fn use_index_probe(
-    fdbs: &Fdbs,
-    table: &Ident,
-    schema: &SchemaRef,
-    jk: &JoinKey,
-    access: Access,
-) -> FedResult<bool> {
-    if access == Access::Hash {
-        return Ok(false);
-    }
-    Ok(jk.build.len() == 1
-        && schema.columns()[jk.build[0]].data_type != DataType::Double
-        && jk.probe[0].data_type() != Some(DataType::Double)
-        && fdbs
-            .catalog()
-            .local()
-            .index_serves(table.as_str(), &Predicate::eq(jk.build[0], Value::Null))?)
 }
 
 /// Translate the original step-local build columns of a join key into

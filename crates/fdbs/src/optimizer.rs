@@ -25,9 +25,9 @@
 //!    step from the estimates; syntactic plans leave the executor's own
 //!    heuristic in charge ([`Access::Auto`]).
 
-use fedwf_relstore::{CmpOp, Predicate};
+use fedwf_relstore::CmpOp;
 use fedwf_sql::BinaryOp;
-use fedwf_types::{DataType, FedResult, Value};
+use fedwf_types::{FedResult, Value};
 
 use std::sync::Arc;
 
@@ -65,6 +65,11 @@ impl std::fmt::Display for PlannerMode {
 
 /// Row-count guess for a table with neither statistics nor a live count.
 const DEFAULT_TABLE_ROWS: f64 = 1000.0;
+
+/// Rows a table function returns per invocation, as the estimator assumes:
+/// the neutral 1:1 mapping case, which every function of the paper's
+/// workload fits.
+const UDTF_ROWS_PER_CALL: f64 = 1.0;
 
 /// Turn a bound logical plan into an executable physical plan.
 pub fn optimize(catalog: &Catalog, logical: LogicalPlan, mode: PlannerMode) -> FedResult<Plan> {
@@ -184,7 +189,7 @@ struct Estimator {
     stats: Vec<Option<Arc<TableStatistics>>>,
     /// Base cardinality per step, before any pushdown: statistics row count,
     /// else a live count, else [`DEFAULT_TABLE_ROWS`]. For table functions
-    /// this is the declared fan-out (rows per invocation).
+    /// this is [`UDTF_ROWS_PER_CALL`].
     base: Vec<f64>,
 }
 
@@ -223,7 +228,7 @@ impl Estimator {
                         .unwrap_or(DEFAULT_TABLE_ROWS);
                     (st, rows)
                 }
-                FromStep::TableFunc { udtf, .. } => (None, udtf.fanout),
+                FromStep::TableFunc { .. } => (None, UDTF_ROWS_PER_CALL),
             };
             stats.push(st);
             base.push(rows);
@@ -326,7 +331,7 @@ impl Estimator {
             let scan_rows = self.scan_rows(i, step);
             let join_rows = match (&step_join_keys[i], step) {
                 // Dependent table functions never carry a join key: one
-                // invocation per prefix row, fan-out rows each.
+                // invocation per prefix row, UDTF_ROWS_PER_CALL rows each.
                 (Some(jk), _) => self.join_rows(i, jk, prefix, scan_rows),
                 (None, _) => prefix * scan_rows,
             };
@@ -580,14 +585,7 @@ fn choose_access(
             let FromStep::ScanLocal { table, schema, .. } = step else {
                 return Access::Auto;
             };
-            let indexable = jk.build.len() == 1
-                && schema.columns()[jk.build[0]].data_type != DataType::Double
-                && jk.probe[0].data_type() != Some(DataType::Double)
-                && catalog
-                    .local()
-                    .index_serves(table.as_str(), &Predicate::eq(jk.build[0], Value::Null))
-                    .unwrap_or(false);
-            if !indexable {
+            if !jk.indexable(catalog, table, schema).unwrap_or(false) {
                 return Access::Auto;
             }
             let prefix_rows = if i == 0 {
@@ -610,7 +608,7 @@ mod tests {
     use crate::plan::PlanBuilder;
     use crate::udtf::Udtf;
     use fedwf_sql::{parse_statement, SelectStmt, Statement};
-    use fedwf_types::{Ident, Row, Schema, Table};
+    use fedwf_types::{DataType, Ident, Row, Schema, Table};
 
     fn select(sql: &str) -> SelectStmt {
         match parse_statement(sql).unwrap() {
@@ -653,23 +651,20 @@ mod tests {
                 .insert("Tiny", Row::new(vec![Value::Int(i * 3), Value::Int(i * 2)]))
                 .unwrap();
         }
-        cat.register_udtf(
-            Udtf::native(
-                "Dep",
-                vec![(Ident::new("X"), DataType::Int)],
-                Arc::new(Schema::of(&[("Y", DataType::Int)])),
-                |args, _m| {
-                    Ok(Table::scalar(
-                        "Y",
-                        args[0]
-                            .as_i64()
-                            .map(|v| Value::Int(v as i32 + 1))
-                            .unwrap_or(Value::Null),
-                    ))
-                },
-            )
-            .with_fanout(1.0),
-        )
+        cat.register_udtf(Udtf::native(
+            "Dep",
+            vec![(Ident::new("X"), DataType::Int)],
+            Arc::new(Schema::of(&[("Y", DataType::Int)])),
+            |args, _m| {
+                Ok(Table::scalar(
+                    "Y",
+                    args[0]
+                        .as_i64()
+                        .map(|v| Value::Int(v as i32 + 1))
+                        .unwrap_or(Value::Null),
+                ))
+            },
+        ))
         .unwrap();
         cat.analyze().unwrap();
         cat

@@ -164,6 +164,27 @@ pub struct JoinKey {
     pub residual: BoundExpr,
 }
 
+impl JoinKey {
+    /// Whether index point lookups into local `table` (of `schema`) can
+    /// serve this key: a single key, neither side DOUBLE (NaN would change
+    /// the oracle's error semantics under the storage layer's silent 3VL
+    /// comparison), and an index that serves `column = ?`. The planner's
+    /// access choice and the executor's run-time re-check both ask this.
+    pub(crate) fn indexable(
+        &self,
+        catalog: &Catalog,
+        table: &Ident,
+        schema: &SchemaRef,
+    ) -> FedResult<bool> {
+        Ok(self.build.len() == 1
+            && schema.columns()[self.build[0]].data_type != DataType::Double
+            && self.probe[0].data_type() != Some(DataType::Double)
+            && catalog
+                .local()
+                .index_serves(table.as_str(), &Predicate::eq(self.build[0], Value::Null))?)
+    }
+}
+
 /// How the executor composes one step with the prefix — chosen by the
 /// cost-based optimizer, honored by the streaming executor (the oracle
 /// always composes by cross product).
@@ -185,7 +206,7 @@ pub enum Access {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepEstimate {
     /// Rows the step itself produces after its pushdown (for a table
-    /// function: rows per invocation, from the declared fan-out).
+    /// function: the rows the estimator assumes per invocation).
     pub scan_rows: f64,
     /// Prefix rows after composing this step (join / cross / lateral).
     pub join_rows: f64,

@@ -87,12 +87,6 @@ pub struct Udtf {
     pub returns: SchemaRef,
     pub kind: UdtfKind,
     pub charges: ChargeSpec,
-    /// Declared mapping-case fan-out: the expected number of result rows
-    /// per invocation, used by the cost-based optimizer to estimate the
-    /// cardinality through a lateral TABLE(...) step. The paper's 1:n
-    /// mapping case declares n > 1, the n:1 case a fraction < 1; the
-    /// default is the neutral 1:1.
-    pub fanout: f64,
 }
 
 impl Udtf {
@@ -108,21 +102,11 @@ impl Udtf {
             returns,
             kind: UdtfKind::Native(Arc::new(body)),
             charges: ChargeSpec::none(),
-            fanout: 1.0,
         }
     }
 
     pub fn with_charges(mut self, charges: ChargeSpec) -> Udtf {
         self.charges = charges;
-        self
-    }
-
-    /// Declare the mapping-case fan-out (rows out per invocation).
-    /// Non-finite or non-positive hints are ignored.
-    pub fn with_fanout(mut self, fanout: f64) -> Udtf {
-        if fanout.is_finite() && fanout > 0.0 {
-            self.fanout = fanout;
-        }
         self
     }
 }

@@ -48,11 +48,11 @@ use fedwf_types::{ColumnBatch, FedResult, Ident, ResultExt, Row, Table, TxnId, V
 use crate::engine::Fdbs;
 use crate::exec::{
     build_key, build_positions, finish_aggregate, invoke_udtf, join_key_checked, pruned_rows,
-    scalar_tail, sink_push, table_from_rows, tally_rows, use_index_probe, Aggregator, ExecMode,
-    IndexProbe, Op, Sink, STREAM_BATCH_ROWS,
+    scalar_tail, sink_push, table_from_rows, tally_rows, Aggregator, ExecMode, IndexProbe, Op,
+    Sink, STREAM_BATCH_ROWS,
 };
 use crate::expr::BoundExpr;
-use crate::plan::{AggColumn, FromStep, Plan};
+use crate::plan::{Access, AggColumn, FromStep, Plan};
 use crate::vexpr::{eval_filter_mask, eval_vcol, VCol};
 
 /// A streaming batch: columnar while it can be, rows once an operator
@@ -197,7 +197,6 @@ fn prepare_step_op<'p>(
     i: usize,
     params: &[Value],
     meter: &mut Meter,
-    udtf_memo: bool,
 ) -> FedResult<Op<'p>> {
     let cost = fdbs.cost();
     let jk = plan.step_join_keys[i].as_ref();
@@ -206,8 +205,12 @@ fn prepare_step_op<'p>(
         FromStep::ScanLocal { table, schema, .. } => {
             let pushdown = plan.scan_predicate(i, params)?;
             if let Some(jk) = jk {
+                // The planner's `Access::Hash` forces the hash join; the
+                // other choices re-check indexability now (an index may
+                // have been dropped since planning), so a stale choice
+                // degrades to the hash join instead of failing.
                 let access = plan.step_access.get(i).copied().unwrap_or_default();
-                if use_index_probe(fdbs, table, schema, jk, access)? {
+                if access != Access::Hash && jk.indexable(fdbs.catalog(), table, schema)? {
                     return Ok(Op::IndexProbe(IndexProbe::new(
                         table,
                         pushdown,
@@ -266,7 +269,7 @@ fn prepare_step_op<'p>(
                 udtf,
                 args,
                 projection: proj,
-                memo_on: udtf_memo,
+                memo_on: fdbs.options().udtf_memo,
                 memo: HashMap::new(),
             });
         }
@@ -685,14 +688,14 @@ fn elapsed_ns(mark: Option<Instant>) -> u64 {
 }
 
 /// Run `plan` through the streaming pipeline: source, one operator per
-/// lateral step (plus one per residual filter), sink. `udtf_memo` turns on
-/// the dependent-UDTF memo, keyed by argument tuple within one step.
+/// lateral step (plus one per residual filter), sink. The engine's
+/// `udtf_memo` option turns on the dependent-UDTF memo, keyed by argument
+/// tuple within one step.
 pub(crate) fn execute_vectorized(
     fdbs: &Fdbs,
     plan: &Plan,
     params: &[Value],
     meter: &mut Meter,
-    udtf_memo: bool,
 ) -> FedResult<Table> {
     let cost = fdbs.cost();
 
@@ -734,7 +737,7 @@ pub(crate) fn execute_vectorized(
         }
     }
     for (i, step) in plan.steps.iter().enumerate().skip(start) {
-        let op = prepare_step_op(fdbs, plan, i, params, meter, udtf_memo)
+        let op = prepare_step_op(fdbs, plan, i, params, meter)
             .map_err(|e| e.with_context(format!("evaluating FROM item {} ({step:?})", i + 1)))?;
         ops.push(op);
         if let Some(filter) = &plan.step_filters[i] {

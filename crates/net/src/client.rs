@@ -6,8 +6,8 @@
 //!
 //! 1. **Connection pool.** Idle connections are kept in a stack; a call
 //!    pops one or dials a fresh one. N threads submitting concurrently
-//!    grow the pool to N connections organically; at most
-//!    [`ClientConfig::pool_size`] are retained afterwards.
+//!    grow the pool to N connections organically; at most `POOL_SIZE`
+//!    (16) are retained afterwards.
 //! 2. **Deadline propagation.** A request deadline travels as *remaining
 //!    budget*: the client subtracts its own elapsed time (pool checkout,
 //!    dialing) before encoding, so the server's admission queue honours
@@ -33,50 +33,29 @@ use fedwf_types::{FedError, FedResult};
 
 use crate::frame::{read_frame, write_frame, FrameKind};
 
-/// Tuning of a [`TcpClient`].
-#[derive(Debug, Clone)]
-pub struct ClientConfig {
-    /// Idle connections retained in the pool; calls beyond this still
-    /// work (they dial and the surplus connection is closed afterwards).
-    pub pool_size: usize,
-    /// Timeout for dialing the server.
-    pub connect_timeout: Duration,
-    /// Extra wait beyond a request's deadline before the client gives up
-    /// on the reply. Within the grace window the server reports deadline
-    /// expiry itself, as a typed error frame.
-    pub reply_grace: Duration,
-    /// Read timeout for requests without a deadline. `None` waits
-    /// forever; the default bounds a hung server at 60 s.
-    pub idle_read_timeout: Option<Duration>,
-}
-
-impl Default for ClientConfig {
-    fn default() -> ClientConfig {
-        ClientConfig {
-            pool_size: 16,
-            connect_timeout: Duration::from_secs(5),
-            reply_grace: Duration::from_secs(5),
-            idle_read_timeout: Some(Duration::from_secs(60)),
-        }
-    }
-}
+/// Idle connections retained in the pool; calls beyond this still work
+/// (they dial and the surplus connection is closed afterwards).
+const POOL_SIZE: usize = 16;
+/// Timeout for dialing the server.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+/// Extra wait beyond a request's deadline before the client gives up on
+/// the reply. Within the grace window the server reports deadline expiry
+/// itself, as a typed error frame.
+const REPLY_GRACE: Duration = Duration::from_secs(5);
+/// Read timeout for requests without a deadline: bounds a hung server.
+const IDLE_READ_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// A pooled TCP client for a `fedwf` network server, usable wherever an
 /// `impl Submit` is expected.
 pub struct TcpClient {
     addr: SocketAddr,
     pool: Mutex<Vec<TcpStream>>,
-    config: ClientConfig,
 }
 
 impl TcpClient {
     /// Dial `addr` once (validating the server is reachable) and keep the
     /// connection pooled for the first call.
     pub fn connect(addr: impl ToSocketAddrs) -> FedResult<TcpClient> {
-        TcpClient::connect_with(addr, ClientConfig::default())
-    }
-
-    pub fn connect_with(addr: impl ToSocketAddrs, config: ClientConfig) -> FedResult<TcpClient> {
         let addr = addr
             .to_socket_addrs()
             .map_err(|e| FedError::network(format!("address resolution failed: {e}")))?
@@ -85,7 +64,6 @@ impl TcpClient {
         let client = TcpClient {
             addr,
             pool: Mutex::new(Vec::new()),
-            config,
         };
         let probe = client.dial()?;
         client.check_in(probe);
@@ -103,7 +81,7 @@ impl TcpClient {
     }
 
     fn dial(&self) -> FedResult<TcpStream> {
-        let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)
+        let stream = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT)
             .map_err(|e| FedError::network(format!("connect to {} failed: {e}", self.addr)))?;
         let _ = stream.set_nodelay(true);
         Ok(stream)
@@ -132,7 +110,7 @@ impl TcpClient {
 
     fn check_in(&self, stream: TcpStream) {
         let mut pool = self.pool.lock();
-        if pool.len() < self.config.pool_size {
+        if pool.len() < POOL_SIZE {
             pool.push(stream);
         } // else drop: closes the surplus connection
     }
@@ -155,11 +133,8 @@ impl TcpClient {
         let read_timeout = match budget {
             // Never Some(ZERO): that means "no timeout" to the socket API.
             // Saturating: a `Duration::MAX` budget must not overflow.
-            Some(b) => Some(
-                b.saturating_add(self.config.reply_grace)
-                    .max(Duration::from_millis(1)),
-            ),
-            None => self.config.idle_read_timeout,
+            Some(b) => Some(b.saturating_add(REPLY_GRACE).max(Duration::from_millis(1))),
+            None => Some(IDLE_READ_TIMEOUT),
         };
         let _ = stream.set_read_timeout(read_timeout);
         Ok(self.read_reply(stream, request))

@@ -31,9 +31,9 @@ pub mod client;
 pub mod frame;
 pub mod server;
 
-pub use client::{ClientConfig, TcpClient};
+pub use client::TcpClient;
 pub use frame::{FrameKind, MAX_FRAME_LEN, WIRE_VERSION};
-pub use server::{NetServer, NetServerConfig};
+pub use server::NetServer;
 
 #[cfg(test)]
 mod tests {

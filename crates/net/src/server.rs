@@ -34,21 +34,9 @@ use fedwf_types::{FedError, FedResult};
 
 use crate::frame::{read_frame, write_frame, FrameKind, FRAME_OVERHEAD};
 
-/// Tuning of a [`NetServer`].
-#[derive(Debug, Clone)]
-pub struct NetServerConfig {
-    /// Read timeout of idle connection threads; bounds how long shutdown
-    /// waits for them to notice the stop flag.
-    pub poll_interval: Duration,
-}
-
-impl Default for NetServerConfig {
-    fn default() -> NetServerConfig {
-        NetServerConfig {
-            poll_interval: Duration::from_millis(50),
-        }
-    }
-}
+/// Read timeout of idle connection threads; bounds how long shutdown
+/// waits for them to notice the stop flag.
+const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// A TCP server exposing one [`ServerFront`] over the wire protocol.
 ///
@@ -82,14 +70,6 @@ impl NetServer {
     /// accepting. The front stays shared — in-process callers can keep
     /// using it concurrently.
     pub fn start(addr: impl ToSocketAddrs, front: Arc<ServerFront>) -> FedResult<NetServer> {
-        NetServer::start_with(addr, front, NetServerConfig::default())
-    }
-
-    pub fn start_with(
-        addr: impl ToSocketAddrs,
-        front: Arc<ServerFront>,
-        config: NetServerConfig,
-    ) -> FedResult<NetServer> {
         let listener =
             TcpListener::bind(addr).map_err(|e| FedError::network(format!("bind failed: {e}")))?;
         let local_addr = listener
@@ -105,9 +85,7 @@ impl NetServer {
             let connections = Arc::clone(&connections);
             std::thread::Builder::new()
                 .name("fedwf-net-accept".into())
-                .spawn(move || {
-                    accept_loop(&listener, &front, &stop, &connections, &counters, &config)
-                })
+                .spawn(move || accept_loop(&listener, &front, &stop, &connections, &counters))
                 .expect("spawn accept thread")
         };
 
@@ -204,7 +182,6 @@ fn accept_loop(
     stop: &Arc<AtomicBool>,
     connections: &Arc<Mutex<Vec<JoinHandle<()>>>>,
     counters: &NetCounters,
-    config: &NetServerConfig,
 ) {
     for stream in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
@@ -218,10 +195,9 @@ fn accept_loop(
         let front = Arc::clone(front);
         let stop = Arc::clone(stop);
         let counters = counters.clone();
-        let poll = config.poll_interval;
         let handle = std::thread::Builder::new()
             .name("fedwf-net-conn".into())
-            .spawn(move || serve_connection(stream, &front, &stop, &counters, poll))
+            .spawn(move || serve_connection(stream, &front, &stop, &counters))
             .expect("spawn connection thread");
         connections.lock().push(handle);
     }
@@ -235,10 +211,9 @@ fn serve_connection(
     front: &ServerFront,
     stop: &AtomicBool,
     counters: &NetCounters,
-    poll: Duration,
 ) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(poll));
+    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let mut reader = &stream;
     let mut writer = &stream;
     loop {

@@ -1,6 +1,6 @@
 //! The SQL/MED wrapper bridging the FDBS to the workflow engine.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use fedwf_fdbs::{ChargeItem, ChargeSpec, Udtf};
@@ -34,8 +34,9 @@ pub struct WfmsWrapper {
     result_cache: Option<RwLock<BTreeMap<(Ident, String), Table>>>,
     /// A bounded history of completed process instances (most recent last)
     /// — the audit database a production WfMS maintains, queryable through
-    /// [`WfmsWrapper::audit_history_table`].
-    history: Mutex<Vec<InstanceRecord>>,
+    /// [`WfmsWrapper::audit_history_table`]. A ring: once full, each new
+    /// instance drops the oldest.
+    history: Mutex<VecDeque<InstanceRecord>>,
 }
 
 /// One line of the instance history.
@@ -62,7 +63,7 @@ impl WfmsWrapper {
             processes: RwLock::new(BTreeMap::new()),
             loaded_templates: RwLock::new(HashSet::new()),
             result_cache: None,
-            history: Mutex::new(Vec::new()),
+            history: Mutex::new(VecDeque::with_capacity(HISTORY_CAPACITY)),
         }
     }
 
@@ -188,7 +189,7 @@ impl WfmsWrapper {
         meter: &mut Meter,
     ) -> FedResult<ProcessInstance> {
         let process = self.process(name)?;
-        let cost = self.cost().clone();
+        let cost = self.cost();
 
         meter.charge(Component::Rmi, "RMI call", cost.wf_rmi_call);
         self.controller.bridge_to_wfms(meter);
@@ -221,9 +222,9 @@ impl WfmsWrapper {
             .count_events(|e| matches!(e, fedwf_wfms::AuditEvent::ActivityFailed { .. }));
         let mut history = self.history.lock();
         if history.len() == HISTORY_CAPACITY {
-            history.remove(0);
+            history.pop_front();
         }
-        history.push(InstanceRecord {
+        history.push_back(InstanceRecord {
             process: process.name.clone(),
             started_us: instance.started_us,
             finished_us: instance.finished_us,

@@ -6,15 +6,18 @@
 //! strategy and join order are FDBS-internal concerns that must never leak
 //! into what the paper measures about the architectures. Part A drives
 //! generated join/filter/DISTINCT/aggregate queries (including 3-way joins
-//! over skewed-NDV columns) straight into an [`fedwf::fdbs::Fdbs`]; Part B
-//! replays the paper's Fig. 5 workload on all four integration
-//! architectures under both executors; Part C holds host variables against
-//! the same statements with their values inlined.
+//! over skewed-NDV columns) straight into one [`fedwf::fdbs::Fdbs`] per
+//! configuration, each over the same generated federation; Part B replays
+//! the paper's Fig. 5 workload on all four integration architectures under
+//! both executors; Part C holds host variables against the same statements
+//! with their values inlined.
 
 use std::sync::Arc;
 
+use fedwf::appsys::{build_scenario, DataGenConfig, Scenario};
 use fedwf::core::{
-    paper_functions, ArchitectureKind, IntegrationConfig, IntegrationServer, Request,
+    paper_functions, Architecture, ArchitectureKind, IntegrationConfig, IntegrationServer,
+    JavaUdtfArchitecture, Request, SimpleUdtfArchitecture, SqlUdtfArchitecture, WfmsArchitecture,
 };
 use fedwf::fdbs::{
     ChargeItem, ChargeSpec, ExecMode, ExecOptions, Fdbs, PlannerMode, RelstoreServer, Udtf,
@@ -24,10 +27,11 @@ use fedwf::sim::{Charge, Component, CostModel, Meter};
 use fedwf::types::check;
 use fedwf::types::rng::Rng;
 use fedwf::types::{DataType, ErrorLayer, Ident, Row, Schema, Table, Value};
+use fedwf::wrapper::{Controller, WfmsWrapper};
 use fedwf_bench::args_for;
 
 // ---------------------------------------------------------------------------
-// Part A: generated queries against one FDBS instance
+// Part A: generated queries, one FDBS instance per configuration
 // ---------------------------------------------------------------------------
 
 /// A join key in 0..10 (guaranteed collisions), sometimes NULL — NULL keys
@@ -67,9 +71,10 @@ fn render_lit(v: &Value) -> String {
 /// architecture charge spec. A quarter of the federations are NULL-heavy
 /// (60% NULL keys, NULLable V) and mix empty strings into S, so the
 /// columnar validity bitmaps and varchar offset pairs get exercised on
-/// degenerate shapes, not just the happy path.
-fn gen_federation(rng: &mut Rng) -> Fdbs {
-    let fdbs = Fdbs::new(CostModel::default());
+/// degenerate shapes, not just the happy path. Built on an engine under
+/// `options`.
+fn gen_federation(rng: &mut Rng, options: ExecOptions) -> Fdbs {
+    let fdbs = Fdbs::new(CostModel::default()).with_options(options);
     let mut meter = Meter::new();
     fdbs.execute("CREATE TABLE T1 (K INT, V INT, S VARCHAR)", &mut meter)
         .unwrap();
@@ -298,13 +303,19 @@ fn udtf_invocation_charges(charges: &[Charge]) -> usize {
 #[test]
 fn generated_queries_agree_between_executors() {
     check::cases(48, |rng| {
-        let fdbs = gen_federation(rng);
+        // One engine per configuration, each over the federation the case
+        // draws: the others from clones of its generator, so all agree.
+        let naive_fdbs = gen_federation(&mut rng.clone(), oracle());
+        let planned = [PlannerMode::Syntactic, PlannerMode::CostBased].map(|planner| {
+            let options = ExecOptions::default().planner(planner).udtf_memo(false);
+            (planner, gen_federation(&mut rng.clone(), options))
+        });
+        let fdbs = gen_federation(rng, ExecOptions::default());
         for _ in 0..rng.range_usize(1, 4) {
             let sql = gen_query(rng);
 
-            fdbs.set_options(oracle());
             let mut naive_meter = Meter::new();
-            let naive = fdbs.execute(&sql, &mut naive_meter).unwrap();
+            let naive = naive_fdbs.execute(&sql, &mut naive_meter).unwrap();
             let naive_rows = row_multiset(&naive);
             let naive_arch = arch_charges(naive_meter.charges());
 
@@ -313,10 +324,9 @@ fn generated_queries_agree_between_executors() {
             // reordering may change FDBS-internal composition work, never
             // the rows and never the charges the paper attributes to the
             // architectures.
-            for planner in [PlannerMode::Syntactic, PlannerMode::CostBased] {
-                fdbs.set_options(ExecOptions::default().planner(planner).udtf_memo(false));
+            for (planner, planned_fdbs) in &planned {
                 let mut meter = Meter::new();
-                let got = fdbs.execute(&sql, &mut meter).unwrap();
+                let got = planned_fdbs.execute(&sql, &mut meter).unwrap();
                 assert_eq!(
                     naive_rows,
                     row_multiset(&got),
@@ -332,7 +342,6 @@ fn generated_queries_agree_between_executors() {
             // Memoization may only *remove* dependent-UDTF invocations —
             // never change the rows. (The default configuration:
             // streaming, cost-based, memo on.)
-            fdbs.set_options(ExecOptions::default());
             let mut memo_meter = Meter::new();
             let memoed = fdbs.execute(&sql, &mut memo_meter).unwrap();
             assert_eq!(
@@ -354,16 +363,15 @@ fn generated_queries_agree_between_executors() {
 /// unpruned plan agrees.
 #[test]
 fn order_by_on_non_projected_column_survives_pruning() {
-    let fdbs = Fdbs::new(CostModel::zero());
     let mut meter = Meter::new();
-    fdbs.execute_script(
-        "CREATE TABLE T (K INT, V INT, S VARCHAR); \
-         INSERT INTO T VALUES (3, 30, 'c'), (1, 10, 'a'), (2, 20, 'b');",
-        &mut meter,
-    )
-    .unwrap();
     for mode in [ExecMode::Streaming, ExecMode::Naive] {
-        fdbs.set_options(fdbs.options().mode(mode));
+        let fdbs = Fdbs::new(CostModel::zero()).with_options(ExecOptions::default().mode(mode));
+        fdbs.execute_script(
+            "CREATE TABLE T (K INT, V INT, S VARCHAR); \
+             INSERT INTO T VALUES (3, 30, 'c'), (1, 10, 'a'), (2, 20, 'b');",
+            &mut meter,
+        )
+        .unwrap();
         let t = fdbs
             .execute("SELECT S FROM T ORDER BY V DESC", &mut meter)
             .unwrap();
@@ -377,23 +385,23 @@ fn order_by_on_non_projected_column_survives_pruning() {
 /// while the returned rows arrive in the pruned layout.
 #[test]
 fn index_probe_join_with_pruned_projection() {
-    let fdbs = Fdbs::new(CostModel::zero());
     let mut meter = Meter::new();
-    fdbs.execute_script(
-        "CREATE TABLE L (K INT, V INT); \
-         CREATE TABLE R (A VARCHAR, K INT, W INT); \
-         CREATE UNIQUE INDEX r_k ON R (K); \
-         INSERT INTO L VALUES (1, 10), (2, 20), (2, 21), (9, 90); \
-         INSERT INTO R VALUES ('x', 1, 100), ('y', 2, 200), ('z', 3, 300);",
-        &mut meter,
-    )
-    .unwrap();
     // Only R.W is referenced downstream, so the pruned projection drops
     // both R.A and the key column R.K (the probe happens in storage).
     let sql = "SELECT L.V, B.W FROM L, R AS B WHERE B.K = L.K ORDER BY L.V";
     for mode in [ExecMode::Naive, ExecMode::Streaming] {
         for planner in [PlannerMode::Syntactic, PlannerMode::CostBased] {
-            fdbs.set_options(ExecOptions::default().mode(mode).planner(planner));
+            let options = ExecOptions::default().mode(mode).planner(planner);
+            let fdbs = Fdbs::new(CostModel::zero()).with_options(options);
+            fdbs.execute_script(
+                "CREATE TABLE L (K INT, V INT); \
+                 CREATE TABLE R (A VARCHAR, K INT, W INT); \
+                 CREATE UNIQUE INDEX r_k ON R (K); \
+                 INSERT INTO L VALUES (1, 10), (2, 20), (2, 21), (9, 90); \
+                 INSERT INTO R VALUES ('x', 1, 100), ('y', 2, 200), ('z', 3, 300);",
+                &mut meter,
+            )
+            .unwrap();
             let t = fdbs.execute(sql, &mut meter).unwrap();
             assert_eq!(
                 row_multiset(&t),
@@ -402,7 +410,6 @@ fn index_probe_join_with_pruned_projection() {
             );
         }
     }
-    fdbs.set_options(ExecOptions::default());
 }
 
 /// Column batches hold 1024 rows, so a 2,600-row table spans three of
@@ -413,10 +420,7 @@ fn index_probe_join_with_pruned_projection() {
 /// order, so production must match the oracle *row for row, in order*.
 #[test]
 fn batch_boundary_limit_and_varchar_edges() {
-    let fdbs = Fdbs::new(CostModel::zero());
     let mut meter = Meter::new();
-    fdbs.execute("CREATE TABLE T (K INT, V INT, S VARCHAR)", &mut meter)
-        .unwrap();
     let rows: Vec<String> = (0..2_600)
         .map(|i: i32| {
             let s = match i % 3 {
@@ -432,9 +436,15 @@ fn batch_boundary_limit_and_varchar_edges() {
             format!("({i}, {v}, {s})")
         })
         .collect();
-    for chunk in rows.chunks(500) {
-        insert_rows(&fdbs, "T", chunk);
-    }
+    let [reference_fdbs, fdbs] = [oracle(), ExecOptions::default()].map(|options| {
+        let fdbs = Fdbs::new(CostModel::zero()).with_options(options);
+        fdbs.execute("CREATE TABLE T (K INT, V INT, S VARCHAR)", &mut meter)
+            .unwrap();
+        for chunk in rows.chunks(500) {
+            insert_rows(&fdbs, "T", chunk);
+        }
+        fdbs
+    });
 
     let queries = [
         // LIMIT crosses the first 1024-row batch boundary mid-batch.
@@ -448,9 +458,7 @@ fn batch_boundary_limit_and_varchar_edges() {
         "SELECT T.V, COUNT(*) AS c FROM T GROUP BY T.V ORDER BY 1",
     ];
     for sql in queries {
-        fdbs.set_options(oracle());
-        let reference = fdbs.execute(sql, &mut meter).unwrap();
-        fdbs.set_options(ExecOptions::default());
+        let reference = reference_fdbs.execute(sql, &mut meter).unwrap();
         let production = fdbs.execute(sql, &mut meter).unwrap();
         assert_eq!(
             reference, production,
@@ -459,147 +467,72 @@ fn batch_boundary_limit_and_varchar_edges() {
     }
 }
 
-/// Each statement resolves the engine's options once: its plan-cache key,
-/// its plan and every one of its operators see the same value while
-/// another thread keeps reconfiguring the engine. Two dependent-UDTF steps
-/// over repeated arguments make a split visible — one step memoized, the
-/// other not — as a charge log equal to neither solo log.
-#[test]
-fn options_resolve_once_per_statement_under_concurrent_reconfiguration() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    let fdbs = Fdbs::new(CostModel::default());
-    let mut meter = Meter::new();
-    fdbs.execute("CREATE TABLE T (K INT)", &mut meter).unwrap();
-    let keys: Vec<String> = (0..32).map(|i| format!("({})", i % 4)).collect();
-    insert_rows(&fdbs, "T", &keys);
-    for (name, column) in [("A", "M"), ("B", "N")] {
-        fdbs.register_udtf(
-            Udtf::native(
-                name,
-                vec![(Ident::new("K"), DataType::Int)],
-                Arc::new(Schema::of(&[(column, DataType::Int)])),
-                move |args, _m| Ok(Table::scalar(column, args[0].clone())),
-            )
-            .with_charges(ChargeSpec {
-                on_start: vec![ChargeItem::new(Component::Udtf, "Start A-UDTF", 7)],
-                on_finish: vec![ChargeItem::new(Component::Udtf, "Finish A-UDTF", 3)],
-            }),
-        )
-        .unwrap();
-    }
-    let sql = "SELECT T.K, A.M, B.N FROM T, TABLE (A(T.K)) AS A, TABLE (B(T.K)) AS B";
-    let options = |memo: bool| ExecOptions::default().udtf_memo(memo);
-
-    // Solo logs of warm executions (the first run compiles).
-    let solo = |memo: bool| {
-        fdbs.set_options(options(memo));
-        fdbs.execute(sql, &mut Meter::new()).unwrap();
-        let mut m = Meter::new();
-        let t = fdbs.execute(sql, &mut m).unwrap();
-        (t, m.charges().to_vec())
-    };
-    let (table, memo_log) = solo(true);
-    let (unmemoized, plain_log) = solo(false);
-    assert_eq!(table, unmemoized);
-    assert!(memo_log.len() < plain_log.len(), "the memo saved nothing");
-
-    let done = AtomicBool::new(false);
-    let splits: Vec<usize> = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let mut memo = false;
-            while !done.load(Ordering::Relaxed) {
-                memo = !memo;
-                fdbs.set_options(options(memo));
-            }
-        });
-        let workers: Vec<_> = (0..4)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut split = 0;
-                    for _ in 0..200 {
-                        let mut m = Meter::new();
-                        let Ok(t) = fdbs.execute(sql, &mut m) else {
-                            split += 1;
-                            continue;
-                        };
-                        let log = m.charges();
-                        if t != table || (log != memo_log.as_slice() && log != plain_log.as_slice())
-                        {
-                            split += 1;
-                        }
-                    }
-                    split
-                })
-            })
-            .collect();
-        let joined: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
-        // Stop the reconfiguring thread before surfacing a worker panic.
-        done.store(true, Ordering::Relaxed);
-        joined
-            .into_iter()
-            .map(|w| w.expect("worker panicked"))
-            .collect()
-    });
-    assert_eq!(
-        splits, [0; 4],
-        "executions per worker whose outcome matched neither solo run"
-    );
-}
-
 // ---------------------------------------------------------------------------
 // Part B: the paper's workload on all four architectures
 // ---------------------------------------------------------------------------
 
+/// One architecture assembled from its public constructor as
+/// `IntegrationServer::new` assembles it, over an engine built with
+/// `options`: how an architecture runs on a reference engine. Nothing
+/// boots, so its calls book no boot charges, like a booted server's.
+struct ArchitectureRig {
+    scenario: Scenario,
+    architecture: Box<dyn Architecture>,
+}
+
+impl ArchitectureRig {
+    fn new(kind: ArchitectureKind, options: ExecOptions) -> ArchitectureRig {
+        let scenario = build_scenario(DataGenConfig::default()).unwrap();
+        let cost = CostModel::default();
+        let controller = Controller::new(scenario.registry.clone(), cost.clone());
+        let wrapper = Arc::new(WfmsWrapper::new(controller.clone()));
+        let fdbs = Arc::new(Fdbs::new(cost).with_options(options));
+        fdbs.register_udtf(wrapper.audit_udtf()).unwrap();
+        let architecture: Box<dyn Architecture> = match kind {
+            ArchitectureKind::Wfms => Box::new(WfmsArchitecture::new(fdbs, wrapper)),
+            ArchitectureKind::SqlUdtf => Box::new(SqlUdtfArchitecture::new(fdbs, controller)),
+            ArchitectureKind::JavaUdtf => Box::new(JavaUdtfArchitecture::new(fdbs, controller)),
+            ArchitectureKind::SimpleUdtf => Box::new(SimpleUdtfArchitecture::new(fdbs, controller)),
+        };
+        ArchitectureRig {
+            scenario,
+            architecture,
+        }
+    }
+}
+
 #[test]
 fn architectures_agree_between_executors() {
-    for kind in [
-        ArchitectureKind::Wfms,
-        ArchitectureKind::SqlUdtf,
-        ArchitectureKind::JavaUdtf,
-        ArchitectureKind::SimpleUdtf,
-    ] {
-        let make = || {
-            let s = IntegrationServer::new(IntegrationConfig::default().with_architecture(kind))
-                .unwrap();
-            s.boot();
-            s
-        };
-        let naive = make();
-        {
-            let f = naive.fdbs();
-            f.set_options(f.options().mode(ExecMode::Naive));
-        }
-        let aware = make();
-        {
-            let f = aware.fdbs();
-            f.set_options(f.options().udtf_memo(false));
-        }
+    for kind in ArchitectureKind::ALL {
+        let naive = ArchitectureRig::new(kind, ExecOptions::default().mode(ExecMode::Naive));
+        let aware = ArchitectureRig::new(kind, ExecOptions::default().udtf_memo(false));
 
         for (spec, _) in paper_functions::fig5_workload() {
             // The cyclic case is undeployable on the UDTF architectures
             // (the paper's Section 3 complexity result) — but the two
             // executors must agree on deployability too.
-            let d = naive.deploy(&spec);
-            assert_eq!(d.is_ok(), aware.deploy(&spec).is_ok(), "{}", spec.name);
-            if d.is_err() {
+            let d = naive.architecture.deploy(&spec);
+            let e = aware.architecture.deploy(&spec);
+            assert_eq!(d.is_ok(), e.is_ok(), "{}", spec.name);
+            let (Ok(naive_fn), Ok(aware_fn)) = (d, e) else {
                 continue;
-            }
-            let args = args_for(&naive, &spec);
+            };
+            let args = args_for(&naive.scenario, &spec);
             // First (cold) and repeated (warm) calls must both agree.
             for tier in ["first call", "repeated call"] {
-                let a = call_fn(&naive, spec.name.as_str(), &args);
-                let b = call_fn(&aware, spec.name.as_str(), &args);
+                let (mut a_meter, mut b_meter) = (Meter::new(), Meter::new());
+                let a = naive_fn.call(&args, &mut a_meter).unwrap();
+                let b = aware_fn.call(&args, &mut b_meter).unwrap();
                 assert_eq!(
-                    a.table,
-                    b.table,
+                    a,
+                    b,
                     "{} on {} ({tier}): result tables diverge",
                     spec.name,
                     kind.name()
                 );
                 assert_eq!(
-                    arch_charges(a.meter.charges()),
-                    arch_charges(b.meter.charges()),
+                    arch_charges(a_meter.charges()),
+                    arch_charges(b_meter.charges()),
                     "{} on {} ({tier}): architecture charges diverge",
                     spec.name,
                     kind.name()
@@ -613,35 +546,22 @@ fn architectures_agree_between_executors() {
 /// still produce the same result tables as the naive reference.
 #[test]
 fn memoized_executor_preserves_results_on_all_architectures() {
-    for kind in [
-        ArchitectureKind::Wfms,
-        ArchitectureKind::SqlUdtf,
-        ArchitectureKind::JavaUdtf,
-        ArchitectureKind::SimpleUdtf,
-    ] {
-        let make = || {
-            let s = IntegrationServer::new(IntegrationConfig::default().with_architecture(kind))
-                .unwrap();
-            s.boot();
-            s
-        };
-        let naive = make();
-        {
-            let f = naive.fdbs();
-            f.set_options(f.options().mode(ExecMode::Naive));
-        }
-        let memoed = make();
+    for kind in ArchitectureKind::ALL {
+        let naive = ArchitectureRig::new(kind, ExecOptions::default().mode(ExecMode::Naive));
+        let memoed =
+            IntegrationServer::new(IntegrationConfig::default().with_architecture(kind)).unwrap();
+        memoed.boot();
 
         for (spec, _) in paper_functions::fig5_workload() {
-            if naive.deploy(&spec).is_err() {
+            let Ok(naive_fn) = naive.architecture.deploy(&spec) else {
                 continue; // undeployable on this architecture (cyclic case)
-            }
+            };
             memoed.deploy(&spec).unwrap();
-            let args = args_for(&naive, &spec);
-            let a = call_fn(&naive, spec.name.as_str(), &args);
+            let args = args_for(memoed.scenario(), &spec);
+            let a = naive_fn.call(&args, &mut Meter::new()).unwrap();
             let b = call_fn(&memoed, spec.name.as_str(), &args);
             assert_eq!(
-                a.table,
+                a,
                 b.table,
                 "{} on {}: memoized result diverges",
                 spec.name,
@@ -736,9 +656,9 @@ fn typed_literal(v: &Value) -> String {
 
 /// Local `H` (indexed on I and B, on S when `index_s`) and foreign `F`
 /// (indexed on I and B at the source) over the same `rows` of
-/// [`HV_COLUMNS`].
-fn hv_federation_of(rows: &[Row], index_s: bool, analyze: bool) -> Fdbs {
-    let fdbs = Fdbs::new(CostModel::default());
+/// [`HV_COLUMNS`], on an engine under `options`.
+fn hv_federation_of(rows: &[Row], index_s: bool, analyze: bool, options: ExecOptions) -> Fdbs {
+    let fdbs = Fdbs::new(CostModel::default()).with_options(options);
     let schema = Arc::new(Schema::of(&HV_COLUMNS));
     let local = fdbs.catalog().local();
     local.create_table("H", schema.clone()).unwrap();
@@ -780,7 +700,7 @@ fn hv_federation_of(rows: &[Row], index_s: bool, analyze: bool) -> Fdbs {
 
 /// [`hv_federation_of`] over up to 40 generated rows, with NULLs in every
 /// column.
-fn hv_federation(rng: &mut Rng) -> Fdbs {
+fn hv_federation(rng: &mut Rng, options: ExecOptions) -> Fdbs {
     let rows: Vec<Row> = (0..rng.range_usize(0, 40))
         .map(|_| {
             Row::new(
@@ -798,7 +718,7 @@ fn hv_federation(rng: &mut Rng) -> Fdbs {
         })
         .collect();
     let (index_s, analyze) = (rng.gen_bool(0.5), rng.gen_bool(0.5));
-    hv_federation_of(&rows, index_s, analyze)
+    hv_federation_of(&rows, index_s, analyze, options)
 }
 
 /// One WHERE predicate in three forms: with host variables, with their
@@ -928,11 +848,12 @@ fn warm(fdbs: &Fdbs, sql: &str, params: &[(&str, Value)]) -> (Table, Vec<Charge>
 }
 
 /// Run `SELECT columns FROM table AS T WHERE <conjuncts>` in its three
-/// forms and assert that the host-variable form returns the literal form's
-/// rows and warm charge log, the oracle's rows and the evaluated form's
-/// rows.
+/// forms on the production engine `fdbs` and assert that the host-variable
+/// form returns the literal form's rows and warm charge log, the rows of
+/// the same federation on `oracle_fdbs` and the evaluated form's rows.
 fn assert_forms_agree(
     fdbs: &Fdbs,
+    oracle_fdbs: &Fdbs,
     table: &str,
     columns: &str,
     conjuncts: &[HvForms],
@@ -953,7 +874,6 @@ fn assert_forms_agree(
         .map(|(n, v)| (n.as_str(), v.clone()))
         .collect();
 
-    fdbs.set_options(ExecOptions::default());
     let (host_rows, host_log) = warm(fdbs, &host_sql, &bound);
     let (literal_rows, literal_log) = warm(fdbs, &literal_sql, &[]);
     assert_eq!(host_rows, literal_rows, "rows: {host_sql} / {literal_sql}");
@@ -968,14 +888,12 @@ fn assert_forms_agree(
         "evaluator rows: {evaluated_sql} / {host_sql} {params:?}"
     );
 
-    fdbs.set_options(oracle());
-    let (naive_rows, _) = warm(fdbs, &host_sql, &bound);
+    let (naive_rows, _) = warm(oracle_fdbs, &host_sql, &bound);
     assert_eq!(
         row_multiset(&naive_rows),
         row_multiset(&host_rows),
         "oracle rows: {host_sql} {params:?}"
     );
-    fdbs.set_options(ExecOptions::default());
 }
 
 /// A host-variable comparison plans, executes and costs like the same
@@ -1008,7 +926,8 @@ fn host_variables_behave_like_inlined_literals() {
             ])
         })
         .collect();
-    let fdbs = hv_federation_of(&rows, false, true);
+    let fdbs = hv_federation_of(&rows, false, true, ExecOptions::default());
+    let oracle_fdbs = hv_federation_of(&rows, false, true, oracle());
     for d in [TWO_POW_53 as f64, I64_MIN_F64, I64_MAX_F64] {
         for op in ["=", "<>", "<", "<=", ">", ">="] {
             for (table, flip) in [("H", false), ("H", true), ("F", false), ("F", true)] {
@@ -1022,13 +941,14 @@ fn host_variables_behave_like_inlined_literals() {
                     flip,
                     &mut params,
                 );
-                assert_forms_agree(&fdbs, table, "T.I, T.B", &[b], &params);
+                assert_forms_agree(&fdbs, &oracle_fdbs, table, "T.I, T.B", &[b], &params);
             }
         }
     }
 
     check::cases(48, |rng| {
-        let fdbs = hv_federation(rng);
+        let oracle_fdbs = hv_federation(&mut rng.clone(), oracle());
+        let fdbs = hv_federation(rng, ExecOptions::default());
         for _ in 0..rng.range_usize(2, 6) {
             let mut params = Vec::new();
             let conjuncts: Vec<HvForms> = (0..rng.range_usize(1, 5))
@@ -1039,7 +959,7 @@ fn host_variables_behave_like_inlined_literals() {
                 .collect();
             let table = if rng.gen_bool(0.7) { "H" } else { "F" };
             let columns = *rng.pick(&["T.I, T.B, T.D, T.S", "T.S, T.I", "T.D"]);
-            assert_forms_agree(&fdbs, table, columns, &conjuncts, &params);
+            assert_forms_agree(&fdbs, &oracle_fdbs, table, columns, &conjuncts, &params);
         }
     });
 }
@@ -1053,7 +973,7 @@ fn host_variables_behave_like_inlined_literals() {
 /// never compared it with a non-NULL value and returned rows (DESIGN §13).
 #[test]
 fn incomparable_and_nan_host_variables_are_execution_errors() {
-    let fdbs = hv_federation(&mut Rng::seed_from_u64(7));
+    let fdbs = hv_federation(&mut Rng::seed_from_u64(7), ExecOptions::default());
     let mut meter = Meter::new();
     fdbs.execute("INSERT INTO H VALUES (1, 2, 3.0, 'x')", &mut meter)
         .unwrap();
@@ -1114,7 +1034,7 @@ fn incomparable_and_nan_host_variables_are_execution_errors() {
             Value::str("b"),
         ]),
     ];
-    let fdbs = hv_federation_of(&rows, false, false);
+    let fdbs = hv_federation_of(&rows, false, false, ExecOptions::default());
     let nan = [("p", Value::Double(f64::NAN))];
     let evaluated = fdbs
         .execute_with_params(

@@ -23,9 +23,9 @@ use fedwf::types::Value;
 /// Big (200 rows, unique indexed A), Wide (100 rows), Tiny (5 rows) — the
 /// shape where the cost-based planner visibly reorders (Tiny first) and
 /// picks an index probe into Big, while the syntactic planner keeps the
-/// FROM order and `Auto` access.
-fn federation() -> Fdbs {
-    let f = Fdbs::new(CostModel::zero());
+/// FROM order and `Auto` access. Planned by `planner`.
+fn federation(planner: PlannerMode) -> Fdbs {
+    let f = Fdbs::new(CostModel::zero()).with_options(ExecOptions::default().planner(planner));
     let mut m = Meter::new();
     f.execute("CREATE TABLE Big (A INT, P INT)", &mut m)
         .unwrap();
@@ -77,8 +77,7 @@ const THREE_WAY: &str = "EXPLAIN SELECT T.A FROM Big AS H, Wide AS W, Tiny AS T 
 
 #[test]
 fn golden_syntactic_plan() {
-    let f = federation();
-    f.set_options(ExecOptions::default().planner(PlannerMode::Syntactic));
+    let f = federation(PlannerMode::Syntactic);
     assert_eq!(
         explain(&f, THREE_WAY),
         "Project [A]\n\
@@ -92,8 +91,7 @@ fn golden_syntactic_plan() {
 
 #[test]
 fn golden_cost_based_plan() {
-    let f = federation();
-    f.set_options(ExecOptions::default().planner(PlannerMode::CostBased));
+    let f = federation(PlannerMode::CostBased);
     assert_eq!(
         explain(&f, THREE_WAY),
         "Project [A]\n\
@@ -108,8 +106,7 @@ fn golden_cost_based_plan() {
 
 #[test]
 fn golden_pushdown_projection_and_limit_notes() {
-    let f = federation();
-    f.set_options(ExecOptions::default().planner(PlannerMode::CostBased));
+    let f = federation(PlannerMode::CostBased);
     assert_eq!(
         explain(
             &f,
@@ -192,8 +189,7 @@ fn golden_host_variable_pushdown_notes() {
 /// tree, per-operator q-error lines and the median.
 #[test]
 fn explain_analyze_reports_estimates_beside_actuals() {
-    let f = federation();
-    f.set_options(ExecOptions::default().planner(PlannerMode::CostBased));
+    let f = federation(PlannerMode::CostBased);
     let text = explain(
         &f,
         &format!("EXPLAIN ANALYZE {}", &THREE_WAY["EXPLAIN ".len()..]),

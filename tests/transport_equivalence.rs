@@ -89,7 +89,7 @@ fn fig5_equivalence(kind: ArchitectureKind) {
         if !rig.server.architecture().supports(&spec) {
             continue; // the paper's capability gap (cyclic on UDTF-only)
         }
-        let args = args_for(&rig.server, &spec);
+        let args = args_for(rig.server.scenario(), &spec);
         let request = || Request::function(spec.name.as_str()).params(args.clone());
         // Warm up once: the first execution pays compile/boot/template
         // charges; equivalence is asserted between two *warm* calls.

@@ -53,7 +53,7 @@ fn corpus() -> &'static Corpus {
                 }
                 server.deploy(&spec).unwrap();
                 let request = Request::function(spec.name.as_str())
-                    .params(args_for(&server, &spec))
+                    .params(args_for(server.scenario(), &spec))
                     .traced(kind == ArchitectureKind::Wfms);
                 for phase in ["cold", "warm"] {
                     let outcome = server.execute(&request).unwrap();
