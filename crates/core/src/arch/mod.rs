@@ -73,6 +73,8 @@ pub struct DeployedFunction {
     /// The SQL the application issues to call it (with `p0`, `p1`, ... as
     /// host variables).
     pub call_sql: String,
+    /// The host-variable names `p0`, `p1`, ..., one per parameter.
+    param_names: Vec<String>,
     fdbs: Arc<Fdbs>,
 }
 
@@ -88,8 +90,8 @@ impl DeployedFunction {
                 args.len()
             )));
         }
-        let names: Vec<String> = (0..args.len()).map(|i| format!("p{i}")).collect();
-        let bound: Vec<(&str, Value)> = names
+        let bound: Vec<(&str, Value)> = self
+            .param_names
             .iter()
             .map(String::as_str)
             .zip(args.iter().cloned())
@@ -263,6 +265,7 @@ pub(crate) fn make_deployed(
         returns,
         kind,
         call_sql,
+        param_names: (0..spec.params.len()).map(|i| format!("p{i}")).collect(),
         fdbs,
     }
 }

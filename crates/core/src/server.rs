@@ -2,14 +2,13 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use fedwf_appsys::{build_scenario, DataGenConfig, Scenario};
 use fedwf_fdbs::Fdbs;
-use fedwf_sim::env::Process;
 use fedwf_sim::{
-    Component, CostModel, Counter, EnvState, Histogram, Meter, MetricsRegistry, MetricsSnapshot,
-    SpanName, SpanNameCache,
+    Component, CostModel, Counter, Histogram, Meter, MetricsRegistry, MetricsSnapshot, SpanName,
+    SpanNameCache,
 };
 use fedwf_types::sync::{Mutex, RwLock};
 use fedwf_types::{CommitMode, FedError, FedResult, Ident, Params, Table, Value};
@@ -137,13 +136,10 @@ pub struct IntegrationServer {
     /// Read-mostly catalog of deployed federated functions: every call
     /// takes a shared read lock; only `deploy` writes.
     deployed: RwLock<BTreeMap<Ident, Arc<Deployment>>>,
-    /// Which processes have booted; only consulted while the environment
-    /// is still cold — the hot call path short-circuits on
-    /// [`Self::all_booted`].
-    env: Mutex<EnvState>,
-    /// Set once every process this configuration needs has booted; from
-    /// then on `charge_boots` is a single atomic load, no lock at all.
-    all_booted: AtomicBool,
+    /// Set once every process this configuration needs has booted. The
+    /// first caller books the boots; racing first callers wait for it and
+    /// book nothing; from then on `charge_boots` is one acquire load.
+    booted: OnceLock<()>,
     /// Phase guard making cache-clear transitions atomic with respect to
     /// in-flight calls: calls hold a shared read guard for their whole
     /// duration, `clear_caches` takes the exclusive write side — so no
@@ -189,8 +185,7 @@ impl IntegrationServer {
             wrapper,
             controller,
             deployed: RwLock::new(BTreeMap::new()),
-            env: Mutex::new(EnvState::cold()),
-            all_booted: AtomicBool::new(false),
+            booted: OnceLock::new(),
             phase: RwLock::new(()),
             calls: metrics.counter("server.calls"),
             queries: metrics.counter("server.queries"),
@@ -381,26 +376,26 @@ impl IntegrationServer {
         }
     }
 
-    /// Charge boot costs for every not-yet-running process. Steady state
-    /// (everything booted) is a single atomic load — the hot call path of
-    /// a warmed-up server never takes the env lock.
+    /// Charge the boot of every process this configuration runs, once per
+    /// server: the FDBS, the controller, the WfMS (WfMS architecture only)
+    /// and each application system. Boots are monotonic (`clear_caches`
+    /// keeps processes running), so a booted server never books one again.
     fn charge_boots(&self, meter: &mut Meter) {
-        if self.all_booted.load(Ordering::Acquire) {
-            return;
-        }
-        let mut env = self.env.lock();
-        let cost = &self.config.cost;
-        env.ensure_booted(Process::Fdbs, cost, meter);
-        env.ensure_booted(Process::Controller, cost, meter);
-        if self.config.architecture == ArchitectureKind::Wfms {
-            env.ensure_booted(Process::Wfms, cost, meter);
-        }
-        for name in self.scenario.registry.system_names() {
-            env.ensure_booted(Process::AppSystem(name.to_string()), cost, meter);
-        }
-        // Boots are monotonic (clear_caches keeps processes running), so
-        // the flag can never need to be unset again.
-        self.all_booted.store(true, Ordering::Release);
+        self.booted.get_or_init(|| {
+            let cost = &self.config.cost;
+            meter.charge(Component::Boot, "Boot FDBS", cost.boot_fdbs);
+            meter.charge(Component::Boot, "Boot controller", cost.boot_controller);
+            if self.config.architecture == ArchitectureKind::Wfms {
+                meter.charge(Component::Boot, "Boot WfMS", cost.boot_wfms);
+            }
+            for name in self.scenario.registry.system_names() {
+                meter.charge(
+                    Component::Boot,
+                    format!("Boot application system {name}"),
+                    cost.boot_app_system,
+                );
+            }
+        });
     }
 
     /// Pre-boot every process without measuring — the paper's measurements
@@ -433,7 +428,7 @@ impl IntegrationServer {
 
     /// Whether the environment (all processes) has been booted.
     pub fn is_booted(&self) -> bool {
-        self.env.lock().is_booted(&Process::Fdbs)
+        self.booted.get().is_some()
     }
 }
 

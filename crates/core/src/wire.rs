@@ -26,10 +26,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use fedwf_sim::{
-    intern_counter_name, Charge, Component, Meter, MetricsSnapshot, SpanName, TraceDetail,
-    TraceNode, MAX_INTERNED_COUNTER_NAMES,
-};
+use fedwf_sim::{Charge, Component, Meter, MetricsSnapshot, SpanName, TraceDetail, TraceNode};
 use fedwf_types::wire::{WireReader, WireWriter};
 use fedwf_types::{ErrorLayer, FedError, FedResult, Params};
 
@@ -390,12 +387,7 @@ fn get_trace_node(r: &mut WireReader<'_>, depth: usize) -> FedResult<TraceNode> 
     }
     let counters = r.get_u32()? as usize;
     for _ in 0..counters {
-        let name = r.get_str_ref()?;
-        let name = intern_counter_name(name).ok_or_else(|| {
-            FedError::protocol(format!(
-                "trace counter {name:?} is past the {MAX_INTERNED_COUNTER_NAMES} names a client interns"
-            ))
-        })?;
+        let name = SpanName::Shared(Arc::from(r.get_str_ref()?));
         node.counters.push((name, r.get_u64()?));
     }
     let children = r.get_u32()? as usize;
@@ -794,7 +786,7 @@ mod tests {
         bytes
     }
 
-    fn put_span(w: &mut WireWriter, booked: &[(Component, u64)], counters: &[String]) {
+    fn put_span(w: &mut WireWriter, booked: &[(Component, u64)], counters: &[(String, u64)]) {
         w.put_str("span");
         w.put_u8(Component::Fdbs.wire_tag());
         w.put_u64(0);
@@ -806,9 +798,9 @@ mod tests {
             w.put_u64(*us);
         }
         w.put_u32(counters.len() as u32);
-        for name in counters {
+        for (name, value) in counters {
             w.put_str(name);
-            w.put_u64(1);
+            w.put_u64(*value);
         }
         w.put_u32(0);
     }
@@ -830,19 +822,21 @@ mod tests {
         assert!(decode_outcome(&twice).unwrap_err().is_protocol());
     }
 
+    /// Counter names decoded from a peer belong to the decoded tree: no
+    /// process-wide table, so no bound on distinct names beyond the frame
+    /// size that every name's bytes count against.
     #[test]
-    fn counter_names_past_the_intern_bound_are_a_protocol_error() {
-        let known: Vec<String> = ["rows", "rows_out", "batches", "bytes", "est"]
-            .map(String::from)
-            .to_vec();
-        let body = outcome_with_span(|w| put_span(w, &[], &known));
-        let trace = decode_outcome(&body).unwrap().trace.unwrap();
-        assert_eq!(trace.counter("rows_out"), Some(1));
-        let fresh: Vec<String> = (0..=MAX_INTERNED_COUNTER_NAMES)
-            .map(|i| format!("wire-test counter {i}"))
+    fn a_thousand_distinct_counter_names_round_trip() {
+        let counters: Vec<(String, u64)> = (0..1000u64)
+            .map(|i| (format!("wire-test counter {i}"), i * 7 + 1))
             .collect();
-        let body = outcome_with_span(|w| put_span(w, &[], &fresh));
-        assert!(decode_outcome(&body).unwrap_err().is_protocol());
+        let body = outcome_with_span(|w| put_span(w, &[], &counters));
+        let outcome = decode_outcome(&body).unwrap();
+        let trace = outcome.trace.as_ref().unwrap();
+        for (name, value) in &counters {
+            assert_eq!(trace.counter(name), Some(*value), "{name}");
+        }
+        assert_eq!(encode_outcome(&outcome), body);
     }
 
     #[test]

@@ -13,9 +13,28 @@ use crate::plan::{FromStep, LogicalPlan, Plan, PlanBuilder};
 use crate::plan_cache::PlanCache;
 use crate::udtf::{ChargeItem, ChargeSpec, Udtf, UdtfKind};
 
-/// Bound host variables for one statement: the typed signature, the values
-/// in slot order, and the derived plan-cache key.
-type BoundHostParams = (Vec<(Ident, DataType)>, Vec<Value>, String);
+/// Bound host variables for one statement: the values in slot order and
+/// the derived plan-cache key.
+type BoundHostParams = (Vec<Value>, String);
+
+/// The type of host variable `name`; a NULL has none to infer.
+fn host_type(name: &str, value: &Value) -> FedResult<DataType> {
+    value.data_type().ok_or_else(|| {
+        FedError::bind(format!(
+            "host variable {name} is NULL; its type cannot be inferred"
+        ))
+    })
+}
+
+/// The one-column `plan` table EXPLAIN returns, one row per line of
+/// [`Plan::explain`]; EXPLAIN ANALYZE appends its actuals.
+fn explain_table(plan: &Plan) -> Table {
+    let mut t = Table::new(Arc::new(Schema::of(&[("plan", DataType::Varchar)])));
+    for line in plan.explain().lines() {
+        t.push_unchecked(Row::new(vec![Value::str(line)]));
+    }
+    t
+}
 
 /// The execution configuration of an engine, fixed when the engine is
 /// built. Built with chainable setters from [`ExecOptions::default`], the
@@ -237,7 +256,7 @@ impl Fdbs {
         // (its type cannot participate in the cache key), which reports it
         // after any parse error. A cold SELECT reuses the key computed here.
         let bound = self.host_params_and_key(sql, params);
-        if let Ok((_, values, cache_key)) = &bound {
+        if let Ok((values, cache_key)) = &bound {
             if let Some(plan) = self.plan_cache.get(cache_key) {
                 return execute_plan(self, &plan, values, meter);
             }
@@ -245,19 +264,14 @@ impl Fdbs {
         let stmt = parse_statement(sql)?;
         match stmt {
             Statement::Select(select) => {
-                let (plan, values) = self.plan_select(&select, bound?, meter)?;
+                let (plan, values) = self.plan_select(&select, params, bound?, meter)?;
                 execute_plan(self, &plan, &values, meter)
             }
             Statement::Explain(inner) => match *inner {
                 Statement::Select(select) => {
                     let bound = self.host_params_and_key(&select.to_string(), params)?;
-                    let (plan, _values) = self.plan_select(&select, bound, meter)?;
-                    let schema = Arc::new(Schema::of(&[("plan", DataType::Varchar)]));
-                    let mut t = Table::new(schema);
-                    for line in plan.explain().lines() {
-                        t.push_unchecked(Row::new(vec![Value::str(line)]));
-                    }
-                    Ok(t)
+                    let (plan, _values) = self.plan_select(&select, params, bound, meter)?;
+                    Ok(explain_table(&plan))
                 }
                 other => Err(FedError::plan(format!(
                     "EXPLAIN supports SELECT statements only, got {other}"
@@ -285,7 +299,7 @@ impl Fdbs {
         meter: &mut Meter,
     ) -> FedResult<Table> {
         let bound = self.host_params_and_key(&select.to_string(), params)?;
-        let (plan, values) = self.plan_select(select, bound, meter)?;
+        let (plan, values) = self.plan_select(select, params, bound, meter)?;
         let mut child = meter.fork();
         child.set_tracing(true);
         child.set_wall_sampling(true);
@@ -302,11 +316,7 @@ impl Fdbs {
         meter.join(vec![child]);
         result?;
 
-        let schema = Arc::new(Schema::of(&[("plan", DataType::Varchar)]));
-        let mut t = Table::new(schema);
-        for line in plan.explain().lines() {
-            t.push_unchecked(Row::new(vec![Value::str(line)]));
-        }
+        let mut t = explain_table(&plan);
         t.push_unchecked(Row::new(vec![Value::str(format!(
             "Actuals: elapsed={elapsed}us materialized={rows_mat} rows / {bytes_mat} bytes"
         ))]));
@@ -356,7 +366,7 @@ impl Fdbs {
             last = match stmt {
                 Statement::Select(select) => {
                     let bound = self.host_params_and_key(&format!("script:{select}"), &[])?;
-                    let (plan, values) = self.plan_select(select, bound, meter)?;
+                    let (plan, values) = self.plan_select(select, &[], bound, meter)?;
                     execute_plan(self, &plan, &values, meter)?
                 }
                 explain @ (Statement::Explain(_) | Statement::ExplainAnalyze(_)) => {
@@ -376,48 +386,49 @@ impl Fdbs {
     }
 
     /// Bind the host variables and derive the plan-cache key for a SELECT:
-    /// the raw statement text and the host-variable signature. The key
-    /// holds no configuration: one engine has one.
+    /// the raw statement text and the host-variable signature, written as
+    /// `text|name:TYPE,name:TYPE` into one string. The key holds no
+    /// configuration: one engine has one.
     fn host_params_and_key(
         &self,
         cache_key_base: &str,
         params: &[(&str, Value)],
     ) -> FedResult<BoundHostParams> {
-        let mut param_defs: Vec<(Ident, DataType)> = Vec::with_capacity(params.len());
+        let mut cache_key = String::with_capacity(cache_key_base.len() + 16 * params.len() + 1);
+        cache_key.push_str(cache_key_base);
+        cache_key.push('|');
         let mut values: Vec<Value> = Vec::with_capacity(params.len());
-        for (name, value) in params {
-            let dt = value.data_type().ok_or_else(|| {
-                FedError::bind(format!(
-                    "host variable {name} is NULL; its type cannot be inferred"
-                ))
-            })?;
-            param_defs.push((Ident::new(*name), dt));
+        for (i, (name, value)) in params.iter().enumerate() {
+            if i > 0 {
+                cache_key.push(',');
+            }
+            cache_key.push_str(name);
+            cache_key.push(':');
+            cache_key.push_str(host_type(name, value)?.sql_name());
             values.push(value.clone());
         }
-        let cache_key = format!(
-            "{cache_key_base}|{}",
-            param_defs
-                .iter()
-                .map(|(n, t)| format!("{n}:{t}"))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        Ok((param_defs, values, cache_key))
+        Ok((values, cache_key))
     }
 
-    /// Plan (with cache) a SELECT whose host variables
+    /// Plan (with cache) a SELECT whose host variables `params`
     /// [`Fdbs::host_params_and_key`] bound. Returns the plan and parameter
-    /// values in slot order.
+    /// values in slot order. Only a compile builds the typed host-variable
+    /// signature.
     fn plan_select(
         &self,
         select: &SelectStmt,
-        (param_defs, values, cache_key): BoundHostParams,
+        params: &[(&str, Value)],
+        (values, cache_key): BoundHostParams,
         meter: &mut Meter,
     ) -> FedResult<(Arc<Plan>, Vec<Value>)> {
         if let Some(plan) = self.plan_cache.get(&cache_key) {
             return Ok((plan, values));
         }
         meter.charge(Component::Fdbs, "Compile statement", self.cost.plan_compile);
+        let param_defs = params
+            .iter()
+            .map(|(name, value)| Ok((Ident::new(*name), host_type(name, value)?)))
+            .collect::<FedResult<_>>()?;
         let logical = PlanBuilder::new(&self.catalog)
             .with_host_params(param_defs)
             .bind_logical(select)?;

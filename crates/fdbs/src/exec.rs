@@ -16,6 +16,12 @@
 //!   output, UDTF compositions) and on any batch a columnar kernel could
 //!   not evaluate. Their outcome, including *which* error surfaces first,
 //!   is authoritative;
+//! * the one copy of each mechanism both kernels run: the hash join's
+//!   lazy build and emit loop (`HashJoin::emit`), the index probe's emit
+//!   loop (`IndexProbe::emit`), the aggregate's group lookup (behind
+//!   `Aggregator::push` and `Aggregator::push_evaled`), the
+//!   join-with-selection charge (`charge_join`) and the LIMIT cut of the
+//!   finishing stages;
 //! * the [`ExecMode::Naive`] oracle, kept for the equivalence suites and
 //!   the E13/E14 benches only. It materializes the cross product of every
 //!   lateral step and re-evaluates the join conjuncts per composed row,
@@ -30,7 +36,7 @@
 //! so the hash join translates build columns into pruned positions before
 //! hashing.
 
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
@@ -186,12 +192,7 @@ fn naive_step(
             let rrows = pruned_rows(&result, proj);
             tally_rows(meter, &rrows);
             if i > 0 {
-                meter.charge(
-                    Component::Fdbs,
-                    "Join with selection (compose result sets)",
-                    cost.join_with_selection_setup
-                        + cost.join_with_selection_per_row * (prefix.len() * rrows.len()) as u64,
-                );
+                charge_join(meter, cost, prefix.len() * rrows.len());
             }
             Ok(cross(prefix, &rrows))
         }
@@ -222,11 +223,7 @@ pub(crate) fn finish_aggregate(plan: &Plan, mut out: Table, params: &[Value]) ->
         let sorted = sort_rows(out.into_rows(), &plan.order_by, params)?;
         out = table_from_rows(plan.out_schema.clone(), sorted);
     }
-    if let Some(limit) = plan.limit {
-        let rows: Vec<Row> = out.into_rows().into_iter().take(limit as usize).collect();
-        out = table_from_rows(plan.out_schema.clone(), rows);
-    }
-    Ok(out)
+    Ok(apply_limit(plan, out))
 }
 
 /// The scalar (non-aggregate) finishing stages over fully collected rows:
@@ -294,13 +291,18 @@ pub(crate) fn scalar_tail(
         out = deduped;
     }
 
-    // LIMIT.
-    if let Some(limit) = plan.limit {
-        let rows: Vec<Row> = out.into_rows().into_iter().take(limit as usize).collect();
-        out = table_from_rows(plan.out_schema.clone(), rows);
-    }
+    Ok(apply_limit(plan, out))
+}
 
-    Ok(out)
+/// Cut a finished result to the plan's LIMIT.
+fn apply_limit(plan: &Plan, out: Table) -> Table {
+    match plan.limit {
+        Some(limit) => {
+            let rows: Vec<Row> = out.into_rows().into_iter().take(limit as usize).collect();
+            table_from_rows(plan.out_schema.clone(), rows)
+        }
+        None => out,
+    }
 }
 
 /// Translate the original step-local build columns of a join key into
@@ -371,7 +373,7 @@ pub(crate) fn charge_join(meter: &mut Meter, cost: &CostModel, rows: usize) {
 /// The join key of one value, with the oracle's error semantics: NULL
 /// joins nothing (`None`), NaN is a hard comparison error (the oracle's
 /// `sql_cmp` raises "cannot compare" for it on every pairing).
-pub(crate) fn join_key_checked(v: &Value) -> FedResult<Option<ValueKey>> {
+fn join_key_checked(v: &Value) -> FedResult<Option<ValueKey>> {
     match v.join_key() {
         Some(ValueKey::NaN) => Err(FedError::execution(format!(
             "cannot compare {v} in a join key"
@@ -382,23 +384,10 @@ pub(crate) fn join_key_checked(v: &Value) -> FedResult<Option<ValueKey>> {
 
 /// Evaluate the build-side key of one row; `None` means the row joins
 /// nothing (a NULL key under SQL three-valued logic).
-pub(crate) fn build_key(row: &Row, build_cols: &[usize]) -> FedResult<Option<Vec<ValueKey>>> {
+fn build_key(row: &Row, build_cols: &[usize]) -> FedResult<Option<Vec<ValueKey>>> {
     let mut key = Vec::with_capacity(build_cols.len());
     for &c in build_cols {
         match join_key_checked(&row.values()[c])? {
-            Some(k) => key.push(k),
-            None => return Ok(None),
-        }
-    }
-    Ok(Some(key))
-}
-
-/// Evaluate the probe-side key of one prefix row; `None` joins nothing.
-fn probe_key(row: &Row, probe: &[BoundExpr], params: &[Value]) -> FedResult<Option<Vec<ValueKey>>> {
-    let mut key = Vec::with_capacity(probe.len());
-    for p in probe {
-        let v = p.eval(row.values(), params)?;
-        match join_key_checked(&v)? {
             Some(k) => key.push(k),
             None => return Ok(None),
         }
@@ -431,7 +420,7 @@ fn sort_rows(rows: Vec<Row>, order: &[(BoundExpr, bool)], params: &[Value]) -> F
     Ok(keyed.into_iter().map(|(_, row)| row).collect())
 }
 
-pub(crate) fn table_from_rows(schema: SchemaRef, rows: Vec<Row>) -> Table {
+fn table_from_rows(schema: SchemaRef, rows: Vec<Row>) -> Table {
     let mut t = Table::new(schema);
     for row in rows {
         t.push_unchecked(row);
@@ -487,8 +476,40 @@ impl<'p> Aggregator<'p> {
         }
     }
 
+    /// The group `keys` belong to, appended in first-appearance order when
+    /// new, with its row count bumped: found through the hash map on the
+    /// streaming path, by linear `index_cmp` search in the oracle.
+    fn group(&mut self, keys: Vec<Value>) -> &mut Group {
+        let found = if self.hashed {
+            let next = self.groups.len();
+            let hkey: Vec<ValueKey> = keys.iter().map(Value::group_key).collect();
+            let idx = *self.lookup.entry(hkey).or_insert(next);
+            (idx < next).then_some(idx)
+        } else {
+            self.groups.iter().position(|g| {
+                g.keys
+                    .iter()
+                    .zip(&keys)
+                    .all(|(a, b)| a.index_cmp(b) == std::cmp::Ordering::Equal)
+            })
+        };
+        let idx = match found {
+            Some(i) => i,
+            None => {
+                self.groups.push(Group {
+                    keys,
+                    values: vec![Vec::new(); self.agg.columns.len()],
+                    seen: 0,
+                });
+                self.groups.len() - 1
+            }
+        };
+        let group = &mut self.groups[idx];
+        group.seen += 1;
+        group
+    }
+
     pub(crate) fn push(&mut self, row: &Row, params: &[Value], meter: &mut Meter) -> FedResult<()> {
-        let agg_count = self.agg.columns.len();
         meter.charge(Component::Fdbs, "Evaluate predicates", self.predicate_eval);
         let keys: Vec<Value> = self
             .agg
@@ -496,41 +517,9 @@ impl<'p> Aggregator<'p> {
             .iter()
             .map(|k| k.eval(row.values(), params))
             .collect::<FedResult<_>>()?;
-        let idx = if self.hashed {
-            let hkey: Vec<ValueKey> = keys.iter().map(Value::group_key).collect();
-            match self.lookup.entry(hkey) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    self.groups.push(Group {
-                        keys: keys.clone(),
-                        values: vec![Vec::new(); agg_count],
-                        seen: 0,
-                    });
-                    *e.insert(self.groups.len() - 1)
-                }
-            }
-        } else {
-            let found = self.groups.iter().position(|g| {
-                g.keys
-                    .iter()
-                    .zip(&keys)
-                    .all(|(a, b)| a.index_cmp(b) == std::cmp::Ordering::Equal)
-            });
-            match found {
-                Some(i) => i,
-                None => {
-                    self.groups.push(Group {
-                        keys: keys.clone(),
-                        values: vec![Vec::new(); agg_count],
-                        seen: 0,
-                    });
-                    self.groups.len() - 1
-                }
-            }
-        };
-        let group = &mut self.groups[idx];
-        group.seen += 1;
-        for (i, (col, _)) in self.agg.columns.iter().enumerate() {
+        let agg = self.agg;
+        let group = self.group(keys);
+        for (i, (col, _)) in agg.columns.iter().enumerate() {
             if let AggColumn::Agg { arg: Some(arg), .. } = col {
                 let v = arg.eval(row.values(), params)?;
                 if !v.is_null() {
@@ -561,46 +550,10 @@ impl<'p> Aggregator<'p> {
     /// order, and null-skipping match [`Aggregator::push`] exactly; the
     /// caller books the charge via [`Aggregator::charge_batch`].
     pub(crate) fn push_evaled(&mut self, keys: Vec<Value>, args: Vec<Option<Value>>) {
-        let agg_count = self.agg.columns.len();
-        let idx = if self.hashed {
-            let hkey: Vec<ValueKey> = keys.iter().map(Value::group_key).collect();
-            match self.lookup.entry(hkey) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    self.groups.push(Group {
-                        keys: keys.clone(),
-                        values: vec![Vec::new(); agg_count],
-                        seen: 0,
-                    });
-                    *e.insert(self.groups.len() - 1)
-                }
-            }
-        } else {
-            let found = self.groups.iter().position(|g| {
-                g.keys
-                    .iter()
-                    .zip(&keys)
-                    .all(|(a, b)| a.index_cmp(b) == std::cmp::Ordering::Equal)
-            });
-            match found {
-                Some(i) => i,
-                None => {
-                    self.groups.push(Group {
-                        keys: keys.clone(),
-                        values: vec![Vec::new(); agg_count],
-                        seen: 0,
-                    });
-                    self.groups.len() - 1
-                }
-            }
-        };
-        let group = &mut self.groups[idx];
-        group.seen += 1;
+        let group = self.group(keys);
         for (i, v) in args.into_iter().enumerate() {
-            if let Some(v) = v {
-                if !v.is_null() {
-                    group.values[i].push(v);
-                }
+            if let Some(v) = v.filter(|v| !v.is_null()) {
+                group.values[i].push(v);
             }
         }
     }
@@ -726,17 +679,7 @@ pub(crate) fn cross(prefix: Vec<Row>, rows: &[Row]) -> Vec<Row> {
 /// composition, index-probe scans) are deferred to [`Op::finish`], which
 /// books each as one record for the whole statement.
 pub(crate) enum Op<'p> {
-    HashJoin {
-        build_rows: Vec<Row>,
-        /// Build columns translated into the (possibly pruned) build layout.
-        build_cols: Vec<usize>,
-        probe: &'p [BoundExpr],
-        /// Lazily built on the first non-empty probe batch: build keys are
-        /// never evaluated when no probe row arrives, just as the oracle's
-        /// cross product over an empty prefix evaluates nothing.
-        table: Option<HashMap<Vec<ValueKey>, Vec<usize>>>,
-        out_count: usize,
-    },
+    HashJoin(HashJoin<'p>),
     IndexProbe(IndexProbe<'p>),
     Cross {
         right: Vec<Row>,
@@ -757,10 +700,87 @@ pub(crate) enum Op<'p> {
     },
 }
 
+/// Hash join against a buffered build side. The row and column kernels
+/// share [`HashJoin::emit`]; they differ only in where a probe key and the
+/// left row come from.
+pub(crate) struct HashJoin<'p> {
+    build_rows: Vec<Row>,
+    /// Build columns translated into the (possibly pruned) build layout.
+    build_cols: Vec<usize>,
+    pub(crate) probe: &'p [BoundExpr],
+    /// Lazily built on the first non-empty probe batch: build keys are
+    /// never evaluated when no probe row arrives, just as the oracle's
+    /// cross product over an empty prefix evaluates nothing.
+    table: Option<HashMap<Vec<ValueKey>, Vec<usize>>>,
+    out_count: usize,
+}
+
+impl<'p> HashJoin<'p> {
+    pub(crate) fn new(
+        build_rows: Vec<Row>,
+        build_cols: Vec<usize>,
+        probe: &'p [BoundExpr],
+    ) -> HashJoin<'p> {
+        HashJoin {
+            build_rows,
+            build_cols,
+            probe,
+            table: None,
+            out_count: 0,
+        }
+    }
+
+    /// Join `rows` probe rows with the build side. Row `i`'s key is read
+    /// one value at a time through `probe_value(i, k)`, in expression
+    /// order: a NULL skips the row before any later key is read, a NaN is
+    /// an error. `left(i)` yields the left row only when it matches, so a
+    /// columnar caller boxes matching rows only.
+    pub(crate) fn emit<L: Borrow<Row>>(
+        &mut self,
+        rows: usize,
+        mut probe_value: impl FnMut(usize, usize) -> FedResult<Value>,
+        mut left: impl FnMut(usize) -> L,
+    ) -> FedResult<Vec<Row>> {
+        if rows == 0 || self.build_rows.is_empty() {
+            return Ok(Vec::new());
+        }
+        let table = match &self.table {
+            Some(t) => t,
+            None => {
+                let mut t: HashMap<Vec<ValueKey>, Vec<usize>> = HashMap::new();
+                for (i, row) in self.build_rows.iter().enumerate() {
+                    if let Some(key) = build_key(row, &self.build_cols)? {
+                        t.entry(key).or_default().push(i);
+                    }
+                }
+                self.table.insert(t)
+            }
+        };
+        let mut out = Vec::new();
+        'rows: for i in 0..rows {
+            let mut key = Vec::with_capacity(self.probe.len());
+            for k in 0..self.probe.len() {
+                match join_key_checked(&probe_value(i, k)?)? {
+                    Some(v) => key.push(v),
+                    None => continue 'rows,
+                }
+            }
+            if let Some(matches) = table.get(&key) {
+                let left = left(i);
+                for &b in matches {
+                    out.push(left.borrow().concat(&self.build_rows[b]));
+                }
+            }
+        }
+        self.out_count += out.len();
+        Ok(out)
+    }
+}
+
 /// Index nested-loop join: each distinct probe key is looked up once in
 /// the build table through its index, and the matching rows are cached for
-/// the rest of the statement. The row and columnar kernels share
-/// [`IndexProbe::matches`].
+/// the rest of the statement. The row and column kernels share
+/// [`IndexProbe::emit`].
 pub(crate) struct IndexProbe<'p> {
     pub(crate) table: &'p Ident,
     /// The step's storage predicate, bound for this execution.
@@ -770,7 +790,7 @@ pub(crate) struct IndexProbe<'p> {
     pub(crate) probe: &'p BoundExpr,
     cache: HashMap<ValueKey, Vec<Row>>,
     scanned_total: u64,
-    pub(crate) out_count: usize,
+    out_count: usize,
 }
 
 impl<'p> IndexProbe<'p> {
@@ -820,6 +840,31 @@ impl<'p> IndexProbe<'p> {
             }
         }
     }
+
+    /// Join `rows` probe rows through the index: row `i`'s probe value is
+    /// `probe_value(i)`, and `left(i)` yields the left row only when it
+    /// matches, so a columnar caller boxes matching rows only.
+    pub(crate) fn emit<L: Borrow<Row>>(
+        &mut self,
+        fdbs: &Fdbs,
+        rows: usize,
+        mut probe_value: impl FnMut(usize) -> FedResult<Value>,
+        mut left: impl FnMut(usize) -> L,
+        meter: &mut Meter,
+    ) -> FedResult<Vec<Row>> {
+        let mut out = Vec::new();
+        for i in 0..rows {
+            let matches = self.matches(fdbs, probe_value(i)?, meter)?;
+            if !matches.is_empty() {
+                let left = left(i);
+                for r in matches {
+                    out.push(left.borrow().concat(r));
+                }
+            }
+        }
+        self.out_count += out.len();
+        Ok(out)
+    }
 }
 
 impl Op<'_> {
@@ -831,50 +876,23 @@ impl Op<'_> {
         meter: &mut Meter,
     ) -> FedResult<Vec<Row>> {
         match self {
-            Op::HashJoin {
-                build_rows,
-                build_cols,
-                probe,
-                table,
-                out_count,
-            } => {
-                if batch.is_empty() || build_rows.is_empty() {
-                    return Ok(Vec::new());
-                }
-                if table.is_none() {
-                    let mut t: HashMap<Vec<ValueKey>, Vec<usize>> = HashMap::new();
-                    for (i, row) in build_rows.iter().enumerate() {
-                        if let Some(key) = build_key(row, build_cols)? {
-                            t.entry(key).or_default().push(i);
-                        }
-                    }
-                    *table = Some(t);
-                }
-                let t = table.as_ref().expect("hash table built above");
-                let mut out = Vec::new();
-                for left in &batch {
-                    let Some(key) = probe_key(left, probe, params)? else {
-                        continue;
-                    };
-                    if let Some(matches) = t.get(&key) {
-                        for &i in matches {
-                            out.push(left.concat(&build_rows[i]));
-                        }
-                    }
-                }
-                *out_count += out.len();
-                Ok(out)
+            Op::HashJoin(j) => {
+                let probe = j.probe;
+                j.emit(
+                    batch.len(),
+                    |i, k| probe[k].eval(batch[i].values(), params),
+                    |i| &batch[i],
+                )
             }
             Op::IndexProbe(p) => {
-                let mut out = Vec::new();
-                for left in &batch {
-                    let v = p.probe.eval(left.values(), params)?;
-                    for r in p.matches(fdbs, v, meter)? {
-                        out.push(left.concat(r));
-                    }
-                }
-                p.out_count += out.len();
-                Ok(out)
+                let probe = p.probe;
+                p.emit(
+                    fdbs,
+                    batch.len(),
+                    |i| probe.eval(batch[i].values(), params),
+                    |i| &batch[i],
+                    meter,
+                )
             }
             Op::Cross {
                 right, prefix_rows, ..
@@ -932,11 +950,7 @@ impl Op<'_> {
     /// Book the deferred composition charges, one record each.
     pub(crate) fn finish(&self, cost: &CostModel, meter: &mut Meter) {
         match self {
-            Op::HashJoin {
-                build_rows,
-                out_count,
-                ..
-            } => charge_join(meter, cost, build_rows.len() + out_count),
+            Op::HashJoin(j) => charge_join(meter, cost, j.build_rows.len() + j.out_count),
             Op::IndexProbe(p) => {
                 meter.charge(
                     Component::Fdbs,
@@ -951,13 +965,7 @@ impl Op<'_> {
                 prefix_rows,
             } => {
                 if *charge_select {
-                    meter.charge(
-                        Component::Fdbs,
-                        "Join with selection (compose result sets)",
-                        cost.join_with_selection_setup
-                            + cost.join_with_selection_per_row
-                                * (*prefix_rows * right.len()) as u64,
-                    );
+                    charge_join(meter, cost, *prefix_rows * right.len());
                 }
             }
             Op::DependentUdtf { .. } | Op::Filter { .. } => {}

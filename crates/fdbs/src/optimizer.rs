@@ -34,7 +34,7 @@ use std::sync::Arc;
 use crate::catalog::Catalog;
 use crate::expr::BoundExpr;
 use crate::plan::{
-    flip_cmp, place_bound_conjunct, step_offsets, Access, AggColumn, FromStep, JoinKey,
+    flip_cmp, place_bound_conjunct, step_offsets, visit_layout_exprs, Access, FromStep, JoinKey,
     LogicalPlan, Plan, StepEstimate,
 };
 use crate::stats::{
@@ -93,7 +93,6 @@ pub fn optimize(catalog: &Catalog, logical: LogicalPlan, mode: PlannerMode) -> F
         if order.iter().enumerate().any(|(new, &old)| new != old) {
             let widths: Vec<usize> = steps.iter().map(|s| s.schema().len()).collect();
             let remap = permuted_remap(&est.offsets, &widths, &order);
-            let remap_fn = |c: usize| remap[c];
             let mut by_old: Vec<Option<FromStep>> = steps.into_iter().map(Some).collect();
             steps = order
                 .iter()
@@ -103,34 +102,15 @@ pub fn optimize(catalog: &Catalog, logical: LogicalPlan, mode: PlannerMode) -> F
                         .expect("each step appears once in the order")
                 })
                 .collect();
-            for c in conjuncts.iter_mut() {
-                *c = c.map_columns(&remap_fn);
-            }
-            for (e, _) in projection.iter_mut() {
-                *e = e.map_columns(&remap_fn);
-            }
-            if let Some(agg) = aggregate.as_mut() {
-                for k in agg.keys.iter_mut() {
-                    *k = k.map_columns(&remap_fn);
-                }
-                for (col, _) in agg.columns.iter_mut() {
-                    if let AggColumn::Agg { arg: Some(a), .. } = col {
-                        *a = a.map_columns(&remap_fn);
-                    }
-                }
-                // Aggregate ORDER BY indexes the *output* layout — untouched.
-            } else {
-                for (e, _) in order_by.iter_mut() {
-                    *e = e.map_columns(&remap_fn);
-                }
-            }
-            for step in steps.iter_mut() {
-                if let FromStep::TableFunc { args, .. } = step {
-                    for a in args.iter_mut() {
-                        *a = a.map_columns(&remap_fn);
-                    }
-                }
-            }
+            let mut remap_expr = |e: &mut BoundExpr| *e = e.map_columns(&|c| remap[c]);
+            conjuncts.iter_mut().for_each(&mut remap_expr);
+            visit_layout_exprs(
+                &mut projection,
+                aggregate.as_mut(),
+                &mut order_by,
+                &mut steps,
+                &mut remap_expr,
+            );
         }
     }
 

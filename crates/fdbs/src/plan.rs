@@ -106,6 +106,24 @@ impl FromStep {
             FromStep::TableFunc { udtf, .. } => udtf.returns.clone(),
         }
     }
+
+    /// A scan's literal storage predicate and host-variable conjuncts;
+    /// `None` for a table function.
+    fn scan_pushdown(&self) -> Option<(&Predicate, Option<&BoundExpr>)> {
+        match self {
+            FromStep::ScanLocal {
+                pushdown,
+                param_pushdown,
+                ..
+            }
+            | FromStep::ScanForeign {
+                pushdown,
+                param_pushdown,
+                ..
+            } => Some((pushdown, param_pushdown.as_ref())),
+            FromStep::TableFunc { .. } => None,
+        }
+    }
 }
 
 /// Aggregate functions.
@@ -275,17 +293,7 @@ impl Plan {
         i: usize,
         params: &[Value],
     ) -> FedResult<Cow<'_, Predicate>> {
-        let (FromStep::ScanLocal {
-            pushdown,
-            param_pushdown,
-            ..
-        }
-        | FromStep::ScanForeign {
-            pushdown,
-            param_pushdown,
-            ..
-        }) = &self.steps[i]
-        else {
+        let Some((pushdown, param_pushdown)) = self.steps[i].scan_pushdown() else {
             return Err(FedError::execution(format!(
                 "FROM item {} is not a table scan",
                 i + 1
@@ -350,24 +358,13 @@ impl Plan {
             }
         }
         let mut needed = vec![false; total];
-        for (e, _) in &self.projection {
-            mark(&mut needed, e);
-        }
-        if let Some(agg) = &self.aggregate {
-            for k in &agg.keys {
-                mark(&mut needed, k);
-            }
-            for (col, _) in &agg.columns {
-                if let AggColumn::Agg { arg: Some(a), .. } = col {
-                    mark(&mut needed, a);
-                }
-            }
-            // Aggregate ORDER BY indexes the *output* layout — not pruned.
-        } else {
-            for (e, _) in &self.order_by {
-                mark(&mut needed, e);
-            }
-        }
+        visit_layout_exprs(
+            &mut self.projection,
+            self.aggregate.as_mut(),
+            &mut self.order_by,
+            &mut self.steps,
+            &mut |e| mark(&mut needed, e),
+        );
         for f in self.step_filters.iter().flatten() {
             mark(&mut needed, f);
         }
@@ -379,13 +376,6 @@ impl Plan {
                 mark(&mut needed, &jk.residual);
                 for &b in &jk.build {
                     needed[offsets[i] + b] = true;
-                }
-            }
-        }
-        for step in &self.steps {
-            if let FromStep::TableFunc { args, .. } = step {
-                for a in args {
-                    mark(&mut needed, a);
                 }
             }
         }
@@ -421,40 +411,21 @@ impl Plan {
                 }
             }
         }
-        let remap_fn = |c: usize| remap[c];
-
-        for (e, _) in self.projection.iter_mut() {
-            *e = e.map_columns(&remap_fn);
-        }
-        if let Some(agg) = self.aggregate.as_mut() {
-            for k in agg.keys.iter_mut() {
-                *k = k.map_columns(&remap_fn);
-            }
-            for (col, _) in agg.columns.iter_mut() {
-                if let AggColumn::Agg { arg: Some(a), .. } = col {
-                    *a = a.map_columns(&remap_fn);
-                }
-            }
-        } else {
-            for (e, _) in self.order_by.iter_mut() {
-                *e = e.map_columns(&remap_fn);
-            }
-        }
-        for f in self.step_filters.iter_mut().flatten() {
-            *f = f.map_columns(&remap_fn);
-        }
+        let mut remap_expr = |e: &mut BoundExpr| *e = e.map_columns(&|c| remap[c]);
+        visit_layout_exprs(
+            &mut self.projection,
+            self.aggregate.as_mut(),
+            &mut self.order_by,
+            &mut self.steps,
+            &mut remap_expr,
+        );
+        self.step_filters
+            .iter_mut()
+            .flatten()
+            .for_each(&mut remap_expr);
         for jk in self.step_join_keys.iter_mut().flatten() {
-            for p in jk.probe.iter_mut() {
-                *p = p.map_columns(&remap_fn);
-            }
-            jk.residual = jk.residual.map_columns(&remap_fn);
-        }
-        for step in self.steps.iter_mut() {
-            if let FromStep::TableFunc { args, .. } = step {
-                for a in args.iter_mut() {
-                    *a = a.map_columns(&remap_fn);
-                }
-            }
+            jk.probe.iter_mut().for_each(&mut remap_expr);
+            remap_expr(&mut jk.residual);
         }
 
         self.step_projections = step_projections;
@@ -546,40 +517,13 @@ impl Plan {
                 }
                 None => String::new(),
             };
-            match step {
-                FromStep::ScanLocal {
-                    table,
-                    alias,
-                    pushdown,
-                    param_pushdown,
-                    schema,
-                } => {
-                    out.push_str(&format!("{indent}ScanLocal {table} AS {alias}"));
-                    out.push_str(&self.pushdown_note(pushdown, param_pushdown.as_ref(), schema));
-                    out.push_str(&project_note);
-                    out.push_str(access_note);
-                    out.push_str(&est_note(i, |e| e.scan_rows));
-                    out.push('\n');
-                }
+            let source = match step {
+                FromStep::ScanLocal { table, .. } => format!("ScanLocal {table}"),
                 FromStep::ScanForeign {
                     server,
                     remote_name,
-                    alias,
-                    pushdown,
-                    param_pushdown,
-                    schema,
                     ..
-                } => {
-                    out.push_str(&format!(
-                        "{indent}ScanForeign {}/{remote_name} AS {alias}",
-                        server.name()
-                    ));
-                    out.push_str(&self.pushdown_note(pushdown, param_pushdown.as_ref(), schema));
-                    out.push_str(&project_note);
-                    out.push_str(access_note);
-                    out.push_str(&est_note(i, |e| e.scan_rows));
-                    out.push('\n');
-                }
+                } => format!("ScanForeign {}/{remote_name}", server.name()),
                 FromStep::TableFunc {
                     udtf,
                     alias,
@@ -600,8 +544,15 @@ impl Plan {
                         },
                         est_note(i, |e| e.join_rows)
                     ));
+                    continue;
                 }
-            }
+            };
+            out.push_str(&format!(
+                "{indent}{source} AS {}{}{project_note}{access_note}{}\n",
+                step.alias(),
+                self.pushdown_note(step),
+                est_note(i, |e| e.scan_rows)
+            ));
         }
         out
     }
@@ -610,19 +561,55 @@ impl Plan {
     /// pushed: the literal storage predicate as today, then ` AND ` and the
     /// host-variable conjuncts as SQL text, with columns by name and each
     /// host variable as `:name`.
-    fn pushdown_note(
-        &self,
-        pushdown: &Predicate,
-        param_pushdown: Option<&BoundExpr>,
-        schema: &Schema,
-    ) -> String {
+    fn pushdown_note(&self, step: &FromStep) -> String {
+        let Some((pushdown, param_pushdown)) = step.scan_pushdown() else {
+            return String::new();
+        };
         let literal = (*pushdown != Predicate::True).then(|| format!("{pushdown:?}"));
-        let bound = param_pushdown.map(|e| pushed_sql(e, schema, &self.params).to_string());
+        let bound = param_pushdown.map(|e| pushed_sql(e, &step.schema(), &self.params).to_string());
         match (literal, bound) {
             (None, None) => String::new(),
             (Some(l), None) => format!(" [pushdown: {l}]"),
             (None, Some(b)) => format!(" [pushdown: {b}]"),
             (Some(l), Some(b)) => format!(" [pushdown: {l} AND {b}]"),
+        }
+    }
+}
+
+/// Visit the expressions over the concatenated FROM layout that every
+/// layout pass treats alike: the projection, then the aggregate keys and
+/// arguments or, in a scalar plan, the ORDER BY keys, then the lateral
+/// function arguments. Aggregate ORDER BY indexes the *output* layout and
+/// is not visited. Callers visit their own extra expressions: WHERE
+/// conjuncts before placement, residual filters and join keys after.
+pub(crate) fn visit_layout_exprs(
+    projection: &mut [(BoundExpr, Ident)],
+    aggregate: Option<&mut AggregatePlan>,
+    order_by: &mut [(BoundExpr, bool)],
+    steps: &mut [FromStep],
+    f: &mut impl FnMut(&mut BoundExpr),
+) {
+    for (e, _) in projection.iter_mut() {
+        f(e);
+    }
+    match aggregate {
+        Some(agg) => {
+            agg.keys.iter_mut().for_each(&mut *f);
+            for (col, _) in agg.columns.iter_mut() {
+                if let AggColumn::Agg { arg: Some(a), .. } = col {
+                    f(a);
+                }
+            }
+        }
+        None => {
+            for (e, _) in order_by.iter_mut() {
+                f(e);
+            }
+        }
+    }
+    for step in steps.iter_mut() {
+        if let FromStep::TableFunc { args, .. } = step {
+            args.iter_mut().for_each(&mut *f);
         }
     }
 }

@@ -31,6 +31,14 @@
 //!   is authoritative. Vectorized kernels evaluate eagerly and must never
 //!   surface an error the lazy row kernel would not raise.
 //!
+//! Most of the contract holds by construction, because both kernels run
+//! one copy of each mechanism and differ only in where a value comes from
+//! (a column vector or a boxed row): [`HashJoin::emit`] builds the hash
+//! table and runs the join's emit loop, [`IndexProbe::emit`] the index
+//! probe's, and one group lookup serves [`Aggregator::push`] and
+//! [`Aggregator::push_evaled`]. A sink whose column kernel fails hands the
+//! batch's rows to [`sink_push`] rather than repeating it.
+//!
 //! Against the [`crate::exec::ExecMode::Naive`] oracle the contract is the
 //! one `tests/exec_equivalence.rs` checks: the same row multiset for every
 //! query (the same rows in the same order where both scan one table in
@@ -43,13 +51,12 @@ use std::time::Instant;
 
 use fedwf_relstore::{Predicate, RowId, ScanChunk};
 use fedwf_sim::{Component, CostModel, Meter, SpanName, TraceNode};
-use fedwf_types::{ColumnBatch, FedResult, Ident, ResultExt, Row, Table, TxnId, Value, ValueKey};
+use fedwf_types::{ColumnBatch, FedResult, Ident, ResultExt, Row, Table, TxnId, Value};
 
 use crate::engine::Fdbs;
 use crate::exec::{
-    build_key, build_positions, finish_aggregate, invoke_udtf, join_key_checked, pruned_rows,
-    scalar_tail, sink_push, table_from_rows, tally_rows, Aggregator, ExecMode, IndexProbe, Op,
-    Sink, STREAM_BATCH_ROWS,
+    build_positions, finish_aggregate, invoke_udtf, pruned_rows, scalar_tail, sink_push,
+    tally_rows, Aggregator, ExecMode, HashJoin, IndexProbe, Op, Sink, STREAM_BATCH_ROWS,
 };
 use crate::expr::BoundExpr;
 use crate::plan::{Access, AggColumn, FromStep, Plan};
@@ -275,13 +282,11 @@ fn prepare_step_op<'p>(
         }
     };
     Ok(match jk {
-        Some(jk) => Op::HashJoin {
-            build_cols: build_positions(&jk.build, proj)?,
-            build_rows: right,
-            probe: &jk.probe,
-            table: None,
-            out_count: 0,
-        },
+        Some(jk) => Op::HashJoin(HashJoin::new(
+            right,
+            build_positions(&jk.build, proj)?,
+            &jk.probe,
+        )),
         // An independent UDTF composed after the first step books the
         // paper's join-with-selection.
         None => Op::Cross {
@@ -335,71 +340,28 @@ fn vop_push(
             // output, and the authoritative error all come from it.
             Err(_) => Planned::Fallback,
         },
-        Op::HashJoin {
-            build_rows,
-            build_cols,
-            probe,
-            table,
-            out_count,
-        } => {
-            if b.is_empty() || build_rows.is_empty() {
-                Planned::Done(VBatch::Rows(Vec::new()))
-            } else {
-                match probe
-                    .iter()
-                    .map(|p| eval_vcol(p, &b, params))
-                    .collect::<FedResult<Vec<VCol>>>()
-                {
-                    Err(_) => Planned::Fallback,
-                    Ok(pcols) => {
-                        if table.is_none() {
-                            let mut t: HashMap<Vec<ValueKey>, Vec<usize>> = HashMap::new();
-                            for (i, row) in build_rows.iter().enumerate() {
-                                if let Some(key) = build_key(row, build_cols)? {
-                                    t.entry(key).or_default().push(i);
-                                }
-                            }
-                            *table = Some(t);
-                        }
-                        let t = table.as_ref().expect("hash table built above");
-                        let mut out = Vec::new();
-                        'rows: for i in 0..b.len() {
-                            let mut key = Vec::with_capacity(pcols.len());
-                            for pc in &pcols {
-                                match join_key_checked(&pc.value_at(i))? {
-                                    Some(k) => key.push(k),
-                                    None => continue 'rows,
-                                }
-                            }
-                            if let Some(matches) = t.get(&key) {
-                                let left = b.row(i);
-                                for &bi in matches {
-                                    out.push(left.concat(&build_rows[bi]));
-                                }
-                            }
-                        }
-                        *out_count += out.len();
-                        Planned::Done(VBatch::Rows(out))
-                    }
-                }
-            }
-        }
+        Op::HashJoin(j) => match j
+            .probe
+            .iter()
+            .map(|p| eval_vcol(p, &b, params))
+            .collect::<FedResult<Vec<VCol>>>()
+        {
+            Err(_) => Planned::Fallback,
+            Ok(pcols) => Planned::Done(VBatch::Rows(j.emit(
+                b.len(),
+                |i, k| Ok(pcols[k].value_at(i)),
+                |i| b.row(i),
+            )?)),
+        },
         Op::IndexProbe(p) => match eval_vcol(p.probe, &b, params) {
             Err(_) => Planned::Fallback,
-            Ok(pc) => {
-                let mut out = Vec::new();
-                for i in 0..b.len() {
-                    let matches = p.matches(fdbs, pc.value_at(i), meter)?;
-                    if !matches.is_empty() {
-                        let left = b.row(i);
-                        for r in matches {
-                            out.push(left.concat(r));
-                        }
-                    }
-                }
-                p.out_count += out.len();
-                Planned::Done(VBatch::Rows(out))
-            }
+            Ok(pc) => Planned::Done(VBatch::Rows(p.emit(
+                fdbs,
+                b.len(),
+                |i| Ok(pc.value_at(i)),
+                |i| b.row(i),
+                meter,
+            )?)),
         },
         // Cross products and dependent UDTFs compose whole rows by
         // nature; materialize and reuse the row operator.
@@ -424,19 +386,12 @@ fn vsink_push(
         VBatch::Rows(rows) => return sink_push(sink, plan, rows, params, meter, cost),
         VBatch::Cols(b, sel) => (b, sel),
     };
-    // DISTINCT interleaves dedup with the LIMIT early-exit per row; the
-    // row sink is the reference for that ordering.
-    if matches!(sink, Sink::Project { seen: Some(_), .. }) {
-        return sink_push(
-            sink,
-            plan,
-            selected_rows(&b, sel.as_deref()),
-            params,
-            meter,
-            cost,
-        );
-    }
-    match sink {
+    // Whatever a column kernel leaves to the row sink, which books,
+    // emits and fails exactly as it would for those rows.
+    let fallback = match sink {
+        // DISTINCT interleaves dedup with the LIMIT early-exit per row;
+        // the row sink is the reference for that ordering.
+        Sink::Project { seen: Some(_), .. } => selected_rows(&b, sel.as_deref()),
         Sink::Sort(rows) => {
             // The sort buffer is a materialization point; what crossed
             // into it was a column batch, so count column bytes (of the
@@ -449,7 +404,7 @@ fn vsink_push(
                 },
             );
             rows.extend(selected_rows(&b, sel.as_deref()));
-            Ok(false)
+            return Ok(false);
         }
         Sink::Aggregate(agg) => {
             // Aggregation walks every selected row anyway; collapse the
@@ -480,17 +435,12 @@ fn vsink_push(
                             .collect();
                         agg.push_evaled(keys, args);
                     }
-                    Ok(false)
+                    return Ok(false);
                 }
                 // Key or argument evaluation failed somewhere in the
                 // batch: the row kernel finds the first offending row and
                 // charges/accumulates up to it.
-                _ => {
-                    for row in &b.to_rows() {
-                        agg.push(row, params, meter)?;
-                    }
-                    Ok(false)
-                }
+                _ => b.to_rows(),
             }
         }
         Sink::Project { out, seen: None } => {
@@ -552,29 +502,13 @@ fn vsink_push(
                                 .collect(),
                         ));
                     }
-                    Ok(plan.limit.is_some_and(|l| out.row_count() as u64 >= l))
+                    return Ok(plan.limit.is_some_and(|l| out.row_count() as u64 >= l));
                 }
-                Err(_) => {
-                    // Row-kernel reference: evaluate, charge, emit and stop
-                    // at LIMIT row by row until the authoritative error.
-                    for row in &selected_rows(&b, sel.as_deref()) {
-                        let values: Vec<Value> = plan
-                            .projection
-                            .iter()
-                            .map(|(e, _)| e.eval(row.values(), params))
-                            .collect::<FedResult<_>>()?;
-                        meter.charge(Component::Fdbs, "Produce result rows", cost.row_output);
-                        out.push_unchecked(Row::new(values));
-                        if plan.limit.is_some_and(|l| out.row_count() as u64 >= l) {
-                            return Ok(true);
-                        }
-                    }
-                    Ok(false)
-                }
+                Err(_) => selected_rows(&b, sel.as_deref()),
             }
         }
-        Sink::Project { seen: Some(_), .. } => unreachable!("handled above"),
-    }
+    };
+    sink_push(sink, plan, fallback, params, meter, cost)
 }
 
 /// Per-operator actuals accumulated while tracing: active virtual time,
@@ -668,7 +602,7 @@ struct StreamProbes {
 
 fn op_probe_name(op: &Op<'_>) -> SpanName {
     match op {
-        Op::HashJoin { .. } => SpanName::Static("hash-join"),
+        Op::HashJoin(_) => SpanName::Static("hash-join"),
         Op::IndexProbe(p) => SpanName::from(format!("index-probe {}", p.table)),
         Op::Cross { .. } => SpanName::Static("cross"),
         Op::DependentUdtf { udtf, .. } => SpanName::from(format!("dependent-udtf {}", udtf.name)),
@@ -852,14 +786,8 @@ pub(crate) fn execute_vectorized(
     match sink {
         Sink::Aggregate(agg) => finish_aggregate(plan, agg.finish(meter)?, params),
         Sink::Sort(rows) => scalar_tail(fdbs, plan, rows, params, meter, ExecMode::Streaming),
-        Sink::Project { out, .. } => {
-            if let Some(limit) = plan.limit {
-                if out.row_count() as u64 > limit {
-                    let rows: Vec<Row> = out.into_rows().into_iter().take(limit as usize).collect();
-                    return Ok(table_from_rows(plan.out_schema.clone(), rows));
-                }
-            }
-            Ok(out)
-        }
+        // Never past LIMIT: the column arm emits at most the rows still
+        // missing, and the row sink stops as soon as the limit is reached.
+        Sink::Project { out, .. } => Ok(out),
     }
 }

@@ -35,7 +35,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::Hash;
 use std::ops::Deref;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 use crate::breakdown::{Breakdown, BreakdownLine};
@@ -228,42 +228,6 @@ impl BookedSet {
     }
 }
 
-/// The counter names the instrumentation records: interned without a
-/// lock or a leak.
-const COUNTER_NAMES: [&str; 5] = ["rows", "rows_out", "batches", "bytes", "est"];
-
-/// How many other distinct counter names a process interns from decoded
-/// traces before it refuses more.
-pub const MAX_INTERNED_COUNTER_NAMES: usize = 64;
-
-/// Intern a span-counter name into a `&'static str`, or `None` once
-/// [`MAX_INTERNED_COUNTER_NAMES`] other names are taken.
-///
-/// [`TraceNode::counters`] keys are `&'static str` so the hot recording
-/// path never allocates; a wire-decoded trace tree arrives with borrowed
-/// bytes instead. The instrumentation's own names (`rows`, `batches`,
-/// `bytes`, ...) map to constants. Any other name is leaked once into a
-/// table of bounded size, so a peer sending ever-new names cannot grow
-/// this process's memory, or the lookup time, without bound.
-pub fn intern_counter_name(name: &str) -> Option<&'static str> {
-    use std::sync::Mutex;
-    if let Some(known) = COUNTER_NAMES.iter().find(|n| **n == name) {
-        return Some(known);
-    }
-    static INTERNED: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-    let table = INTERNED.get_or_init(|| Mutex::new(Vec::new()));
-    let mut table = table.lock().expect("counter-name table poisoned");
-    if let Some(found) = table.iter().find(|n| **n == name) {
-        return Some(found);
-    }
-    if table.len() >= MAX_INTERNED_COUNTER_NAMES {
-        return None;
-    }
-    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-    table.push(leaked);
-    Some(leaked)
-}
-
 /// One span of a trace tree. See the [module docs](self) for the model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceNode {
@@ -283,8 +247,9 @@ pub struct TraceNode {
     /// grouped by the component of each underlying charge.
     pub booked: BookedSet,
     /// Free-form counters (`rows`, `batches`, `bytes`, ...), insertion
-    /// ordered.
-    pub counters: Vec<(&'static str, u64)>,
+    /// ordered. The instrumentation's names are `Static`; a name decoded
+    /// from the wire is `Shared` and belongs to the decoded tree.
+    pub counters: Vec<(SpanName, u64)>,
     /// Child spans, in completion order.
     pub children: Vec<TraceNode>,
 }
@@ -339,7 +304,7 @@ impl TraceNode {
     pub fn add_counter(&mut self, name: &'static str, value: u64) {
         match self.counters.iter_mut().find(|(n, _)| *n == name) {
             Some((_, v)) => *v += value,
-            None => self.counters.push((name, value)),
+            None => self.counters.push((SpanName::Static(name), value)),
         }
     }
 
@@ -673,24 +638,6 @@ mod tests {
         assert!(text.contains("request [Controller] 0..27us"));
         assert!(text.contains("\n  fdbs.execute [FDBS]"));
         assert!(text.contains("rows=5"));
-    }
-
-    #[test]
-    fn counter_names_intern_within_a_bound() {
-        for name in COUNTER_NAMES {
-            assert_eq!(intern_counter_name(name), Some(name));
-        }
-        let a = intern_counter_name("trace-test counter").expect("room left");
-        assert!(std::ptr::eq(
-            a,
-            intern_counter_name("trace-test counter").unwrap()
-        ));
-        let refused = (0..=MAX_INTERNED_COUNTER_NAMES)
-            .filter(|i| intern_counter_name(&format!("trace-test counter {i}")).is_none())
-            .count();
-        assert!(refused > 0, "the table grew past its bound");
-        // The instrumentation's own names never run out.
-        assert_eq!(intern_counter_name("rows"), Some("rows"));
     }
 
     #[test]

@@ -85,35 +85,48 @@ fn cache_clear_is_atomic_with_respect_to_inflight_calls() {
 }
 
 /// Boot accounting must also be atomic: two cold servers raced through
-/// many threads must book each process boot exactly once in total.
+/// many threads must book each process boot exactly once in total, all of
+/// them in the one call that booted the server.
 #[test]
 fn concurrent_first_calls_boot_each_process_once() {
-    let s = Arc::new(IntegrationServer::with_architecture(ArchitectureKind::Wfms).unwrap());
-    s.deploy(&paper_functions::get_supp_qual()).unwrap();
+    let cold_server = || {
+        let s = Arc::new(IntegrationServer::with_architecture(ArchitectureKind::Wfms).unwrap());
+        s.deploy(&paper_functions::get_supp_qual()).unwrap();
+        s
+    };
+    // Bind by declared parameter name (case-insensitively) instead of by
+    // position — same resolved call either way.
+    let boots = |s: &IntegrationServer, args: &[Value]| {
+        let outcome = s
+            .execute(&Request::function("GetSuppQual").bind("suppliername", args[0].clone()))
+            .unwrap();
+        outcome
+            .meter
+            .charges()
+            .iter()
+            .filter(|c| c.component == Component::Boot)
+            .map(|c| (c.step.to_string(), c.duration_us))
+            .collect::<Vec<_>>()
+    };
+    let solo = cold_server();
+    let solo_boots = boots(&solo, &qual_args(&solo));
+    assert!(!solo_boots.is_empty(), "a cold call books the boots");
+
+    let s = cold_server();
     let args = qual_args(&s);
     let mut handles = Vec::new();
     for _ in 0..8 {
         let s = Arc::clone(&s);
         let args = args.clone();
-        handles.push(std::thread::spawn(move || {
-            // Bind by declared parameter name (case-insensitively) instead
-            // of by position — same resolved call either way.
-            let outcome = s
-                .execute(&Request::function("GetSuppQual").bind("suppliername", args[0].clone()))
-                .unwrap();
-            outcome
-                .meter
-                .charges()
-                .iter()
-                .filter(|c| c.component == Component::Boot)
-                .map(|c| c.step.to_string())
-                .collect::<Vec<_>>()
-        }));
+        handles.push(std::thread::spawn(move || boots(&s, &args)));
     }
-    let mut all_boots: Vec<String> = Vec::new();
-    for h in handles {
-        all_boots.extend(h.join().unwrap());
-    }
+    let per_call: Vec<Vec<(String, u64)>> =
+        handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let mut all_boots: Vec<String> = per_call
+        .iter()
+        .flatten()
+        .map(|(step, _)| step.clone())
+        .collect();
     all_boots.sort();
     let before = all_boots.len();
     all_boots.dedup();
@@ -121,6 +134,16 @@ fn concurrent_first_calls_boot_each_process_once() {
         before,
         all_boots.len(),
         "a process was boot-charged more than once across racing first calls"
+    );
+    let booting: Vec<&Vec<(String, u64)>> = per_call.iter().filter(|b| !b.is_empty()).collect();
+    assert_eq!(
+        booting.len(),
+        1,
+        "exactly one racing call books boots: {per_call:?}"
+    );
+    assert_eq!(
+        booting[0], &solo_boots,
+        "the booting call books what a solo cold call books"
     );
 }
 
