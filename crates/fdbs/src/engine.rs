@@ -3,8 +3,11 @@
 use std::sync::Arc;
 
 use fedwf_sim::{Component, CostModel, Meter, SpanNameCache};
-use fedwf_sql::{parse_statement, parse_statements, Expr, SelectStmt, Statement};
-use fedwf_types::{implicit_cast, DataType, FedError, FedResult, Ident, Row, Schema, Table, Value};
+use fedwf_sql::{parse_statement, parse_statements, ColumnDef, Expr, SelectStmt, Statement};
+use fedwf_types::{
+    implicit_cast, Column, DataType, FedError, FedResult, Ident, Row, Schema, SchemaRef, Table,
+    Value,
+};
 
 use crate::catalog::Catalog;
 use crate::exec::{execute_plan, invoke_udtf, ExecMode};
@@ -261,50 +264,25 @@ impl Fdbs {
                 return execute_plan(self, &plan, values, meter);
             }
         }
-        let stmt = parse_statement(sql)?;
-        match stmt {
-            Statement::Select(select) => {
-                let (plan, values) = self.plan_select(&select, params, bound?, meter)?;
-                execute_plan(self, &plan, &values, meter)
-            }
-            Statement::Explain(inner) => match *inner {
-                Statement::Select(select) => {
-                    let bound = self.host_params_and_key(&select.to_string(), params)?;
-                    let (plan, _values) = self.plan_select(&select, params, bound, meter)?;
-                    Ok(explain_table(&plan))
-                }
-                other => Err(FedError::plan(format!(
-                    "EXPLAIN supports SELECT statements only, got {other}"
-                ))),
-            },
-            Statement::ExplainAnalyze(inner) => match *inner {
-                Statement::Select(select) => self.explain_analyze(&select, params, meter),
-                other => Err(FedError::plan(format!(
-                    "EXPLAIN ANALYZE supports SELECT statements only, got {other}"
-                ))),
-            },
-            other => self.execute_statement(&other, meter),
-        }
+        self.execute_statement(&parse_statement(sql)?, params, Some(bound), meter)
     }
 
-    /// `EXPLAIN ANALYZE SELECT ...`: execute the statement on a traced
-    /// child meter and render the static plan followed by the recorded
-    /// span tree — per-operator actual rows, batches, bytes and virtual
-    /// time. The child's charges join back into the caller's meter, so
-    /// the statement costs exactly what the underlying SELECT costs.
+    /// `EXPLAIN ANALYZE SELECT ...`: execute the SELECT's `plan` on a
+    /// traced child meter and render the static plan followed by the
+    /// recorded span tree — per-operator actual rows, batches, bytes and
+    /// virtual time. The child's charges join back into the caller's meter,
+    /// so the statement costs exactly what the underlying SELECT costs.
     fn explain_analyze(
         &self,
-        select: &SelectStmt,
-        params: &[(&str, Value)],
+        plan: &Plan,
+        values: &[Value],
         meter: &mut Meter,
     ) -> FedResult<Table> {
-        let bound = self.host_params_and_key(&select.to_string(), params)?;
-        let (plan, values) = self.plan_select(select, params, bound, meter)?;
         let mut child = meter.fork();
         child.set_tracing(true);
         child.set_wall_sampling(true);
         child.span_start(Component::Fdbs, "fdbs.execute");
-        let result = execute_plan(self, &plan, &values, &mut child);
+        let result = execute_plan(self, plan, values, &mut child);
         if let Ok(table) = &result {
             child.span_counter("rows_out", table.row_count() as u64);
         }
@@ -316,7 +294,7 @@ impl Fdbs {
         meter.join(vec![child]);
         result?;
 
-        let mut t = explain_table(&plan);
+        let mut t = explain_table(plan);
         t.push_unchecked(Row::new(vec![Value::str(format!(
             "Actuals: elapsed={elapsed}us materialized={rows_mat} rows / {bytes_mat} bytes"
         ))]));
@@ -358,22 +336,12 @@ impl Fdbs {
     }
 
     /// Execute a semicolon-separated script (setup convenience); returns
-    /// the result of the final statement.
+    /// the result of the final statement. A script's SELECT is cached under
+    /// its printed text, the key EXPLAIN gives it.
     pub fn execute_script(&self, sql: &str, meter: &mut Meter) -> FedResult<Table> {
-        let stmts = parse_statements(sql)?;
-        let mut last = Table::new(Arc::new(Schema::empty()));
-        for stmt in &stmts {
-            last = match stmt {
-                Statement::Select(select) => {
-                    let bound = self.host_params_and_key(&format!("script:{select}"), &[])?;
-                    let (plan, values) = self.plan_select(select, &[], bound, meter)?;
-                    execute_plan(self, &plan, &values, meter)?
-                }
-                explain @ (Statement::Explain(_) | Statement::ExplainAnalyze(_)) => {
-                    self.execute_with_params(&explain.to_string(), &[], meter)?
-                }
-                other => self.execute_statement(other, meter)?,
-            };
+        let mut last = done();
+        for stmt in &parse_statements(sql)? {
+            last = self.execute_statement(stmt, &[], None, meter)?;
         }
         Ok(last)
     }
@@ -421,48 +389,59 @@ impl Fdbs {
         (values, cache_key): BoundHostParams,
         meter: &mut Meter,
     ) -> FedResult<(Arc<Plan>, Vec<Value>)> {
-        if let Some(plan) = self.plan_cache.get(&cache_key) {
-            return Ok((plan, values));
-        }
-        meter.charge(Component::Fdbs, "Compile statement", self.cost.plan_compile);
-        let param_defs = params
-            .iter()
-            .map(|(name, value)| Ok((Ident::new(*name), host_type(name, value)?)))
-            .collect::<FedResult<_>>()?;
-        let logical = PlanBuilder::new(&self.catalog)
-            .with_host_params(param_defs)
-            .bind_logical(select)?;
-        let plan = self.physical_plan(logical)?;
-        self.plan_cache.insert(cache_key, plan.clone());
+        let plan = self.compile(&cache_key, meter, |builder| {
+            let param_defs = params
+                .iter()
+                .map(|(name, value)| Ok((Ident::new(*name), host_type(name, value)?)))
+                .collect::<FedResult<_>>()?;
+            builder.with_host_params(param_defs).bind_logical(select)
+        })?;
         Ok((plan, values))
     }
 
-    /// Optimize a bound statement: streaming plans are pruned to the
-    /// columns they reference, oracle plans keep every column.
-    fn physical_plan(&self, logical: LogicalPlan) -> FedResult<Arc<Plan>> {
+    /// The one compile routine, for SELECTs and SQL function bodies alike:
+    /// the plan cached under `key`, or else charge `Compile statement`,
+    /// `bind` the statement, optimize it and cache the plan under `key`.
+    /// Streaming plans are pruned to the columns they reference, oracle
+    /// plans keep every column.
+    fn compile(
+        &self,
+        key: &str,
+        meter: &mut Meter,
+        bind: impl FnOnce(PlanBuilder<'_>) -> FedResult<LogicalPlan>,
+    ) -> FedResult<Arc<Plan>> {
+        if let Some(plan) = self.plan_cache.get(key) {
+            return Ok(plan);
+        }
+        meter.charge(Component::Fdbs, "Compile statement", self.cost.plan_compile);
+        let logical = bind(PlanBuilder::new(&self.catalog))?;
         let plan = optimize(&self.catalog, logical, self.options.planner)?;
-        Ok(Arc::new(match self.options.mode {
+        let plan = Arc::new(match self.options.mode {
             ExecMode::Streaming => plan.prune_projections(),
             ExecMode::Naive => plan,
-        }))
+        });
+        self.plan_cache.insert(key.to_owned(), plan.clone());
+        Ok(plan)
     }
 
-    /// Execute the SQL body of an I-UDTF with bound argument values.
+    /// Execute the SQL body of an I-UDTF with bound argument values; its
+    /// plan is cached under `plan_key`, written at CREATE FUNCTION.
     pub(crate) fn execute_function_body(
         &self,
         udtf: &Udtf,
         body: &SelectStmt,
+        plan_key: &str,
         args: &[Value],
         meter: &mut Meter,
     ) -> FedResult<Table> {
         if !meter.tracing() {
-            return self.execute_function_body_inner(udtf, body, args, meter);
+            return self.execute_function_body_inner(udtf, body, plan_key, args, meter);
         }
         let span = self.fn_spans.get(&udtf.name, Ident::clone, || {
             format!("fdbs.fn {}", udtf.name)
         });
         meter.span_start(Component::Fdbs, span);
-        let result = self.execute_function_body_inner(udtf, body, args, meter);
+        let result = self.execute_function_body_inner(udtf, body, plan_key, args, meter);
         meter.span_end();
         result
     }
@@ -471,29 +450,29 @@ impl Fdbs {
         &self,
         udtf: &Udtf,
         body: &SelectStmt,
+        plan_key: &str,
         args: &[Value],
         meter: &mut Meter,
     ) -> FedResult<Table> {
-        let cache_key = format!("fn:{}", udtf.name.normalized());
-        let plan = {
-            match self.plan_cache.get(&cache_key) {
-                Some(p) => p,
-                None => {
-                    meter.charge(Component::Fdbs, "Compile statement", self.cost.plan_compile);
-                    let logical = PlanBuilder::new(&self.catalog)
-                        .with_function_context(udtf.name.clone(), udtf.params.clone())
-                        .bind_logical(body)?;
-                    let plan = self.physical_plan(logical)?;
-                    self.plan_cache.insert(cache_key, plan.clone());
-                    plan
-                }
-            }
-        };
+        let plan = self.compile(plan_key, meter, |builder| {
+            builder
+                .with_function_context(udtf.name.clone(), udtf.params.clone())
+                .bind_logical(body)
+        })?;
         execute_plan(self, &plan, args, meter)
     }
 
-    /// DDL / DML dispatch.
-    fn execute_statement(&self, stmt: &Statement, meter: &mut Meter) -> FedResult<Table> {
+    /// The one statement dispatcher. A SELECT runs under `bound`, its host
+    /// variables bound under the raw statement text's key, when the caller
+    /// has that; otherwise (a script's SELECT) it is keyed by its printed
+    /// text, as EXPLAIN keys the SELECT it explains.
+    fn execute_statement(
+        &self,
+        stmt: &Statement,
+        params: &[(&str, Value)],
+        bound: Option<FedResult<BoundHostParams>>,
+        meter: &mut Meter,
+    ) -> FedResult<Table> {
         // Any catalog change invalidates cached plans (they may hold
         // references to dropped functions or stale schemas).
         if matches!(
@@ -507,24 +486,38 @@ impl Fdbs {
             self.plan_cache.clear();
         }
         match stmt {
-            Statement::Select(_) | Statement::Explain(_) | Statement::ExplainAnalyze(_) => Err(
-                FedError::plan("SELECT/EXPLAIN must go through the query path"),
-            ),
+            Statement::Select(select) => {
+                let bound = match bound {
+                    Some(bound) => bound?,
+                    None => self.host_params_and_key(&select.to_string(), params)?,
+                };
+                let (plan, values) = self.plan_select(select, params, bound, meter)?;
+                execute_plan(self, &plan, &values, meter)
+            }
+            Statement::Explain(inner) | Statement::ExplainAnalyze(inner) => {
+                let analyze = matches!(stmt, Statement::ExplainAnalyze(_));
+                let Statement::Select(select) = &**inner else {
+                    let what = if analyze {
+                        "EXPLAIN ANALYZE"
+                    } else {
+                        "EXPLAIN"
+                    };
+                    return Err(FedError::plan(format!(
+                        "{what} supports SELECT statements only, got {inner}"
+                    )));
+                };
+                let bound = self.host_params_and_key(&select.to_string(), params)?;
+                let (plan, values) = self.plan_select(select, params, bound, meter)?;
+                if analyze {
+                    self.explain_analyze(&plan, &values, meter)
+                } else {
+                    Ok(explain_table(&plan))
+                }
+            }
             Statement::CreateTable { name, columns } => {
-                let schema = Arc::new(Schema::new(
-                    columns
-                        .iter()
-                        .map(|c| {
-                            let col = fedwf_types::Column::new(c.name.clone(), c.data_type);
-                            if c.not_null {
-                                col.not_null()
-                            } else {
-                                col
-                            }
-                        })
-                        .collect(),
-                ));
-                self.catalog.local().create_table(name.clone(), schema)?;
+                self.catalog
+                    .local()
+                    .create_table(name.clone(), schema_of(columns))?;
                 Ok(done())
             }
             Statement::CreateIndex {
@@ -552,19 +545,6 @@ impl Fdbs {
                     .iter()
                     .map(|p| (p.name.clone(), p.data_type))
                     .collect();
-                let returns = Arc::new(Schema::new(
-                    cf.returns
-                        .iter()
-                        .map(|c| {
-                            let col = fedwf_types::Column::new(c.name.clone(), c.data_type);
-                            if c.not_null {
-                                col.not_null()
-                            } else {
-                                col
-                            }
-                        })
-                        .collect(),
-                ));
                 // Validate the body eagerly, as DB2 does at CREATE time.
                 PlanBuilder::new(&self.catalog)
                     .with_function_context(cf.name.clone(), params.clone())
@@ -575,8 +555,11 @@ impl Fdbs {
                 let udtf = Udtf {
                     name: cf.name.clone(),
                     params,
-                    returns,
-                    kind: UdtfKind::Sql(Box::new(cf.body.clone())),
+                    returns: schema_of(&cf.returns),
+                    kind: UdtfKind::Sql {
+                        body: Box::new(cf.body.clone()),
+                        plan_key: format!("fn:{}", cf.name.normalized()),
+                    },
                     charges: self.iudtf_charge_spec(),
                 };
                 self.catalog.register_udtf(udtf)?;
@@ -610,21 +593,24 @@ impl Fdbs {
                 let predicate = self.storage_predicate(table, selection)?;
                 let builder = PlanBuilder::new(&self.catalog);
                 let schema = self.catalog.local().table_schema(table.as_str())?;
-                let mut total = 0;
-                for (column, expr) in assignments {
-                    let value = eval_constant(&builder, expr)?;
-                    let col_idx = schema.index_of(column).ok_or_else(|| {
-                        FedError::bind(format!("unknown column {column} in UPDATE"))
-                    })?;
-                    let value = coerce(value, schema.columns()[col_idx].data_type)?;
-                    total = self.catalog.local().update_where(
-                        table.as_str(),
-                        &predicate,
-                        column.as_str(),
-                        value,
-                    )?;
-                }
-                Ok(affected(total))
+                let values = assignments
+                    .iter()
+                    .map(|(column, expr)| {
+                        let value = eval_constant(&builder, expr)?;
+                        let col_idx = schema.index_of(column).ok_or_else(|| {
+                            FedError::bind(format!("unknown column {column} in UPDATE"))
+                        })?;
+                        Ok((
+                            column.as_str(),
+                            coerce(value, schema.columns()[col_idx].data_type)?,
+                        ))
+                    })
+                    .collect::<FedResult<Vec<_>>>()?;
+                let n = self
+                    .catalog
+                    .local()
+                    .update_set(table.as_str(), &predicate, &values)?;
+                Ok(affected(n))
             }
             Statement::Delete { table, selection } => {
                 let predicate = self.storage_predicate(table, selection)?;
@@ -641,9 +627,6 @@ impl Fdbs {
             }
             Statement::DropFunction { name } => {
                 self.catalog.drop_udtf(name)?;
-                // Invalidate the cached body plan.
-                let key = format!("fn:{}", name.normalized());
-                self.plan_cache.retain(|k| k != key);
                 Ok(done())
             }
         }
@@ -702,6 +685,23 @@ impl std::fmt::Debug for Fdbs {
 
 fn done() -> Table {
     Table::new(Arc::new(Schema::empty()))
+}
+
+/// The schema a CREATE TABLE or a CREATE FUNCTION's RETURNS TABLE declares.
+fn schema_of(columns: &[ColumnDef]) -> SchemaRef {
+    Arc::new(Schema::new(
+        columns
+            .iter()
+            .map(|c| {
+                let col = Column::new(c.name.clone(), c.data_type);
+                if c.not_null {
+                    col.not_null()
+                } else {
+                    col
+                }
+            })
+            .collect(),
+    ))
 }
 
 fn affected(n: usize) -> Table {

@@ -1086,8 +1086,8 @@ fn invoke_udtf_inner(
         UdtfKind::Native(body) => {
             body(&bound, meter).context(format!("invoking table function {}", udtf.name))?
         }
-        UdtfKind::Sql(body) => fdbs
-            .execute_function_body(udtf, body, &bound, meter)
+        UdtfKind::Sql { body, plan_key } => fdbs
+            .execute_function_body(udtf, body, plan_key, &bound, meter)
             .context(format!("invoking SQL table function {}", udtf.name))?,
     };
 

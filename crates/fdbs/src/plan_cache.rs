@@ -120,22 +120,6 @@ impl<V: Clone> ClockCache<V> {
         clock.slots.clear();
         clock.hand = 0;
     }
-
-    /// Drop every entry whose key fails `keep`.
-    pub(crate) fn retain(&self, keep: impl Fn(&str) -> bool) {
-        let mut clock = self.clock.write();
-        clock.slots.retain(|slot| keep(&slot.key));
-        let index = clock
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(at, slot)| (slot.key.clone(), at))
-            .collect();
-        clock.index = index;
-        if clock.hand >= clock.slots.len() {
-            clock.hand = 0;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -196,15 +180,14 @@ mod tests {
     }
 
     #[test]
-    fn retain_and_clear_drop_entries_and_keep_evicting_correctly() {
+    fn clear_drops_every_entry_and_eviction_keeps_working() {
         let cache = ClockCache::with_capacity(4);
         for i in 0..4 {
             cache.insert(key(i), i);
         }
-        cache.retain(|k| k != "k1" && k != "k3");
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(&key(1)), None);
-        assert_eq!(cache.get(&key(2)), Some(2));
+        cache.clear();
+        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.get(&key(2)), None);
         for i in 10..20 {
             cache.insert(key(i), i);
             assert!(cache.len() <= 4);

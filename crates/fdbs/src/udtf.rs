@@ -66,15 +66,19 @@ pub enum UdtfKind {
     /// A closure — A-UDTFs, "Java" I-UDTFs, wrapper-connecting UDTFs.
     Native(NativeBody),
     /// A SQL-bodied I-UDTF (`LANGUAGE SQL RETURN SELECT ...`); executed by
-    /// the FDBS engine with the parameters bound.
-    Sql(Box<SelectStmt>),
+    /// the FDBS engine with the parameters bound. `plan_key` caches the
+    /// body's plan: `fn:<name>`, written once at CREATE FUNCTION.
+    Sql {
+        body: Box<SelectStmt>,
+        plan_key: String,
+    },
 }
 
 impl fmt::Debug for UdtfKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             UdtfKind::Native(_) => write!(f, "Native(..)"),
-            UdtfKind::Sql(body) => write!(f, "Sql({body})"),
+            UdtfKind::Sql { body, .. } => write!(f, "Sql({body})"),
         }
     }
 }

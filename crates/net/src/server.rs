@@ -61,6 +61,8 @@ pub struct NetServer {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
+    /// Handles of the connection threads that had not finished at the
+    /// last accept; shutdown joins them.
     connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
     metrics: Arc<MetricsRegistry>,
 }
@@ -199,7 +201,11 @@ fn accept_loop(
             .name("fedwf-net-conn".into())
             .spawn(move || serve_connection(stream, &front, &stop, &counters))
             .expect("spawn connection thread");
-        connections.lock().push(handle);
+        let mut held = connections.lock();
+        // A finished thread's stack stays mapped until the thread is
+        // joined or detached; dropping its handle detaches it.
+        held.retain(|h| !h.is_finished());
+        held.push(handle);
     }
 }
 
@@ -253,5 +259,42 @@ fn serve_connection(
             return; // peer gone mid-reply; nothing to salvage
         }
         let _ = writer.flush();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fedwf_core::{ArchitectureKind, FrontConfig, IntegrationServer};
+    use std::time::Instant;
+
+    /// Poll `holds` until it is true; fail the test after ten seconds.
+    fn wait_until(what: &str, holds: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !holds() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Fifty connections, one after another, each closed at once: the
+    /// server keeps the handles of unfinished threads only, not one per
+    /// connection it ever accepted.
+    #[test]
+    fn finished_connection_threads_are_released() {
+        let server =
+            Arc::new(IntegrationServer::with_architecture(ArchitectureKind::Wfms).unwrap());
+        let front = Arc::new(ServerFront::start(server, FrontConfig::default()));
+        let net = NetServer::start("127.0.0.1:0", front).unwrap();
+        let accepted = net.metrics().counter("net.connections");
+        for i in 1..=50 {
+            drop(TcpStream::connect(net.local_addr()).unwrap());
+            wait_until("the connection is accepted and its thread finished", || {
+                accepted.get() == i && net.connections.lock().iter().all(|h| h.is_finished())
+            });
+        }
+        let held = net.connections.lock().len();
+        assert!(held <= 2, "the server holds {held} connection handles");
+        net.shutdown();
     }
 }

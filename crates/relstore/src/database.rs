@@ -31,7 +31,7 @@ use fedwf_types::{
 use crate::index::IndexKind;
 use crate::predicate::Predicate;
 use crate::table::{
-    ChangeKind, ChunkSink, ColumnSink, RowId, ScanChunk, ScanSink, StoredTable, TableStats, UndoLog,
+    ChunkSink, ColumnSink, RowId, ScanChunk, ScanSink, StoredTable, TableStats, UndoLog,
 };
 use crate::wal::{self, CommitStats, Durability, GroupCommitter, Wal, WalRecord};
 
@@ -67,13 +67,20 @@ impl Database {
     /// A purely in-memory database (no WAL, no checkpoints) — the default
     /// for the simulated application systems and SQL sources.
     pub fn new(name: impl Into<String>) -> Database {
+        Database::empty(name.into(), None)
+    }
+
+    /// A database holding no table, logging through `durability` if any.
+    fn empty(name: String, durability: Option<Durability>) -> Database {
         Database {
-            name: name.into(),
+            name,
             tables: RwLock::new(BTreeMap::new()),
             commit_epoch: AtomicU64::new(TXN_EPOCH_ZERO),
             next_txn: AtomicU64::new(TXN_EPOCH_ZERO),
-            durability: None,
-            committer: None,
+            committer: durability
+                .as_ref()
+                .map(|d| GroupCommitter::new(d.wal.sink())),
+            durability,
         }
     }
 
@@ -94,14 +101,7 @@ impl Database {
     /// harness passes `Arc`-shared in-memory sinks here and "crashes" by
     /// dropping the database while keeping the sinks.
     pub fn open_with(name: impl Into<String>, durability: Durability) -> FedResult<Database> {
-        let mut db = Database {
-            name: name.into(),
-            tables: RwLock::new(BTreeMap::new()),
-            commit_epoch: AtomicU64::new(TXN_EPOCH_ZERO),
-            next_txn: AtomicU64::new(TXN_EPOCH_ZERO),
-            committer: Some(GroupCommitter::new(durability.wal.sink())),
-            durability: Some(durability),
-        };
+        let mut db = Database::empty(name.into(), Some(durability));
         db.recover()?;
         Ok(db)
     }
@@ -151,10 +151,7 @@ impl Database {
         let result = f(t, txn, &mut undo).and_then(|r| {
             match &self.committer {
                 Some(c) => c
-                    .submit(
-                        txn,
-                        Wal::encode_statement(txn, &Self::redo_records(t, &undo)),
-                    )
+                    .submit(txn, Wal::encode_statement(txn, &t.redo_records(&undo)))
                     .map_err(logged)?,
                 None => self.commit_epoch.store(txn, Ordering::Release),
             }
@@ -177,39 +174,6 @@ impl Database {
                 Err(e)
             }
         }
-    }
-
-    /// WAL redo records for a successful statement, derived from its undo
-    /// log (the single source of truth for what changed, in order).
-    fn redo_records(t: &StoredTable, undo: &UndoLog) -> Vec<WalRecord> {
-        let table = t.name().as_str().to_string();
-        t.changes(undo)
-            .into_iter()
-            .map(|c| match c {
-                ChangeKind::Insert { slot } => WalRecord::Insert {
-                    table: table.clone(),
-                    row: t
-                        .get(slot)
-                        .expect("freshly inserted row is live")
-                        .values()
-                        .to_vec(),
-                },
-                ChangeKind::Update {
-                    slot,
-                    column,
-                    value,
-                } => WalRecord::Update {
-                    table: table.clone(),
-                    slot,
-                    column: column as u32,
-                    value,
-                },
-                ChangeKind::Delete { slot } => WalRecord::Delete {
-                    table: table.clone(),
-                    slot,
-                },
-            })
-            .collect()
     }
 
     /// Log a single-record DDL statement and advance the commit epoch.
@@ -449,8 +413,23 @@ impl Database {
         })
     }
 
-    /// Statement-atomic update: on error the table is left untouched (rows
-    /// *and* index entries), via undo over the version chains.
+    /// One statement-atomic UPDATE: the rows matching `predicate` are
+    /// selected first, then each gets `assignments` (column name, new
+    /// value) applied left to right. On error the table is left untouched
+    /// (rows *and* index entries), via undo over the version chains.
+    pub fn update_set(
+        &self,
+        table: &str,
+        predicate: &Predicate,
+        assignments: &[(&str, Value)],
+    ) -> FedResult<usize> {
+        self.mutate(table, |t, txn, undo| {
+            t.update_where(predicate, assignments, txn, undo)
+                .map_err(|e| e.with_context(format!("updating table {table}")))
+        })
+    }
+
+    /// [`Database::update_set`] with one assignment, `column := value`.
     pub fn update_where(
         &self,
         table: &str,
@@ -458,10 +437,7 @@ impl Database {
         column: &str,
         value: Value,
     ) -> FedResult<usize> {
-        self.mutate(table, |t, txn, undo| {
-            t.update_where(predicate, column, value, txn, undo)
-                .map_err(|e| e.with_context(format!("updating table {table}")))
-        })
+        self.update_set(table, predicate, &[(column, value)])
     }
 
     /// Whether a predicate on a table would use an index.
@@ -555,17 +531,15 @@ impl Database {
         rec: &WalRecord,
         txn: TxnId,
     ) -> FedResult<()> {
+        fn known<'a>(
+            tables: &'a mut BTreeMap<Ident, StoredTable>,
+            name: &str,
+        ) -> FedResult<&'a mut StoredTable> {
+            tables
+                .get_mut(&Ident::new(name))
+                .ok_or_else(|| FedError::recovery(format!("WAL references unknown table {name}")))
+        }
         let mut undo = UndoLog::new();
-        let resolve = |tables: &mut BTreeMap<Ident, StoredTable>,
-                       name: &str|
-         -> FedResult<*mut StoredTable> {
-            match tables.get_mut(&Ident::new(name)) {
-                Some(t) => Ok(t as *mut StoredTable),
-                None => Err(FedError::recovery(format!(
-                    "WAL references unknown table {name}"
-                ))),
-            }
-        };
         match rec {
             WalRecord::CreateTable { table, schema } => {
                 let ident = Ident::new(table);
@@ -592,18 +566,14 @@ impl Database {
                 column,
                 unique,
             } => {
-                let t = resolve(tables, table)?;
-                // SAFETY: the pointer came from `tables` above and nothing
-                // else touches the map before this use.
-                unsafe { &mut *t }.create_index(
+                known(tables, table)?.create_index(
                     index.clone(),
                     column,
                     wal::index_kind_from_unique(*unique),
                 )?;
             }
             WalRecord::Insert { table, row } => {
-                let t = resolve(tables, table)?;
-                unsafe { &mut *t }.insert(Row::new(row.clone()), txn, &mut undo)?;
+                known(tables, table)?.insert(Row::new(row.clone()), txn, &mut undo)?;
             }
             WalRecord::Update {
                 table,
@@ -611,8 +581,7 @@ impl Database {
                 column,
                 value,
             } => {
-                let t = resolve(tables, table)?;
-                unsafe { &mut *t }.update_slot(
+                known(tables, table)?.update_slot(
                     *slot as usize,
                     *column as usize,
                     value,
@@ -621,8 +590,7 @@ impl Database {
                 )?;
             }
             WalRecord::Delete { table, slot } => {
-                let t = resolve(tables, table)?;
-                unsafe { &mut *t }.delete_slot(*slot as usize, txn, &mut undo)?;
+                known(tables, table)?.delete_slot(*slot as usize, txn, &mut undo)?;
             }
             WalRecord::Commit { .. } => {
                 return Err(FedError::recovery(

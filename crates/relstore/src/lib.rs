@@ -16,6 +16,8 @@
 //! reads, and optional durability through a CRC-framed write-ahead log
 //! plus checkpoint snapshots (see [`wal`]).
 
+#![forbid(unsafe_code)]
+
 pub mod database;
 pub mod index;
 pub mod predicate;

@@ -24,6 +24,7 @@ use fedwf_types::{
 
 use crate::index::{Index, IndexKind};
 use crate::predicate::Predicate;
+use crate::wal::WalRecord;
 
 /// Stable identifier of a row slot within one table.
 pub type RowId = u64;
@@ -34,8 +35,25 @@ pub(crate) trait ScanSink {
     /// An empty output of `schema`, opened once the scan has chosen its
     /// access path; that path visits at most `max_rows` candidate rows.
     fn open(schema: SchemaRef, max_rows: usize) -> Self;
-    fn emit(&mut self, row: &Row, projection: Option<&[usize]>);
+    /// Append the matching `row`, which the scan found in `slot`.
+    fn emit(&mut self, slot: usize, row: &Row, projection: Option<&[usize]>);
     fn len(&self) -> usize;
+}
+
+/// Slot output: the rows a DML statement selects, as slot numbers in the
+/// order the scan visits them.
+impl ScanSink for Vec<usize> {
+    fn open(_schema: SchemaRef, _max_rows: usize) -> Vec<usize> {
+        Vec::new()
+    }
+
+    fn emit(&mut self, slot: usize, _row: &Row, _projection: Option<&[usize]>) {
+        self.push(slot);
+    }
+
+    fn len(&self) -> usize {
+        self.len()
+    }
 }
 
 /// Row output: each emitted row costs one refcount bump (or, projected,
@@ -47,7 +65,7 @@ impl ScanSink for Table {
         Table::new(schema)
     }
 
-    fn emit(&mut self, row: &Row, projection: Option<&[usize]>) {
+    fn emit(&mut self, _slot: usize, row: &Row, projection: Option<&[usize]>) {
         self.push_unchecked(match projection {
             Some(proj) => row.project(proj),
             None => row.clone(),
@@ -80,7 +98,7 @@ impl ScanSink for ColumnSink {
         }
     }
 
-    fn emit(&mut self, row: &Row, projection: Option<&[usize]>) {
+    fn emit(&mut self, _slot: usize, row: &Row, projection: Option<&[usize]>) {
         match projection {
             Some(proj) => {
                 for (b, &i) in self.builders.iter_mut().zip(proj) {
@@ -160,10 +178,10 @@ impl ScanSink for ChunkSink {
         }
     }
 
-    fn emit(&mut self, row: &Row, projection: Option<&[usize]>) {
+    fn emit(&mut self, slot: usize, row: &Row, projection: Option<&[usize]>) {
         match self {
-            ChunkSink::Rows(t) => t.emit(row, projection),
-            ChunkSink::Cols(c) => c.emit(row, projection),
+            ChunkSink::Rows(t) => t.emit(slot, row, projection),
+            ChunkSink::Cols(c) => c.emit(slot, row, projection),
         }
     }
 
@@ -232,8 +250,9 @@ enum UndoEntry {
     Delete { slot: usize },
 }
 
-/// The undo side of one statement. Also the source the database derives its
-/// WAL redo records from: the entries list exactly what changed, in order.
+/// The undo side of one statement. Also the statement's change record:
+/// the database reads the statement's WAL redo records off its entries,
+/// which list exactly what changed, in order.
 #[derive(Debug, Default)]
 pub struct UndoLog {
     entries: Vec<UndoEntry>,
@@ -251,23 +270,6 @@ impl UndoLog {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-}
-
-/// What one statement changed, for WAL redo derivation — a read-only
-/// projection of the undo log.
-#[derive(Debug, Clone)]
-pub(crate) enum ChangeKind {
-    Insert {
-        slot: RowId,
-    },
-    Update {
-        slot: RowId,
-        column: usize,
-        value: Value,
-    },
-    Delete {
-        slot: RowId,
-    },
 }
 
 /// A heap table: schema, versioned row slots and the indexes over the
@@ -434,6 +436,17 @@ impl StoredTable {
         Ok(())
     }
 
+    /// The live slots matching `predicate`, ascending. The one read loop
+    /// selects them at [`TXN_INFINITY`], through an index when one serves,
+    /// so a DML statement finds its rows the way a SELECT of the same
+    /// predicate would, and selects every row before it changes one.
+    fn select_slots(&self, predicate: &Predicate) -> FedResult<Vec<usize>> {
+        let (mut slots, _) =
+            self.scan_into::<Vec<usize>>(predicate, None, 0, usize::MAX, TXN_INFINITY)?;
+        slots.sort_unstable();
+        Ok(slots)
+    }
+
     /// Delete rows matching the predicate as statement `txn`; returns how
     /// many were removed.
     pub fn delete_where(
@@ -442,26 +455,11 @@ impl StoredTable {
         txn: TxnId,
         undo: &mut UndoLog,
     ) -> FedResult<usize> {
-        predicate.validate(&self.schema)?;
-        let mark = undo.len();
-        let mut deleted = 0;
-        for slot in 0..self.slots.len() {
-            let matches = match Self::live_row(&self.slots[slot]) {
-                Some(row) => match predicate.selects(row) {
-                    Ok(m) => m,
-                    Err(e) => {
-                        self.abort_to(undo, mark);
-                        return Err(e);
-                    }
-                },
-                None => false,
-            };
-            if matches {
-                self.delete_slot(slot, txn, undo)?;
-                deleted += 1;
-            }
+        let slots = self.select_slots(predicate)?;
+        for &slot in &slots {
+            self.delete_slot(slot, txn, undo)?;
         }
-        Ok(deleted)
+        Ok(slots.len())
     }
 
     /// Update one slot's `column` to `value` as statement `txn`, moving
@@ -521,19 +519,9 @@ impl StoredTable {
         Ok(())
     }
 
-    /// Update `column := value` on rows matching the predicate as statement
-    /// `txn`; returns the number of updated rows. The statement is atomic
-    /// at this level: an error mid-way undoes the rows already updated —
-    /// rows *and* index entries come back bit-identical.
-    pub fn update_where(
-        &mut self,
-        predicate: &Predicate,
-        column_name: &str,
-        value: Value,
-        txn: TxnId,
-        undo: &mut UndoLog,
-    ) -> FedResult<usize> {
-        predicate.validate(&self.schema)?;
+    /// The column an UPDATE assigns `value` to, checked against the
+    /// column's type and nullability.
+    fn assigned_column(&self, column_name: &str, value: &Value) -> FedResult<usize> {
         let column = self
             .schema
             .index_of(&Ident::new(column_name))
@@ -543,7 +531,6 @@ impl StoredTable {
                     self.name
                 ))
             })?;
-        // Type-check the new value against the column.
         let col_meta = self.schema.column(column).expect("index validated");
         if let Some(dt) = value.data_type() {
             if dt != col_meta.data_type {
@@ -558,30 +545,37 @@ impl StoredTable {
                 col_meta.name
             )));
         }
+        Ok(column)
+    }
+
+    /// Apply `assignments` (column name, new value) left to right to every
+    /// row matching the predicate, as statement `txn`; returns the number
+    /// of updated rows. The rows are selected before any changes, and every
+    /// assignment is checked before any row changes. The statement is
+    /// atomic at this level: an error mid-way undoes the rows already
+    /// updated — rows *and* index entries come back bit-identical.
+    pub fn update_where(
+        &mut self,
+        predicate: &Predicate,
+        assignments: &[(&str, Value)],
+        txn: TxnId,
+        undo: &mut UndoLog,
+    ) -> FedResult<usize> {
+        let slots = self.select_slots(predicate)?;
+        let columns = assignments
+            .iter()
+            .map(|(name, value)| self.assigned_column(name, value))
+            .collect::<FedResult<Vec<usize>>>()?;
         let mark = undo.len();
-        let mut updated = 0;
-        for slot in 0..self.slots.len() {
-            let matches = match Self::live_row(&self.slots[slot]) {
-                Some(row) => predicate.selects(row),
-                None => Ok(false),
-            };
-            let step = matches.and_then(|m| {
-                if m {
-                    self.update_slot(slot, column, &value, txn, undo)
-                        .map(|()| 1)
-                } else {
-                    Ok(0)
-                }
-            });
-            match step {
-                Ok(n) => updated += n,
-                Err(e) => {
+        for &slot in &slots {
+            for (&column, (_, value)) in columns.iter().zip(assignments) {
+                if let Err(e) = self.update_slot(slot, column, value, txn, undo) {
                     self.abort_to(undo, mark);
                     return Err(e);
                 }
             }
         }
-        Ok(updated)
+        Ok(slots.len())
     }
 
     /// Undo everything the current statement logged: pop entries in reverse
@@ -645,26 +639,34 @@ impl StoredTable {
         self.abort_to(undo, 0);
     }
 
-    /// The changes a successful statement made, in order — the database
-    /// derives WAL redo records from these.
-    pub(crate) fn changes(&self, undo: &UndoLog) -> Vec<ChangeKind> {
+    /// The WAL redo records of a successful statement, in order, read off
+    /// its undo log.
+    pub(crate) fn redo_records(&self, undo: &UndoLog) -> Vec<WalRecord> {
+        let table = self.name.as_str();
         undo.entries
             .iter()
             .map(|e| match e {
-                UndoEntry::Insert { slot } => ChangeKind::Insert {
-                    slot: *slot as RowId,
+                UndoEntry::Insert { slot } => WalRecord::Insert {
+                    table: table.to_string(),
+                    row: self
+                        .get(*slot as RowId)
+                        .expect("freshly inserted row is live")
+                        .values()
+                        .to_vec(),
                 },
                 UndoEntry::Update {
                     slot,
                     column,
                     new_key,
                     ..
-                } => ChangeKind::Update {
+                } => WalRecord::Update {
+                    table: table.to_string(),
                     slot: *slot as RowId,
-                    column: *column,
+                    column: *column as u32,
                     value: new_key.clone(),
                 },
-                UndoEntry::Delete { slot } => ChangeKind::Delete {
+                UndoEntry::Delete { slot } => WalRecord::Delete {
+                    table: table.to_string(),
                     slot: *slot as RowId,
                 },
             })
@@ -725,7 +727,7 @@ impl StoredTable {
                 .and_then(|c| Self::version_at(c, epoch))
             {
                 if predicate.selects(row)? {
-                    sink.emit(row, projection);
+                    sink.emit(slot, row, projection);
                 }
             }
         }
@@ -976,8 +978,7 @@ mod tests {
         let n = t
             .update_where(
                 &Predicate::eq(0, 3),
-                "Name",
-                Value::str("Cogs Inc"),
+                &[("Name", Value::str("Cogs Inc"))],
                 4,
                 &mut UndoLog::new(),
             )
@@ -996,8 +997,7 @@ mod tests {
         assert!(t
             .update_where(
                 &Predicate::True,
-                "Reliability",
-                Value::str("high"),
+                &[("Reliability", Value::str("high"))],
                 4,
                 &mut UndoLog::new()
             )
@@ -1012,8 +1012,7 @@ mod tests {
         let err = t
             .update_where(
                 &Predicate::True,
-                "SupplierNo",
-                Value::Int(7),
+                &[("SupplierNo", Value::Int(7))],
                 4,
                 &mut UndoLog::new(),
             )
@@ -1097,8 +1096,7 @@ mod tests {
         let epoch = 3; // after the three inserts
         t.update_where(
             &Predicate::True,
-            "Reliability",
-            Value::Int(0),
+            &[("Reliability", Value::Int(0))],
             4,
             &mut UndoLog::new(),
         )
@@ -1161,8 +1159,7 @@ mod tests {
         let mut t = suppliers();
         t.update_where(
             &Predicate::True,
-            "Reliability",
-            Value::Int(1),
+            &[("Reliability", Value::Int(1))],
             4,
             &mut UndoLog::new(),
         )

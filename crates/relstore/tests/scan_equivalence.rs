@@ -6,10 +6,11 @@
 //! history says are visible.
 //!
 //! Each case builds a table with one unique and one non-unique index, runs
-//! random inserts, updates and deletes (recording the visible state after
-//! every committed statement), then scans it with random predicates —
-//! index-served or not, NULL keys included — and random projections,
-//! where an out-of-range column must come back as a typed storage error.
+//! random inserts, one- and two-column updates and deletes (recording the
+//! visible state after every committed statement), then scans it with
+//! random predicates — index-served or not, NULL keys included — and
+//! random projections, where an out-of-range column must come back as a
+//! typed storage error.
 
 use std::sync::Arc;
 
@@ -103,16 +104,32 @@ fn mutate(rng: &mut Rng, db: &Database, model: &mut Vec<Row>) {
             }
         }
         3 => {
+            // One assignment through `update_where` or two through
+            // `update_set`: the predicate selects the rows first, then
+            // each gets the assignments left to right.
             let predicate = gen_predicate(rng, 1);
-            let column = rng.range_usize(0, WIDTH);
-            let value = gen_value(rng, column);
-            let name = ["k", "g", "s", "x"][column];
-            if let Ok(n) = db.update_where(TABLE, &predicate, name, value.clone()) {
+            let assignments: Vec<(usize, Value)> = (0..rng.range_usize(1, 3))
+                .map(|_| {
+                    let column = rng.range_usize(0, WIDTH);
+                    (column, gen_value(rng, column))
+                })
+                .collect();
+            let named: Vec<(&str, Value)> = assignments
+                .iter()
+                .map(|(column, value)| (["k", "g", "s", "x"][*column], value.clone()))
+                .collect();
+            let result = match &named[..] {
+                [(name, value)] => db.update_where(TABLE, &predicate, name, value.clone()),
+                _ => db.update_set(TABLE, &predicate, &named),
+            };
+            if let Ok(n) = result {
                 let mut updated = 0;
                 for row in model.iter_mut() {
                     if predicate.selects(row).unwrap() {
                         let mut values = row.clone().into_values();
-                        values[column] = value.clone();
+                        for (column, value) in &assignments {
+                            values[*column] = value.clone();
+                        }
                         *row = Row::new(values);
                         updated += 1;
                     }

@@ -3,6 +3,7 @@
 //! together.
 
 use fedwf::fdbs::Fdbs;
+use fedwf::relstore::{Database, Durability, MemorySink, MemorySnapshots};
 use fedwf::sim::{CostModel, Meter};
 use fedwf::types::{Table, Value};
 
@@ -171,6 +172,69 @@ fn update_then_read_back() {
     f.execute("DELETE FROM Suppliers WHERE Relia = 99", &mut m)
         .unwrap();
     assert_eq!(run(&f, "SELECT * FROM Suppliers").row_count(), 3);
+}
+
+/// `T (K, V)` with a unique index on `K`, over rows (3, 1) and (4, 1).
+fn two_rows(f: &Fdbs) {
+    f.execute_script(
+        "CREATE TABLE T (K INT, V INT);
+         CREATE UNIQUE INDEX t_k ON T (K);
+         INSERT INTO T VALUES (3, 1), (4, 1);",
+        &mut Meter::new(),
+    )
+    .unwrap();
+}
+
+/// The rows of `T` as (K, V), ordered by K.
+fn t_rows(f: &Fdbs) -> Vec<(Option<i64>, Option<i64>)> {
+    let t = run(f, "SELECT K, V FROM T ORDER BY K");
+    col_i64(&t, "K").into_iter().zip(col_i64(&t, "V")).collect()
+}
+
+/// The WHERE clause selects the rows once, before any SET column changes.
+#[test]
+fn multi_column_update_is_one_statement() {
+    let f = Fdbs::new(CostModel::zero());
+    two_rows(&f);
+    let t = run(&f, "UPDATE T SET K = 5, V = 0 WHERE K = 3");
+    assert_eq!(t.value(0, "rows"), Some(&Value::Int(1)));
+    assert_eq!(t_rows(&f), [(Some(4), Some(1)), (Some(5), Some(0))]);
+}
+
+/// An assignment that cannot be coerced fails the statement before any
+/// column changes, the assignments to its left included.
+#[test]
+fn a_failing_assignment_updates_no_column() {
+    let f = Fdbs::new(CostModel::zero());
+    two_rows(&f);
+    assert!(f
+        .execute("UPDATE T SET V = 9, K = 'x' WHERE K = 4", &mut Meter::new())
+        .is_err());
+    assert_eq!(t_rows(&f), [(Some(3), Some(1)), (Some(4), Some(1))]);
+}
+
+/// Over a durable local store a two-column UPDATE commits once, and
+/// recovery replays it.
+#[test]
+fn a_durable_multi_column_update_commits_once_and_recovers() {
+    let log = MemorySink::new();
+    let snapshots = MemorySnapshots::new();
+    let open = || {
+        Database::open_with(
+            "local",
+            Durability::in_memory(log.clone(), snapshots.clone()),
+        )
+        .unwrap()
+    };
+    let f = Fdbs::with_local(CostModel::zero(), open());
+    two_rows(&f);
+    let commits = |f: &Fdbs| f.catalog().local().commit_stats().unwrap().commits;
+    let before = commits(&f);
+    run(&f, "UPDATE T SET K = 5, V = 0 WHERE K = 3");
+    assert_eq!(commits(&f), before + 1);
+    drop(f);
+    let f = Fdbs::with_local(CostModel::zero(), open());
+    assert_eq!(t_rows(&f), [(Some(4), Some(1)), (Some(5), Some(0))]);
 }
 
 #[test]
